@@ -14,7 +14,6 @@ from towertrees import (
     certify_raise_order,
     extract_model,
     glue,
-    hat_tau,
     ihx_insert,
     random_raw_tower,
     replay_certificate,
@@ -61,7 +60,7 @@ ct, edge = next((c, e) for c, e in ihx_triples(2, 4) if c.nonrepeating)
 triple = ihx_insert(bch_tower([], 2, 4), ct, edge)
 print(f"one inserted IHX triple: tau vanishes in the group: "
       f"{is_zero(tau(triple), 2, 4)}")
-print(f"but the hat-level sum is {hat_tau(triple).text()}")
+print(f"but the hat-level sum is {tau(triple).text()}")
 cert = certify_raise_order(triple)
 kinds = [type(m).__name__ for m in cert.moves]
 print(f"certificate inserts the inverse relator, then cancels: {kinds}")

@@ -41,7 +41,7 @@ from .trees import (
     rooted_product,
     to_text,
 )
-from .sums import TreeSum, nonrepeating_project, sum_add, sum_negate, sum_scale
+from .sums import TreeSum, nonrepeating_project
 from .intlinalg import IntegerLattice, integer_rank, smith_normal_form
 from .groups import (
     AbelianGroupStructure,
@@ -78,7 +78,6 @@ from .towers import (
     certify_raise_order,
     extract_model,
     glue,
-    hat_tau,
     ihx_insert,
     load_tower,
     make_model,

@@ -21,7 +21,7 @@ from .trees import (
     Leaf,
     Node,
     SignedTree,
-    all_trees,
+    _all_trees_cached,
     canonicalize,
     check_bounds,
     decode_code,
@@ -95,8 +95,12 @@ def relator_sum(tree: CanonicalTree, edge: str) -> TreeSum:
 def ihx_triples(order, labels, nonrepeating=False, bounds=None):
     """Every (canonical tree, interior edge) pair in a fixed order."""
     check_bounds(order, labels, bounds)
+    return _ihx_triples(order, labels, nonrepeating)
+
+
+def _ihx_triples(order, labels, nonrepeating=False):
     out = []
-    for ct in all_trees(order, labels):
+    for ct in _all_trees_cached(order, labels):
         if nonrepeating and not ct.nonrepeating:
             continue
         for edge in sorted(interior_edge_paths(ct)):
@@ -135,6 +139,10 @@ def raw_generators(order, labels, nonrepeating=False, bounds=None):
 def presentation(order, labels, nonrepeating=False, bounds=None):
     """Raw presentation of the order-n group on labels 1..m."""
     check_bounds(order, labels, bounds)
+    return _presentation(order, labels, nonrepeating)
+
+
+def _presentation(order, labels, nonrepeating):
     codes = _raw_generators(order, labels, nonrepeating)
     index = {c: i for i, c in enumerate(codes)}
     gens = tuple(decode_code(c) for c in codes)
@@ -149,7 +157,7 @@ def presentation(order, labels, nonrepeating=False, bounds=None):
             rows.append(tuple(sorted(row.items())))
     as_count = len(rows)
 
-    for ct, edge in ihx_triples(order, labels, nonrepeating, bounds):
+    for ct, edge in _ihx_triples(order, labels, nonrepeating):
         i_raw, h_raw, x_raw = ihx_triple(ct, edge)
         row = {}
         for t, coeff in ((i_raw, 1), (h_raw, -1), (x_raw, 1)):
@@ -164,7 +172,7 @@ def presentation(order, labels, nonrepeating=False, bounds=None):
 
 @lru_cache(maxsize=None)
 def _group_structure_cached(order, labels, nonrepeating):
-    mat = presentation(order, labels, nonrepeating)
+    mat = _presentation(order, labels, nonrepeating)
     factors, rank = smith_normal_form(mat.row_dicts())
     torsion = tuple(d for d in factors if d > 1)
     return AbelianGroupStructure(mat.ncols - rank, torsion)
@@ -182,7 +190,7 @@ def group_structure(order, labels, nonrepeating=False, bounds=None):
 @lru_cache(maxsize=None)
 def tree_basis(order, labels):
     """Index of every canonical order-n tree over labels 1..m."""
-    return {ct.code: i for i, ct in enumerate(all_trees(order, labels))}
+    return {ct.code: i for i, ct in enumerate(_all_trees_cached(order, labels))}
 
 
 def ts_to_vec(ts: TreeSum, order, labels):
@@ -199,13 +207,13 @@ def ts_to_vec(ts: TreeSum, order, labels):
 def _relator_lattice(order, labels):
     """Lattice of consequences of the relations among canonical trees:
     2t for each 2-torsion tree plus every IHX relator."""
-    trees = all_trees(order, labels)
+    trees = _all_trees_cached(order, labels)
     basis = tree_basis(order, labels)
     lat = IntegerLattice()
     for i, ct in enumerate(trees):
         if ct.two_torsion:
             lat.add({i: 2})
-    for ct, edge in ihx_triples(order, labels):
+    for ct, edge in _ihx_triples(order, labels):
         vec = {basis[t.code]: c for t, c in relator_sum(ct, edge).items()}
         lat.add(vec)
     return lat
@@ -236,7 +244,7 @@ def normal_form(ts: TreeSum, order, labels, bounds=None):
     check_bounds(order, labels, bounds)
     _check_trivial(ts)
     residue = _relator_lattice(order, labels).reduce(ts_to_vec(ts, order, labels))
-    trees = all_trees(order, labels)
+    trees = _all_trees_cached(order, labels)
     return TreeSum([(trees[i], c) for i, c in residue.items()])
 
 
@@ -246,10 +254,10 @@ def relator_solver(order, labels):
     combinations.  Tags: ("ihx", k) for the k-th entry of
     ihx_triples(order, labels), ("tors", i) for the doubling row of the
     i-th canonical tree."""
-    trees = all_trees(order, labels)
+    trees = _all_trees_cached(order, labels)
     basis = tree_basis(order, labels)
     lat = IntegerLattice(track=True)
-    triples = ihx_triples(order, labels)
+    triples = _ihx_triples(order, labels)
     for k, (ct, edge) in enumerate(triples):
         vec = {basis[t.code]: c for t, c in relator_sum(ct, edge).items()}
         lat.add(vec, tag=("ihx", k))

@@ -92,18 +92,6 @@ class TreeSum:
         return " ".join(f"{c:+d}*{t.text()}" for t, c in self.items())
 
 
-def sum_add(a: TreeSum, b: TreeSum) -> TreeSum:
-    return a + b
-
-
-def sum_negate(a: TreeSum) -> TreeSum:
-    return -a
-
-
-def sum_scale(a: TreeSum, k: int) -> TreeSum:
-    return a.scale(k)
-
-
 def nonrepeating_project(ts: TreeSum) -> TreeSum:
     """Keep exactly the terms whose leaf labels are pairwise distinct."""
     return TreeSum({t: c for t, c in ts.items() if t.nonrepeating})

@@ -20,6 +20,7 @@ group, and ``verify_certificate`` replays one, checking every move.
 from __future__ import annotations
 
 import json
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 
 from .groups import is_zero, normal_form, relator_solver, ts_to_vec
@@ -334,12 +335,6 @@ def tau(model: TowerModel) -> TreeSum:
         [(pt.tree, pt.sign) for _, pt in model.points if pt.tree.order == model.order])
 
 
-def hat_tau(model: TowerModel) -> TreeSum:
-    """Same sum as tau, but read in the lift without IHX: it vanishes
-    iff the points pair off into algebraically cancelling pairs."""
-    return tau(model)
-
-
 def glue(a: TowerModel, b: TowerModel) -> TowerModel:
     """Union with all signs of b reversed, so tau(glue) = tau(a) - tau(b)."""
     if a.m != b.m or a.order != b.order:
@@ -592,16 +587,26 @@ def model_to_json(model: TowerModel) -> str:
     return json.dumps(doc, indent=2)
 
 
+@contextmanager
+def _json_record(what):
+    """Report a key missing from one JSON record as a TowerError."""
+    try:
+        yield
+    except KeyError as exc:
+        raise TowerError(f"{what} lacks the key {exc.args[0]!r}") from None
+
+
 def model_from_json(text: str) -> TowerModel:
     doc = json.loads(text)
     pts = []
-    for entry in doc["points"]:
-        tree = parse_tree(entry["tree"])
-        if not isinstance(tree, DecoratedTree):
-            raise TowerError(f"point tree {entry['tree']!r} is not an unrooted tree")
-        ct, sign = canonicalize(SignedTree(entry["sign"], tree))
-        pts.append((sign, ct, entry["puncture"]))
-    return make_model(doc["m"], doc["order"], pts)
+    with _json_record("model"):
+        for entry in doc["points"]:
+            tree = parse_tree(entry["tree"])
+            if not isinstance(tree, DecoratedTree):
+                raise TowerError(f"point tree {entry['tree']!r} is not an unrooted tree")
+            ct, sign = canonicalize(SignedTree(entry["sign"], tree))
+            pts.append((sign, ct, entry["puncture"]))
+        return make_model(doc["m"], doc["order"], pts)
 
 
 def raw_to_json(raw: RawTower) -> str:
@@ -625,15 +630,16 @@ def raw_to_json(raw: RawTower) -> str:
 
 def raw_from_json(text: str) -> RawTower:
     doc = json.loads(text)
-    disks = tuple(
-        RawDisk(parse_bracket(d["bracket"]), d.get("whisker", ""), d.get("orientation", 1))
-        for d in doc.get("disks", ()))
-    points = tuple(
-        RawPoint(p["sign"], parse_bracket(p["left"]), parse_bracket(p["right"]),
-                 p.get("g", ""),
-                 parse_bracket(p["paired_by"]) if p.get("paired_by") else None)
-        for p in doc.get("points", ()))
-    return RawTower(doc["m"], doc["order"], disks, points)
+    with _json_record("raw tower"):
+        disks = tuple(
+            RawDisk(parse_bracket(d["bracket"]), d.get("whisker", ""), d.get("orientation", 1))
+            for d in doc.get("disks", ()))
+        points = tuple(
+            RawPoint(p["sign"], parse_bracket(p["left"]), parse_bracket(p["right"]),
+                     p.get("g", ""),
+                     parse_bracket(p["paired_by"]) if p.get("paired_by") else None)
+            for p in doc.get("points", ()))
+        return RawTower(doc["m"], doc["order"], disks, points)
 
 
 def load_tower(text: str):
@@ -662,23 +668,24 @@ def certificate_to_json(cert: MoveCertificate) -> str:
 def certificate_from_json(text: str) -> MoveCertificate:
     doc = json.loads(text)
     moves = []
-    for entry in doc:
+    for k, entry in enumerate(doc):
         kind = entry.get("move")
-        if kind == "ihx_insert":
-            # fold a non-canonical I string into the sign by hand: the
-            # insertion sign stays meaningful through H and X even when
-            # the I tree is 2-torsion, so canonicalize's torsion sign
-            # normalization must not touch it
-            ct, csign = canonicalize(SignedTree(1, parse_tree(entry["i"])))
-            h = parse_tree(entry["h"])
-            x = parse_tree(entry["x"])
-            moves.append(IhxInsert(ct, entry["edge"], entry["sign"] * csign, h, x))
-        elif kind == "move_puncture":
-            moves.append(PunctureMove(entry["point"], entry["edge"]))
-        elif kind == "cancel_pair":
-            moves.append(CancelPair(entry["p"], entry["q"]))
-        else:
-            raise ValueError(f"unknown move record {entry!r}")
+        with _json_record(f"certificate move {k} ({kind})"):
+            if kind == "ihx_insert":
+                # fold a non-canonical I string into the sign by hand: the
+                # insertion sign stays meaningful through H and X even when
+                # the I tree is 2-torsion, so canonicalize's torsion sign
+                # normalization must not touch it
+                ct, csign = canonicalize(SignedTree(1, parse_tree(entry["i"])))
+                h = parse_tree(entry["h"])
+                x = parse_tree(entry["x"])
+                moves.append(IhxInsert(ct, entry["edge"], entry["sign"] * csign, h, x))
+            elif kind == "move_puncture":
+                moves.append(PunctureMove(entry["point"], entry["edge"]))
+            elif kind == "cancel_pair":
+                moves.append(CancelPair(entry["p"], entry["q"]))
+            else:
+                raise ValueError(f"unknown move record {entry!r}")
     return MoveCertificate(tuple(moves))
 
 

@@ -18,9 +18,12 @@ for any two gauge-equivalent inputs, with the correct relative sign.
 The invariant data behind it: pick a root leaf, then the tree is
 determined by its shape, its leaf labels, the vertex orientations and
 the root-to-leaf holonomies (path products of edge words), which are
-unchanged by OR and HOL.  The code is minimized over all root choices
-and all orientation states, one sign per vertex swap; if the minimum
-is reached with both signs the class is 2-torsion.
+unchanged by OR and HOL.  The code is the pair (root label, rooted
+view), minimized over root choices and all orientation states, one
+sign per vertex swap; if the minimum is reached with both signs the
+class is 2-torsion.  Codes compare by root label first, so only roots
+carrying the least label can reach the minimum and the others are
+never tried.
 """
 
 from __future__ import annotations
@@ -356,6 +359,8 @@ def _graph(t):
 def _cross(g, v, entry, hol):
     e, u = entry
     tail, head, word = g.edges[e]
+    if not word:  # holonomies are always reduced, so nothing changes
+        return u, hol
     return u, wmul(hol, word if tail == v else winv(word))
 
 
@@ -371,8 +376,15 @@ def _view(g, v, e_in, hol):
     return (1, _view(g, u1, c1[0], h1), _view(g, u2, c2[0], h2))
 
 
-def _root_views(g):
-    for r in g.leaves:
+def _root_views(g, least=False):
+    """(root leaf, (label, view)) for every leaf, or with ``least`` only
+    for the leaves carrying the least label: a code starts with its root
+    label, so no other root can give the minimal code."""
+    roots = g.leaves
+    if least:
+        low = min(g.labels[r] for r in roots)
+        roots = [r for r in roots if g.labels[r] == low]
+    for r in roots:
         entry = g.nbr[r][0]
         u, h = _cross(g, r, entry, "")
         yield r, (g.labels[r], _view(g, u, entry[0], h))
@@ -392,6 +404,28 @@ def _canon_rec(view):
     return (1, ca, cb), sa * sb, amb
 
 
+def _canonical_rooting(signed):
+    """(CanonicalTree, sign, graph, root leaf) of a signed tree; the root
+    is the first leaf, in ``g.leaves`` order, reaching the minimal code."""
+    if isinstance(signed, DecoratedTree):
+        signed = SignedTree(1, signed)
+    g = _graph(signed.tree)
+    best = None
+    signs = set()
+    amb_at_best = False
+    for r, (lab, view) in _root_views(g, least=True):
+        code, sign, amb = _canon_rec(view)
+        full = (lab, code)
+        if best is None or full < best:
+            best, best_root, signs, amb_at_best = full, r, {sign}, amb
+        elif full == best:
+            signs.add(sign)
+            amb_at_best = amb_at_best or amb
+    torsion = amb_at_best or len(signs) == 2
+    sign = 1 if torsion else min(signs) * signed.sign
+    return CanonicalTree(best, torsion), sign, g, best_root
+
+
 def canonicalize(signed):
     """Canonical form of a signed decorated tree.
 
@@ -399,27 +433,8 @@ def canonicalize(signed):
     canonical trees with the AS-predicted sign relation; for 2-torsion
     classes the sign is normalized to +1.
     """
-    if isinstance(signed, DecoratedTree):
-        signed = SignedTree(1, signed)
-    ct, sign = _canonicalize_full(signed.tree)
-    return ct, (1 if ct.two_torsion else sign * signed.sign)
-
-
-def _canonicalize_full(tree):
-    g = _graph(tree)
-    best = None
-    signs = set()
-    amb_at_best = False
-    for _, (lab, view) in _root_views(g):
-        code, sign, amb = _canon_rec(view)
-        full = (lab, code)
-        if best is None or full < best:
-            best, signs, amb_at_best = full, {sign}, amb
-        elif full == best:
-            signs.add(sign)
-            amb_at_best = amb_at_best or amb
-    torsion = amb_at_best or len(signs) == 2
-    return CanonicalTree(best, torsion), min(signs) if not torsion else 1
+    ct, sign, _, _ = _canonical_rooting(signed)
+    return ct, sign
 
 
 def canonicalize_with_edges(signed):
@@ -429,29 +444,10 @@ def canonicalize_with_edges(signed):
     The tracking is one deterministic choice when the tree has
     symmetries.  Returns (CanonicalTree, sign, path_of_fused_edge).
     """
-    if isinstance(signed, DecoratedTree):
-        signed = SignedTree(1, signed)
-    g = _graph(signed.tree)
-    best = None
-    best_root = None
-    signs = set()
-    amb_at_best = False
-    for r, (lab, view) in _root_views(g):
-        code, sign, amb = _canon_rec(view)
-        full = (lab, code)
-        if best is None or full < best:
-            best, best_root, signs, amb_at_best = full, r, {sign}, amb
-        elif full == best:
-            signs.add(sign)
-            amb_at_best = amb_at_best or amb
-    torsion = amb_at_best or len(signs) == 2
-    ct = CanonicalTree(best, torsion)
-    sign = 1 if torsion else min(signs) * signed.sign
-
-    paths = {}
-    entry = g.nbr[best_root][0]
-    paths[entry[0]] = ""
-    u, h = _cross(g, best_root, entry, "")
+    ct, sign, g, root = _canonical_rooting(signed)
+    entry = g.nbr[root][0]
+    paths = {entry[0]: ""}
+    u, h = _cross(g, root, entry, "")
     _assign_paths(g, u, entry[0], h, "", paths)
     return ct, sign, paths[g.fused]
 
@@ -497,8 +493,7 @@ def explicit_code(tree):
     edge reversals, whisker moves and relabeling of the internal
     structure, with no AS flips.  Used as the raw generator identity.
     """
-    g = _graph(tree)
-    return min((lab, view) for _, (lab, view) in _root_views(g))
+    return min(code for _, code in _root_views(_graph(tree), least=True))
 
 
 def decode_code(code):
@@ -640,9 +635,7 @@ def hol_normalize(t):
     the identity and each remaining leaf edge carries the holonomy from
     the root, oriented toward its leaf.  Idempotent.
     """
-    g = _graph(t)
-    best = min((lab, view) for _, (lab, view) in _root_views(g))
-    return decode_code(best)
+    return decode_code(explicit_code(t))
 
 
 def is_simple(t):
@@ -691,13 +684,18 @@ def _fill(shape, labels, i=0):
 
 
 def iter_raw_trees(order, labels):
-    """All planar rooted presentations of order-n trees with labels in
-    1..m, trivially decorated.  Every unrooted tree occurs (several
-    times); callers dedupe through a code."""
+    """Planar presentations of the order-n trees with labels in 1..m,
+    trivially decorated, each rooted at a leaf carrying its least label.
+
+    Every unrooted tree, and every orientation-explicit class of one,
+    occurs (several times): re-root it at a least-label leaf and read
+    the rest as a planar rooted tree.  Callers dedupe through a code.
+    """
     for shape in _shapes(order):
         slots = _leaf_slots(shape)
         for root_label in range(1, labels + 1):
-            for assignment in itertools.product(range(1, labels + 1), repeat=slots):
+            rest_labels = range(root_label, labels + 1)
+            for assignment in itertools.product(rest_labels, repeat=slots):
                 rest, _ = _fill(shape, assignment)
                 yield DecoratedTree(Leaf(root_label), rest, "")
 

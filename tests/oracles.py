@@ -6,10 +6,29 @@ plumbing it sticks to the raw building blocks (explicit codes and
 single-vertex flips).
 """
 
-from itertools import combinations
+from itertools import combinations, product
 from math import gcd
 
-from towertrees.trees import explicit_code, flip_at, internal_paths
+from towertrees.trees import DecoratedTree, Leaf, Node, explicit_code, flip_at, internal_paths
+
+
+def planar_rooted(order, labels):
+    """Every planar rooted tree with `order` vertices and leaf labels
+    in 1..m, trivially decorated."""
+    if order == 0:
+        return [Leaf(lab) for lab in range(1, labels + 1)]
+    return [Node(left, right)
+            for k in range(order)
+            for left in planar_rooted(k, labels)
+            for right in planar_rooted(order - 1 - k, labels)]
+
+
+def all_planar_trees(order, labels):
+    """Every planar presentation of the order-n trees on labels 1..m:
+    all root labels times all planar rooted rests, with no pruning."""
+    rests = planar_rooted(order, labels)
+    return [DecoratedTree(Leaf(root), rest, "")
+            for root, rest in product(range(1, labels + 1), rests)]
 
 
 def gauge_orbit(layout_tree):
@@ -126,7 +145,6 @@ def lie_dim_by_rank(m, length):
         return out
 
     rows = []
-    from itertools import product
     for word in product(range(1, m + 1), repeat=length):
         rows.extend(bracketings(list(word)))
 

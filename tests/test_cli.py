@@ -174,3 +174,36 @@ def test_cli_is_a_thin_adapter(capsys):
 
     _, out, _ = invoke(capsys, "rank", "--order", "1", "--labels", "4")
     assert out.strip() == str(rational_rank_bound(1, 4))
+
+
+def test_groups_max_order_raises_the_bound(capsys):
+    # closed form at (5,2): free rank 2*L6(2) - L7(2) = 0, torsion (Z/2)^{2*L3(2)}
+    from towertrees.lie import lie_dimension_oracle as L
+
+    code, out, err = invoke(capsys, "groups", "--order", "5", "--labels", "2",
+                            "--max-order", "5")
+    assert code == 0, err
+    assert 2 * L(2, 6) - L(2, 7) == 0
+    assert out.strip() == " + ".join(["Z/2"] * (2 * L(2, 3)))
+
+
+def test_verify_certificate_without_h_exits_one(tmp_path, capsys):
+    zero = tmp_path / "zero.json"
+    cert = tmp_path / "cert.json"
+    invoke(capsys, "bch", "+inner((1,2),(3,4),)", "-inner((1,2),(3,4),)",
+           "--order", "2", "--labels", "4", "--out", str(zero))
+    record = {"move": "ihx_insert", "i": "inner(1,(2,(3,4)),)",
+              "x": "inner(1,(3,(2,4)),)", "edge": "R", "sign": 1}
+    cert.write_text(json.dumps([record]))
+    code, _, err = invoke(capsys, "verify", str(zero), str(cert))
+    assert code == 1
+    assert "certificate move 0" in err and "'h'" in err
+    assert "Traceback" not in err
+
+
+def test_tau_model_without_points_exits_one(tmp_path, capsys):
+    f = tmp_path / "nopoints.json"
+    f.write_text(json.dumps({"m": 2, "order": 1}))
+    code, _, err = invoke(capsys, "tau", str(f))
+    assert code == 1
+    assert "model lacks the key 'points'" in err

@@ -25,7 +25,6 @@ from towertrees.towers import (
     certify_raise_order,
     extract_model,
     glue,
-    hat_tau,
     ihx_insert,
     load_tower,
     make_model,
@@ -186,16 +185,15 @@ def test_tau_cancelling_pair():
     y = canon("inner(1,(2,3),)")
     model = make_model(3, 1, [(1, y, ""), (-1, y, "")])
     assert tau(model).is_empty()
-    assert hat_tau(model).is_empty()
 
 
 def test_hat_tau_sees_ihx_triple():
     ct, edge = next((c, e) for c, e in ihx_triples(2, 4) if c.nonrepeating)
     model = ihx_insert(make_model(4, 2, []), ct, edge)
     assert len(model.points) == 3
-    assert not hat_tau(model).is_empty()
+    assert not tau(model).is_empty()
     assert is_zero(tau(model), 2, 4)
-    assert hat_tau(model) == relator_sum(ct, edge)
+    assert tau(model) == relator_sum(ct, edge)
 
 
 def test_bch_tower():
@@ -242,7 +240,7 @@ def test_ihx_insert_counts_and_conservation():
     assert len(grown.points) == len(base.points) + 3
     assert is_zero(tau(grown), 2, 4) == before
     back = ihx_insert(grown, ct, edge, -1)
-    assert hat_tau(back) == hat_tau(base)
+    assert tau(back) == tau(base)
 
 
 def test_ihx_insert_rejects_bad_edge():
@@ -272,7 +270,7 @@ def test_cancel_simple_pair():
     out = cancel_simple_pair(model, 0, 1)
     assert [pid for pid, _ in out.points] == [2]
     # the pair cancelled algebraically, so the hat-level sum is untouched
-    assert hat_tau(out) == hat_tau(model)
+    assert tau(out) == tau(model)
     empty = cancel_simple_pair(make_model(3, 1, [(1, y, ""), (-1, y, "")]), 0, 1)
     assert not empty.points
 

@@ -22,7 +22,6 @@ from towertrees.trees import (
     internal_paths,
     interior_edge_paths,
     is_simple,
-    iter_raw_trees,
     labels_of,
     order_of,
     parse_signed,
@@ -31,7 +30,7 @@ from towertrees.trees import (
     to_text,
 )
 
-from oracles import brute_canonical, count_classes
+from oracles import all_planar_trees, brute_canonical, count_classes
 
 
 # ------------------------------------------------------------------ grammar
@@ -271,6 +270,18 @@ def test_canonicalize_with_edges_tracks_fused_edge():
     assert fused in interior_edge_paths(ct)
 
 
+def test_canonicalize_with_edges_symmetric_tree_picks_first_root():
+    # both 1-leaves of ((1,2),(1,2)) root the same code; the first one
+    # reached puts the fused 2-leaf edge next to the root vertex ("L",
+    # not "RR"), and the torsion tree keeps its fused edge at "RL"
+    t = parse_tree("inner(2,(1,(1,2)),)")
+    ct, sign, fused = canonicalize_with_edges(SignedTree(1, t))
+    assert (ct.text(), sign, ct.two_torsion, fused) == ("inner(1,(2,(1,2)),)", -1, False, "L")
+    t = parse_tree("inner(3,((1,2),(1,2)),)")
+    ct, sign, fused = canonicalize_with_edges(SignedTree(1, t))
+    assert (ct.text(), sign, ct.two_torsion, fused) == ("inner(1,(2,(3,(1,2))),)", 1, True, "RL")
+
+
 def test_edge_paths_count():
     for n, m in [(0, 2), (1, 3), (2, 4), (3, 4)]:
         for ct in all_trees(n, m)[:5]:
@@ -313,8 +324,19 @@ def test_all_trees_smallest():
 
 def test_all_trees_counts_against_union_find():
     for n, m in [(0, 2), (0, 3), (1, 1), (1, 2), (1, 3), (2, 2), (2, 3)]:
-        expected = count_classes(iter_raw_trees(n, m))
+        expected = count_classes(all_planar_trees(n, m))
         assert len(all_trees(n, m)) == expected, (n, m)
+
+
+def test_all_trees_match_full_planar_enumeration():
+    # all_trees enumerates only least-label rootings; every rooting must
+    # canonicalize into the same set
+    for n, m in [(3, 3), (4, 2)]:
+        seen = {}
+        for t in all_planar_trees(n, m):
+            ct, _ = canonicalize(SignedTree(1, t))
+            seen[ct.code] = ct.two_torsion
+        assert [(ct.code, ct.two_torsion) for ct in all_trees(n, m)] == sorted(seen.items())
 
 
 def test_all_trees_sorted_unique():

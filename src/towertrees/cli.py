@@ -158,7 +158,8 @@ def cmd_verify(args):
         cert = certificate_from_json(fh.read())
     res = verify_certificate(model, cert)
     if args.json:
-        _emit(args, json.dumps({"ok": res.ok, "reason": res.reason}, indent=2))
+        _emit(args, json.dumps({"ok": res.ok, "reason": res.reason, "move": res.move,
+                                "code": res.code}, indent=2))
     else:
         _emit(args, "OK" if res.ok else f"FAIL: {res.reason}")
     return 0 if res.ok else 1
@@ -202,8 +203,6 @@ def build_parser():
         p.add_argument("--json", action="store_true", help="emit JSON")
         if out:
             p.add_argument("--out", metavar="FILE", help="write output to FILE")
-        p.add_argument("--seed", type=int, default=None,
-                       help="seed for randomized suites (reserved)")
         p.add_argument("--max-order", type=int, default=4, help="enumeration bound")
         p.add_argument("--max-labels", type=int, default=6, help="enumeration bound")
 

@@ -12,15 +12,19 @@ only its combinatorial shadow:
 * ``cancel_simple_pair`` removes two points carrying the same simple
                         tree with opposite signs.
 
-``certify_raise_order`` plans a replayable certificate that empties the
-order-n layer whenever the intersection sum vanishes in the order-n
-group, and ``verify_certificate`` replays one, checking every move.
+Each move does only its own work: an insertion canonicalizes its H and
+X companions once each, and a cancellation reads simplicity off the
+canonical code.  ``certify_raise_order`` plans a replayable certificate
+that empties the order-n layer whenever the intersection sum vanishes
+in the order-n group, and ``verify_certificate`` replays one, checking
+every move on its delta (the points it adds or removes), never on the
+whole intersection sum.  The JSON loaders validate their input and name
+the offending record and key in a ``TowerError``.
 """
 
 from __future__ import annotations
 
 import json
-from contextlib import contextmanager
 from dataclasses import dataclass, replace
 
 from .groups import is_zero, normal_form, relator_solver, ts_to_vec
@@ -51,11 +55,14 @@ class TowerError(ValueError):
 
 
 class MoveError(ValueError):
-    """A move's precondition failed; ``reason`` names the condition."""
+    """A move's precondition failed; ``reason`` names the condition and
+    ``move`` is the index of the failing certificate move, when replay
+    knows it."""
 
-    def __init__(self, reason, message):
+    def __init__(self, reason, message, move=None):
         super().__init__(message)
         self.reason = reason
+        self.move = move
 
 
 class ObstructionNonzero(Exception):
@@ -299,12 +306,13 @@ class TowerModel:
         return all(is_trivially_decorated(pt.tree) for _, pt in self.points)
 
 
-def make_model(m, order, signed_trees):
-    """Model from (sign, CanonicalTree, puncture-edge) triples."""
+def make_model(m, order, signed_trees, where="point"):
+    """Model from (sign, CanonicalTree, puncture-edge) triples; the k-th
+    triple becomes point k, named ``f"{where} {k}"`` in errors."""
     pts = []
     for k, (sign, ct, edge) in enumerate(signed_trees):
         if edge not in edge_paths(ct):
-            raise TowerError(f"puncture {edge!r} is not an edge of {ct.text()}")
+            raise TowerError(f"{where} {k}: 'puncture' {edge!r} is not an edge of {ct.text()}")
         pts.append((k, PuncturedTree(1 if ct.two_torsion else sign, ct, edge)))
     return TowerModel(m, order, tuple(pts), len(pts))
 
@@ -428,14 +436,17 @@ def _apply_ihx(model, move: IhxInsert) -> TowerModel:
     if move.edge not in interior_edge_paths(ct):
         raise MoveError("NotInterior", f"{move.edge!r} is not an interior edge of {ct.text()}")
     h, x = ihx_at(ct, move.edge)
-    if canonicalize(SignedTree(1, h)) != canonicalize(SignedTree(1, move.h)) or \
-            canonicalize(SignedTree(1, x)) != canonicalize(SignedTree(1, move.x)):
+    ch = canonicalize(SignedTree(1, h))
+    cx = canonicalize(SignedTree(1, x))
+    # a certificate's own H and X need canonicalizing only when they are
+    # not the layout trees recomputed here
+    if (move.h != h and canonicalize(SignedTree(1, move.h)) != ch) or \
+            (move.x != x and canonicalize(SignedTree(1, move.x)) != cx):
         raise MoveError("BadTriple", "H and X do not match the local move at this edge")
     pts = list(model.points)
     k = model.next_id
-    for raw, coeff in ((ct.decode(), move.sign), (h, -move.sign), (x, move.sign)):
-        t, s = canonicalize(SignedTree(coeff, raw))
-        pts.append((k, PuncturedTree(s, t, "")))
+    for t, s, coeff in ((ct, 1, move.sign), (*ch, -move.sign), (*cx, move.sign)):
+        pts.append((k, PuncturedTree(1 if t.two_torsion else s * coeff, t, "")))
         k += 1
     return replace(model, points=tuple(pts), next_id=k)
 
@@ -536,28 +547,57 @@ def certify_raise_order(model: TowerModel) -> MoveCertificate:
 
 
 def replay_certificate(model: TowerModel, cert: MoveCertificate) -> TowerModel:
-    """Apply every move, checking preconditions and conservation of the
-    zero-ness of tau; returns the final model with the order raised.
-    Raises MoveError on the first violation."""
+    """Apply every move, checking its preconditions and that it keeps
+    the zero-ness of tau; returns the final model with the order raised.
+
+    tau changes by exactly the points a move adds or removes, so each
+    move is checked on that delta alone: the three inserted points of
+    an IHX move, or the removed pair, must vanish in the order-n group.
+    The moves' own preconditions already imply this (``_apply_ihx``
+    checks H and X against the local move, ``cancel_simple_pair`` the
+    equal trees and opposite signs), so ``ZeronessChanged`` is a
+    defensive re-check of them, at the cost of one small ``is_zero``.
+    Raises MoveError on the first violation, carrying the move's index.
+    """
     n, m = model.order, model.m
     if not model.trivially_decorated():
         raise MoveError("Decorated", "replay supports the trivial group alphabet only")
-    zero_before = is_zero(tau(model), n, m)
     state = model
     for k, move in enumerate(cert.moves):
-        state = apply_move(state, move)
-        if is_zero(tau(state), n, m) != zero_before:
-            raise MoveError("ZeronessChanged", f"move #{k} changed the vanishing of tau")
+        try:
+            after = apply_move(state, move)
+        except MoveError as exc:
+            exc.move = k
+            raise
+        if not is_zero(_tau_delta(state, after, move), n, m):
+            raise MoveError("ZeronessChanged", f"move #{k} changed the vanishing of tau", k)
+        state = after
     leftover = [pid for pid, pt in state.points if pt.tree.order == n]
     if leftover:
         raise MoveError("PointsRemain", f"order-{n} points remain: {leftover}")
     return replace(state, order=n + 1)
 
 
+def _tau_delta(before: TowerModel, after: TowerModel, move) -> TreeSum:
+    """The change of tau made by one move: the points it appends, minus
+    the points it removes (every move's points lie at the tower order)."""
+    if isinstance(move, IhxInsert):
+        return TreeSum([(pt.tree, pt.sign) for _, pt in after.points[len(before.points):]])
+    if isinstance(move, CancelPair):
+        return TreeSum([(pt.tree, -pt.sign) for pt in (before.point(move.p), before.point(move.q))])
+    return TreeSum()
+
+
 @dataclass(frozen=True)
 class VerificationResult:
+    """Outcome of a replay; on failure ``reason`` is the message, ``code``
+    the MoveError reason and ``move`` the index of the failing move
+    (None when the failure is not tied to one move)."""
+
     ok: bool
     reason: str | None = None
+    move: int | None = None
+    code: str | None = None
 
     def __bool__(self):
         return self.ok
@@ -568,12 +608,79 @@ def verify_certificate(model: TowerModel, cert: MoveCertificate) -> Verification
     exception."""
     try:
         replay_certificate(model, cert)
-    except (MoveError, TowerError) as exc:
+    except MoveError as exc:
+        return VerificationResult(False, str(exc), exc.move, exc.reason)
+    except TowerError as exc:
         return VerificationResult(False, str(exc))
     return VerificationResult(True, None)
 
 
 # ---------------------------------------------------------------- JSON i/o
+#
+# Each JSON format has one validating loader.  A record is named by its
+# place in the document ("model point 3", "certificate move 0
+# (ihx_insert)"), and every TowerError names the record and the key.
+
+_JSON_KINDS = {dict: "an object", list: "an array", str: "a string", int: "an integer",
+               float: "a number", bool: "a boolean", type(None): "null"}
+_REQUIRED = object()
+
+
+def _json_object(value, where):
+    if not isinstance(value, dict):
+        raise TowerError(f"{where} must be a JSON object, not {_JSON_KINDS[type(value)]}")
+    return value
+
+
+def _get(record, key, where, kind, default=_REQUIRED):
+    """``record[key]``, checked to be of the JSON kind ``kind``.  An absent
+    key gives ``default``, and so does a null when the default is None."""
+    value = record.get(key)
+    if key not in record or (value is None and default is None):
+        if default is _REQUIRED:
+            raise TowerError(f"{where} lacks the key {key!r}")
+        return default
+    if type(value) is not kind:
+        raise TowerError(
+            f"{where}: {key!r} must be {_JSON_KINDS[kind]}, not {_JSON_KINDS[type(value)]}")
+    return value
+
+
+def _get_sign(record, where):
+    sign = _get(record, "sign", where, int)
+    if sign not in (1, -1):
+        raise TowerError(f"{where}: 'sign' must be +1 or -1, not {sign}")
+    return sign
+
+
+def _get_parsed(record, key, where, parse, default=_REQUIRED):
+    """A string field run through ``parse``; its errors name the field."""
+    text = _get(record, key, where, str, default)
+    if text is None:
+        return None
+    try:
+        return parse(text)
+    except ValueError as exc:  # ParseError, or TowerError from parse_bracket
+        raise TowerError(f"{where}: {key!r}: {exc}") from None
+
+
+def _get_unrooted(record, key, where):
+    tree = _get_parsed(record, key, where, parse_tree)
+    if not isinstance(tree, DecoratedTree):
+        raise TowerError(f"{where}: {key!r} is {record[key]!r}, not an unrooted tree")
+    return tree
+
+
+def _get_head(doc, where):
+    """The (m, order) fields every tower document starts with."""
+    m = _get(doc, "m", where, int)
+    order = _get(doc, "order", where, int)
+    if m < 1:
+        raise TowerError(f"{where}: 'm' must be at least 1, not {m}")
+    if order < 0:
+        raise TowerError(f"{where}: 'order' must be at least 0, not {order}")
+    return m, order
+
 
 def model_to_json(model: TowerModel) -> str:
     doc = {
@@ -587,26 +694,23 @@ def model_to_json(model: TowerModel) -> str:
     return json.dumps(doc, indent=2)
 
 
-@contextmanager
-def _json_record(what):
-    """Report a key missing from one JSON record as a TowerError."""
-    try:
-        yield
-    except KeyError as exc:
-        raise TowerError(f"{what} lacks the key {exc.args[0]!r}") from None
-
-
 def model_from_json(text: str) -> TowerModel:
-    doc = json.loads(text)
-    pts = []
-    with _json_record("model"):
-        for entry in doc["points"]:
-            tree = parse_tree(entry["tree"])
-            if not isinstance(tree, DecoratedTree):
-                raise TowerError(f"point tree {entry['tree']!r} is not an unrooted tree")
-            ct, sign = canonicalize(SignedTree(entry["sign"], tree))
-            pts.append((sign, ct, entry["puncture"]))
-        return make_model(doc["m"], doc["order"], pts)
+    return _model_from_doc(_json_object(json.loads(text), "model"))
+
+
+def _model_from_doc(doc) -> TowerModel:
+    m, order = _get_head(doc, "model")
+    triples = []
+    for k, entry in enumerate(_get(doc, "points", "model", list)):
+        where = f"model point {k}"
+        entry = _json_object(entry, where)
+        sign = _get_sign(entry, where)
+        ct, sign = canonicalize(SignedTree(sign, _get_unrooted(entry, "tree", where)))
+        top = max(ct.labels)
+        if top > m:
+            raise TowerError(f"{where}: 'tree' uses the label {top} outside 1..{m}")
+        triples.append((sign, ct, _get(entry, "puncture", where, str)))
+    return make_model(m, order, triples, "model point")
 
 
 def raw_to_json(raw: RawTower) -> str:
@@ -629,25 +733,37 @@ def raw_to_json(raw: RawTower) -> str:
 
 
 def raw_from_json(text: str) -> RawTower:
-    doc = json.loads(text)
-    with _json_record("raw tower"):
-        disks = tuple(
-            RawDisk(parse_bracket(d["bracket"]), d.get("whisker", ""), d.get("orientation", 1))
-            for d in doc.get("disks", ()))
-        points = tuple(
-            RawPoint(p["sign"], parse_bracket(p["left"]), parse_bracket(p["right"]),
-                     p.get("g", ""),
-                     parse_bracket(p["paired_by"]) if p.get("paired_by") else None)
-            for p in doc.get("points", ()))
-        return RawTower(doc["m"], doc["order"], disks, points)
+    return _raw_from_doc(_json_object(json.loads(text), "raw tower"))
+
+
+def _raw_from_doc(doc) -> RawTower:
+    """Shape and types only; ``validate_raw`` checks the tower itself."""
+    m, order = _get_head(doc, "raw tower")
+    disks = []
+    for k, d in enumerate(_get(doc, "disks", "raw tower", list, [])):
+        where = f"raw tower disk {k}"
+        d = _json_object(d, where)
+        disks.append(RawDisk(_get_parsed(d, "bracket", where, parse_bracket),
+                             _get(d, "whisker", where, str, ""),
+                             _get(d, "orientation", where, int, 1)))
+    points = []
+    for k, p in enumerate(_get(doc, "points", "raw tower", list, [])):
+        where = f"raw tower point {k}"
+        p = _json_object(p, where)
+        points.append(RawPoint(_get(p, "sign", where, int),
+                               _get_parsed(p, "left", where, parse_bracket),
+                               _get_parsed(p, "right", where, parse_bracket),
+                               _get(p, "g", where, str, ""),
+                               _get_parsed(p, "paired_by", where, parse_bracket, None)))
+    return RawTower(m, order, tuple(disks), tuple(points))
 
 
 def load_tower(text: str):
     """Load either schema: a raw tower (has "disks") is extracted."""
-    doc = json.loads(text)
+    doc = _json_object(json.loads(text), "tower")
     if "disks" in doc:
-        return extract_model(raw_from_json(text))
-    return model_from_json(text)
+        return extract_model(_raw_from_doc(doc))
+    return _model_from_doc(doc)
 
 
 def certificate_to_json(cert: MoveCertificate) -> str:
@@ -667,25 +783,30 @@ def certificate_to_json(cert: MoveCertificate) -> str:
 
 def certificate_from_json(text: str) -> MoveCertificate:
     doc = json.loads(text)
+    if type(doc) is not list:
+        raise TowerError(f"certificate must be a JSON array of moves, not {_JSON_KINDS[type(doc)]}")
     moves = []
     for k, entry in enumerate(doc):
-        kind = entry.get("move")
-        with _json_record(f"certificate move {k} ({kind})"):
-            if kind == "ihx_insert":
-                # fold a non-canonical I string into the sign by hand: the
-                # insertion sign stays meaningful through H and X even when
-                # the I tree is 2-torsion, so canonicalize's torsion sign
-                # normalization must not touch it
-                ct, csign = canonicalize(SignedTree(1, parse_tree(entry["i"])))
-                h = parse_tree(entry["h"])
-                x = parse_tree(entry["x"])
-                moves.append(IhxInsert(ct, entry["edge"], entry["sign"] * csign, h, x))
-            elif kind == "move_puncture":
-                moves.append(PunctureMove(entry["point"], entry["edge"]))
-            elif kind == "cancel_pair":
-                moves.append(CancelPair(entry["p"], entry["q"]))
-            else:
-                raise ValueError(f"unknown move record {entry!r}")
+        where = f"certificate move {k}"
+        kind = _get(_json_object(entry, where), "move", where, str)
+        where = f"{where} ({kind})"
+        if kind == "ihx_insert":
+            # fold a non-canonical I string into the sign by hand: the
+            # insertion sign stays meaningful through H and X even when
+            # the I tree is 2-torsion, so canonicalize's torsion sign
+            # normalization must not touch it
+            ct, csign = canonicalize(SignedTree(1, _get_unrooted(entry, "i", where)))
+            h = _get_unrooted(entry, "h", where)
+            x = _get_unrooted(entry, "x", where)
+            edge = _get(entry, "edge", where, str)
+            moves.append(IhxInsert(ct, edge, _get_sign(entry, where) * csign, h, x))
+        elif kind == "move_puncture":
+            moves.append(PunctureMove(_get(entry, "point", where, int),
+                                      _get(entry, "edge", where, str)))
+        elif kind == "cancel_pair":
+            moves.append(CancelPair(_get(entry, "p", where, int), _get(entry, "q", where, int)))
+        else:
+            raise TowerError(f"{where}: unknown move kind {kind!r}")
     return MoveCertificate(tuple(moves))
 
 

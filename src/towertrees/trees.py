@@ -29,7 +29,7 @@ never tried.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 from .words import check_word, winv, wmul, wreduce
@@ -98,14 +98,13 @@ class CanonicalTree:
 
     ``two_torsion`` is set when some self-isomorphism of the tree
     reverses an odd number of vertex orientations, so that t = -t.
+    ``order`` (the number of trivalent vertices) is computed once, when
+    the tree is canonicalized; it takes no part in equality or hashing.
     """
 
     code: tuple
     two_torsion: bool
-
-    @property
-    def order(self):
-        return _code_order(self.code[1])
+    order: int = field(compare=False, repr=False)
 
     @property
     def labels(self):
@@ -423,7 +422,8 @@ def _canonical_rooting(signed):
             amb_at_best = amb_at_best or amb
     torsion = amb_at_best or len(signs) == 2
     sign = 1 if torsion else min(signs) * signed.sign
-    return CanonicalTree(best, torsion), sign, g, best_root
+    order = len(g.labels) - len(g.leaves)
+    return CanonicalTree(best, torsion, order), sign, g, best_root
 
 
 def canonicalize(signed):
@@ -505,12 +505,6 @@ def _decode_rest(c):
     if c[0] == 0:
         return Leaf(c[1], c[2])
     return Node(_decode_rest(c[1]), _decode_rest(c[2]))
-
-
-def _code_order(c):
-    if c[0] == 0:
-        return 0
-    return 1 + _code_order(c[1]) + _code_order(c[2])
 
 
 def _code_labels(c, out):
@@ -640,20 +634,25 @@ def hol_normalize(t):
 
 def is_simple(t):
     """True iff the tree shape is a caterpillar (right/left-normed):
-    all trivalent vertices lie on a single path."""
-    if isinstance(t, CanonicalTree):
-        t = t.decode()
-    g = _graph(t)
-    triv = [v for v in range(len(g.labels)) if g.labels[v] is None]
-    if len(triv) <= 1:
+    all trivalent vertices lie on a single path.
+
+    Read off the canonical code: seen from the root leaf, the top vertex
+    may have two trivalent children and every other vertex at most one.
+    A raw DecoratedTree is canonicalized first.
+    """
+    if not isinstance(t, CanonicalTree):
+        t = canonicalize(SignedTree(1, t))[0]
+    return _code_is_simple(t.code[1], 2)
+
+
+def _code_is_simple(c, room):
+    """No vertex of the rooted code has more than ``room`` trivalent
+    children (the top vertex two, the others one)."""
+    if c[0] == 0:
         return True
-    tset = set(triv)
-    deg = {v: sum(1 for _, u in g.nbr[v] if u in tset) for v in triv}
-    if any(d > 2 for d in deg.values()):
-        return False
-    # a forest on k vertices with k-1 internal adjacencies is connected
-    adj = sum(deg.values()) // 2
-    return adj == len(triv) - 1
+    left, right = c[1], c[2]
+    return (left[0] + right[0] <= room and _code_is_simple(left, 1)
+            and _code_is_simple(right, 1))
 
 
 # ------------------------------------------------------------- enumeration

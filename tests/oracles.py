@@ -31,6 +31,31 @@ def all_planar_trees(order, labels):
             for root, rest in product(range(1, labels + 1), rests)]
 
 
+def is_simple_by_graph(tree):
+    """Caterpillar test on the adjacency of the trivalent vertices of a
+    DecoratedTree.  They span a subtree, so they lie on one path iff
+    none has more than two trivalent neighbours."""
+    degree = []
+
+    def walk(sub, parent):
+        if isinstance(sub, Leaf):
+            return None
+        v = len(degree)
+        degree.append(0)
+        if parent is not None:
+            degree[v] += 1
+            degree[parent] += 1
+        walk(sub.left, v)
+        walk(sub.right, v)
+        return v
+
+    ends = [walk(tree.left, None), walk(tree.right, None)]
+    if None not in ends:  # the fused edge joins two trivalent vertices
+        for v in ends:
+            degree[v] += 1
+    return all(d <= 2 for d in degree)
+
+
 def gauge_orbit(layout_tree):
     """All (explicit code, sign) pairs reachable by single vertex flips.
 

@@ -1,6 +1,7 @@
 import json
 from pathlib import Path
 
+import pytest
 
 from towertrees.cli import run
 
@@ -207,3 +208,88 @@ def test_tau_model_without_points_exits_one(tmp_path, capsys):
     code, _, err = invoke(capsys, "tau", str(f))
     assert code == 1
     assert "model lacks the key 'points'" in err
+
+
+def _write(tmp_path, name, doc):
+    f = tmp_path / name
+    f.write_text(json.dumps(doc))
+    return str(f)
+
+
+def _zero_tower(tmp_path, capsys):
+    zero = tmp_path / "zero.json"
+    invoke(capsys, "bch", "+inner((1,2),(3,4),)", "-inner((1,2),(3,4),)",
+           "--order", "2", "--labels", "4", "--out", str(zero))
+    return str(zero)
+
+
+def test_tau_on_a_json_array_exits_one(tmp_path, capsys):
+    code, _, err = invoke(capsys, "tau", _write(tmp_path, "list.json", [1]))
+    assert code == 1
+    assert "tower must be a JSON object, not an array" in err and "Traceback" not in err
+
+
+def test_verify_certificate_object_exits_one(tmp_path, capsys):
+    cert = _write(tmp_path, "cert.json", {"move": "cancel_pair", "p": 0, "q": 1})
+    code, _, err = invoke(capsys, "verify", _zero_tower(tmp_path, capsys), cert)
+    assert code == 1
+    assert "certificate must be a JSON array of moves, not an object" in err
+
+
+def test_tau_point_sign_five_exits_one(tmp_path, capsys):
+    doc = {"m": 3, "order": 1, "points": [{"sign": 5, "tree": "inner(1,(2,3),)", "puncture": ""}]}
+    code, out, err = invoke(capsys, "tau", _write(tmp_path, "five.json", doc))
+    assert (code, out) == (1, "")
+    assert "model point 0: 'sign' must be +1 or -1, not 5" in err
+
+
+def test_certify_label_above_m_exits_one(tmp_path, capsys):
+    doc = {"m": 2, "order": 1, "points": [
+        {"sign": 1, "tree": "inner(1,(2,3),)", "puncture": ""},
+        {"sign": -1, "tree": "inner(1,(2,3),)", "puncture": ""}]}
+    code, out, err = invoke(capsys, "certify", _write(tmp_path, "label3.json", doc))
+    assert (code, out) == (1, "")
+    assert "model point 0: 'tree' uses the label 3 outside 1..2" in err
+
+
+def test_verify_ihx_insert_sign_two_exits_one(tmp_path, capsys):
+    record = {"move": "ihx_insert", "i": "inner(1,(2,(3,4)),)", "h": "inner(1,(3,(2,4)),)",
+              "x": "inner(1,(4,(2,3)),)", "edge": "R", "sign": 2}
+    cert = _write(tmp_path, "cert.json", [record])
+    code, _, err = invoke(capsys, "verify", _zero_tower(tmp_path, capsys), cert)
+    assert code == 1
+    assert "certificate move 0 (ihx_insert): 'sign' must be +1 or -1, not 2" in err
+
+
+def test_verify_json_names_the_failing_move(tmp_path, capsys):
+    zero = _zero_tower(tmp_path, capsys)
+    cert = tmp_path / "cert.json"
+    invoke(capsys, "certify", zero, "--out", str(cert))
+    code, out, _ = invoke(capsys, "verify", zero, str(cert), "--json")
+    assert code == 0
+    assert json.loads(out) == {"ok": True, "reason": None, "move": None, "code": None}
+
+    bad = _write(tmp_path, "bad.json", [{"move": "cancel_pair", "p": 0, "q": 7}])
+    code, out, _ = invoke(capsys, "verify", zero, bad, "--json")
+    doc = json.loads(out)
+    assert code == 1 and list(doc) == ["ok", "reason", "move", "code"]
+    assert (doc["ok"], doc["move"], doc["code"]) == (False, 0, "UnknownPoint")
+    code, text, _ = invoke(capsys, "verify", zero, bad)
+    assert text == f"FAIL: {doc['reason']}\n"
+
+
+@pytest.mark.parametrize("name", ["certify_3_4_a", "certify_3_4_b", "certify_4_3"])
+def test_certify_output_is_pinned(name, capsys):
+    # seeded zero models at (3,4) and (4,3): certify must reproduce the
+    # committed certificates byte for byte, and they must verify
+    model = str(FIXTURES / f"{name}.json")
+    code, out, _ = invoke(capsys, "certify", model)
+    assert code == 0
+    assert out == (FIXTURES / f"{name}.cert.json").read_text()
+    code, out, _ = invoke(capsys, "verify", model, str(FIXTURES / f"{name}.cert.json"))
+    assert (code, out) == (0, "OK\n")
+
+
+def test_seed_flag_is_gone(capsys):
+    code, _, err = invoke(capsys, "groups", "--order", "1", "--labels", "1", "--seed", "3")
+    assert code == 1 and "--seed" in err

@@ -1,3 +1,4 @@
+import json
 import random
 from dataclasses import replace
 from pathlib import Path
@@ -17,6 +18,7 @@ from towertrees.towers import (
     RawPoint,
     RawTower,
     TowerError,
+    apply_move,
     bch_tower,
     bracket_text,
     cancel_simple_pair,
@@ -27,6 +29,7 @@ from towertrees.towers import (
     glue,
     ihx_insert,
     load_tower,
+    make_ihx_insert,
     make_model,
     model_from_json,
     model_to_json,
@@ -41,9 +44,11 @@ from towertrees.towers import (
     verify_certificate,
 )
 from towertrees.trees import (
+    DecoratedTree,
     SignedTree,
     canonicalize,
     edge_paths,
+    ihx_at,
     order_of,
     parse_tree,
     rooted_product,
@@ -439,3 +444,184 @@ def test_model_points_keep_field_order():
     text = model_to_json(model)
     assert text.index('"m"') < text.index('"order"') < text.index('"points"')
     assert text.index('"sign"') < text.index('"tree"') < text.index('"puncture"')
+
+
+# ------------------------------------------------------ failing move codes
+
+def _ihx_model():
+    ct, edge = next((c, e) for c, e in ihx_triples(2, 4) if c.nonrepeating)
+    model = ihx_insert(make_model(4, 2, []), ct, edge)
+    return model, certify_raise_order(model).moves
+
+
+def _swap_h_and_x(moves):
+    mv = moves[0]
+    return (IhxInsert(mv.tree, mv.edge, mv.sign, mv.x, mv.h),) + moves[1:], 0
+
+
+def _h_is_i(moves):
+    mv = moves[0]
+    return (IhxInsert(mv.tree, mv.edge, mv.sign, mv.tree.decode(), mv.x),) + moves[1:], 0
+
+
+def _x_is_i(moves):
+    mv = moves[0]
+    return (IhxInsert(mv.tree, mv.edge, mv.sign, mv.h, mv.tree.decode()),) + moves[1:], 0
+
+
+def _insert_at_wrong_order(moves):
+    ct, edge = ihx_triples(3, 4)[0]
+    return (make_ihx_insert(ct, edge),) + moves[1:], 0
+
+
+def _cancel_unknown_point(moves):
+    return moves[:1] + (CancelPair(moves[1].p, 99),) + moves[2:], 1
+
+
+def _cross_two_pairs(moves):
+    a, b = moves[1], moves[2]
+    return moves[:1] + (CancelPair(a.p, b.q),) + moves[2:], 1
+
+
+def _insert_twice_then_pair_equal_signs(moves):
+    # points 3 and 6 are the I points of two identical insertions
+    return (moves[0], moves[0], CancelPair(3, 6)), 2
+
+
+def _drop_last_cancel(moves):
+    return moves[:-1], None
+
+
+def _cancel_a_point_with_itself(moves):
+    return moves[:1] + (CancelPair(moves[1].p, moves[1].p),) + moves[2:], 1
+
+
+def _insert_at_leaf_edge(moves):
+    mv = moves[0]
+    return (IhxInsert(mv.tree, "L", mv.sign, mv.h, mv.x),) + moves[1:], 0
+
+
+@pytest.mark.parametrize("doctor, code", [
+    (_swap_h_and_x, "BadTriple"),
+    (_h_is_i, "BadTriple"),
+    (_x_is_i, "BadTriple"),
+    (_insert_at_wrong_order, "WrongOrder"),
+    (_cancel_unknown_point, "UnknownPoint"),
+    (_cross_two_pairs, "TreesDiffer"),
+    (_insert_twice_then_pair_equal_signs, "SameSign"),
+    (_drop_last_cancel, "PointsRemain"),
+    (_cancel_a_point_with_itself, "SamePoint"),
+    (_insert_at_leaf_edge, "NotInterior"),
+])
+def test_doctored_certificate_fails_with_its_reason(doctor, code):
+    model, moves = _ihx_model()
+    assert verify_certificate(model, MoveCertificate(moves)).ok
+    doctored, index = doctor(moves)
+    res = verify_certificate(model, MoveCertificate(doctored))
+    assert not res.ok
+    assert (res.code, res.move) == (code, index)
+    # the same failure after a JSON round trip of the certificate
+    again = certificate_from_json(certificate_to_json(MoveCertificate(doctored)))
+    assert verify_certificate(model, again) == res
+
+
+def test_non_simple_pair_fails_with_its_reason():
+    star = canon("inner((1,2),((3,4),(1,2)),)")
+    model = make_model(4, 4, [(1, star, ""), (-1, star, "")])
+    res = verify_certificate(model, MoveCertificate((CancelPair(0, 1),)))
+    assert (res.ok, res.code, res.move) == (False, "NotSimple", 0)
+
+
+def test_replay_checks_each_move_on_its_delta(monkeypatch):
+    # replay never rebuilds tau, and each zero test sees one move's points
+    import towertrees.towers as towers
+
+    sizes = []
+    real_is_zero = towers.is_zero
+
+    def counting_is_zero(ts, n, m, bounds=None):
+        sizes.append(len(ts))
+        return real_is_zero(ts, n, m, bounds)
+
+    def no_tau(model):
+        raise AssertionError("replay rebuilt tau")
+
+    model, moves = _ihx_model()
+    monkeypatch.setattr(towers, "is_zero", counting_is_zero)
+    monkeypatch.setattr(towers, "tau", no_tau)
+    final = replay_certificate(model, MoveCertificate(moves))
+    assert final.order == 3 and not final.points
+    assert len(sizes) == len(moves) and max(sizes) == 3
+    assert sizes.count(0) == len(moves) - 1  # a cancelled pair adds nothing
+
+
+def test_ihx_insert_matches_full_canonicalization():
+    # the points of an insertion equal those of canonicalizing I, H and X
+    for ct, edge in ihx_triples(3, 3):
+        for sign in (1, -1):
+            grown = ihx_insert(make_model(3, 3, []), ct, edge, sign)
+            h, x = ihx_at(ct, edge)
+            expected = [canonicalize(SignedTree(c, t))
+                        for t, c in ((ct.decode(), sign), (h, -sign), (x, sign))]
+            assert [(pt.tree, pt.sign) for _, pt in grown.points] == expected
+
+
+def test_ihx_insert_accepts_equivalent_h_and_x():
+    # a certificate may write H and X in any gauge-equivalent layout
+    ct, edge = next((c, e) for c, e in ihx_triples(2, 4) if c.nonrepeating)
+    h, x = ihx_at(ct, edge)
+    swapped_h = DecoratedTree(h.right, h.left, h.word)
+    model = make_model(4, 2, [])
+    plain = apply_move(model, IhxInsert(ct, edge, 1, h, x))
+    assert apply_move(model, IhxInsert(ct, edge, 1, swapped_h, x)) == plain
+
+
+# ----------------------------------------------------------- JSON loaders
+
+@pytest.mark.parametrize("doc, message", [
+    ([1], "tower must be a JSON object, not an array"),
+    ({"m": "2", "order": 1, "points": []}, "model: 'm' must be an integer, not a string"),
+    ({"m": 0, "order": 1, "points": []}, "model: 'm' must be at least 1"),
+    ({"m": 2, "order": 1, "points": {}}, "model: 'points' must be an array, not an object"),
+    ({"m": 2, "order": 1, "points": [3]}, "model point 0 must be a JSON object, not an integer"),
+    ({"m": 3, "order": 1, "points": [{"sign": 5, "tree": "inner(1,(2,3),)", "puncture": ""}]},
+     "model point 0: 'sign' must be +1 or -1, not 5"),
+    ({"m": 3, "order": 1, "points": [{"sign": True, "tree": "inner(1,(2,3),)", "puncture": ""}]},
+     "model point 0: 'sign' must be an integer, not a boolean"),
+    ({"m": 2, "order": 1, "points": [{"sign": 1, "tree": "inner(1,(2,3),)", "puncture": ""}]},
+     "model point 0: 'tree' uses the label 3 outside 1..2"),
+    ({"m": 3, "order": 1, "points": [{"sign": 1, "tree": "(1,(2,3))", "puncture": ""}]},
+     "model point 0: 'tree' is '(1,(2,3))', not an unrooted tree"),
+    ({"m": 3, "order": 1, "points": [{"sign": 1, "tree": "inner(1,(2,3)", "puncture": ""}]},
+     "model point 0: 'tree': expected ','"),
+    ({"m": 3, "order": 1, "points": [{"sign": 1, "tree": "inner(1,(2,3),)", "puncture": "LL"}]},
+     "model point 0: 'puncture' 'LL' is not an edge"),
+    ({"m": 3, "order": 1, "disks": [{"bracket": 12}], "points": []},
+     "raw tower disk 0: 'bracket' must be a string, not an integer"),
+    ({"m": 3, "order": 1, "disks": [], "points": [{"sign": 1, "left": "(1,", "right": "3"}]},
+     "raw tower point 0: 'left': unexpected end of input"),
+])
+def test_load_tower_names_the_offending_json_path(doc, message):
+    with pytest.raises(TowerError) as exc:
+        load_tower(json.dumps(doc))
+    assert message in str(exc.value)
+
+
+@pytest.mark.parametrize("doc, message", [
+    ({"move": "cancel_pair"}, "certificate must be a JSON array of moves, not an object"),
+    ([[]], "certificate move 0 must be a JSON object, not an array"),
+    ([{"p": 0, "q": 1}], "certificate move 0 lacks the key 'move'"),
+    ([{"move": "swap"}], "certificate move 0 (swap): unknown move kind 'swap'"),
+    ([{"move": "cancel_pair", "p": 0, "q": "1"}],
+     "certificate move 0 (cancel_pair): 'q' must be an integer, not a string"),
+    ([{"move": "ihx_insert", "i": "inner(1,(2,(3,4)),)", "h": "inner(1,(3,(2,4)),)",
+       "x": "inner(1,(4,(2,3)),)", "edge": "R", "sign": 2}],
+     "certificate move 0 (ihx_insert): 'sign' must be +1 or -1, not 2"),
+    ([{"move": "ihx_insert", "i": "(1,(2,(3,4)))", "h": "inner(1,(3,(2,4)),)",
+       "x": "inner(1,(4,(2,3)),)", "edge": "R", "sign": 1}],
+     "certificate move 0 (ihx_insert): 'i' is '(1,(2,(3,4)))', not an unrooted tree"),
+])
+def test_certificate_loader_names_the_offending_json_path(doc, message):
+    with pytest.raises(TowerError) as exc:
+        certificate_from_json(json.dumps(doc))
+    assert message in str(exc.value)

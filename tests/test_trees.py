@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 from towertrees.trees import (
     BoundsError,
     Bounds,
+    CanonicalTree,
     DecoratedTree,
     Leaf,
     Node,
@@ -30,7 +31,7 @@ from towertrees.trees import (
     to_text,
 )
 
-from oracles import all_planar_trees, brute_canonical, count_classes
+from oracles import all_planar_trees, brute_canonical, count_classes, is_simple_by_graph
 
 
 # ------------------------------------------------------------------ grammar
@@ -312,6 +313,27 @@ def test_order5_caterpillar_simple():
     cat = parse_tree("inner(1,(2,(3,(4,(5,(6,7))))),)")
     assert order_of(cat) == 5
     assert is_simple(cat)
+
+
+def test_order_and_simplicity_read_off_the_code():
+    # the stored order and the code-level simplicity test agree with the
+    # decoded layout on every tree of every cell n <= 4, m <= 3, and (5,2)
+    cells = [(n, m) for n in range(5) for m in range(1, 4)] + [(5, 2)]
+    simple = 0
+    for n, m in cells:
+        for ct in all_trees(n, m, Bounds(max_order=5)):
+            layout = ct.decode()
+            assert ct.order == order_of(layout) == n
+            assert is_simple(ct) == is_simple_by_graph(layout) == is_simple(layout)
+            simple += is_simple(ct)
+    assert 0 < simple < sum(len(all_trees(n, m, Bounds(max_order=5))) for n, m in cells)
+
+
+def test_order_takes_no_part_in_equality_hash_or_repr():
+    ct = canonicalize(SignedTree(1, parse_tree("inner((1,2),(3,4),)")))[0]
+    other = CanonicalTree(ct.code, ct.two_torsion, ct.order + 1)
+    assert other == ct and hash(other) == hash(ct) and repr(other) == repr(ct)
+    assert repr(ct) == "CanonicalTree('inner(1,(2,(3,4)),)')"
 
 
 # -------------------------------------------------------------- enumeration

@@ -1,8 +1,8 @@
 """Structure of the order-n tree groups.
 
-Builds the raw presentations (orientation-explicit generators, one row
-per antisymmetry or IHX relator) and reads off free ranks and torsion
-through exact Smith normal form.
+Builds the presentations (canonical trees as generators, one row per
+IHX relator and a doubling row per 2-torsion tree) and reads off free
+ranks and torsion through exact Smith normal form.
 """
 
 from towertrees import group_structure, presentation, reduce_to_simple, TreeSum
@@ -32,7 +32,7 @@ print("== presentation sizes ==")
 for n, m in [(1, 2), (2, 3), (2, 4), (3, 3)]:
     mat = presentation(n, m)
     print(f"order {n}, labels 1..{m}: {mat.ncols:4d} generators, "
-          f"{mat.as_count:4d} AS rows + {mat.ihx_count:3d} IHX rows")
+          f"{mat.ihx_count:3d} IHX rows + {len(mat.rows) - mat.ihx_count:3d} torsion rows")
 
 print()
 print("== spanning by simple trees ==")

@@ -52,7 +52,6 @@ from .groups import (
     is_zero,
     normal_form,
     presentation,
-    raw_generators,
     reduce_to_simple,
     relator_sum,
 )

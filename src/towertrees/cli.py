@@ -14,7 +14,7 @@ import re
 import sys
 
 from . import lie
-from .groups import group_structure, is_zero, presentation, reduce_to_simple
+from .groups import is_zero, presentation, reduce_to_simple
 from .trees import (
     Bounds,
     BoundsError,
@@ -98,9 +98,9 @@ def cmd_reduce(args):
 
 
 def cmd_groups(args):
-    gs = group_structure(args.order, args.labels, args.nonrepeating, _bounds(args))
+    mat = presentation(args.order, args.labels, args.nonrepeating, _bounds(args))
+    gs = mat.cokernel()
     if args.json:
-        mat = presentation(args.order, args.labels, args.nonrepeating, _bounds(args))
         _emit(args, json.dumps({
             "order": args.order,
             "labels": args.labels,
@@ -300,6 +300,9 @@ def run(argv=None):
     except (ParseError, BoundsError, TowerError, MoveError, PlannerError,
             ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except RecursionError:
+        print("error: tree nested too deeply to process", file=sys.stderr)
         return 1
 
 

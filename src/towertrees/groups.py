@@ -1,11 +1,12 @@
 """The graded abelian groups of decorated trees.
 
 For trivial decorations and labels in 1..m, the order-n group is
-presented by raw orientation-explicit trees modulo the antisymmetry
-rows t + t^flip and the IHX rows I - H + X.  Working over canonical
-trees instead, antisymmetry is already folded in and the group is the
-quotient of the free part (with a Z/2 for each 2-torsion tree) by the
-IHX relator lattice; membership in that lattice is the exact zero test.
+generated by the canonical order-n trees, which already identify trees
+related by antisymmetry (AS), modulo the IHX rows I - H + X and a
+doubling row 2t for each 2-torsion tree t.  That one presentation
+gives the group structure (Smith normal form of its rows), the exact
+zero test and normal forms (membership in and residues modulo its row
+lattice) and explicit relator combinations (the same lattice, tracked).
 """
 
 from __future__ import annotations
@@ -24,16 +25,10 @@ from .trees import (
     _all_trees_cached,
     canonicalize,
     check_bounds,
-    decode_code,
-    explicit_code,
-    flip_at,
     ihx_at,
-    internal_paths,
     interior_edge_paths,
     is_simple,
     is_trivially_decorated,
-    iter_raw_trees,
-    labels_of,
 )
 
 
@@ -59,12 +54,13 @@ class AbelianGroupStructure:
 
 @dataclass(frozen=True)
 class RelationMatrix:
-    """Raw presentation: orientation-explicit tree generators and one
-    sparse row per AS or IHX relator."""
+    """Presentation of an order-n tree group: the canonical trees as
+    generators (columns), then one sparse row per IHX relator, in
+    ``ihx_triples`` order, then a row 2t per 2-torsion tree t, in tree
+    order."""
 
-    generators: tuple[DecoratedTree, ...]
+    generators: tuple[CanonicalTree, ...]
     rows: tuple[tuple[tuple[int, int], ...], ...]
-    as_count: int
     ihx_count: int
 
     @property
@@ -74,15 +70,13 @@ class RelationMatrix:
     def row_dicts(self):
         return [dict(r) for r in self.rows]
 
+    def cokernel(self):
+        """The group presented, via Smith normal form of the rows."""
+        factors, rank = smith_normal_form(self.row_dicts())
+        return AbelianGroupStructure(self.ncols - rank, tuple(d for d in factors if d > 1))
+
 
 # ------------------------------------------------------------- IHX relators
-
-def ihx_triple(tree: CanonicalTree, edge: str):
-    """The raw (I, H, X) trees of the local move at an interior edge of
-    a canonical layout; I is the layout itself."""
-    h, x = ihx_at(tree, edge)
-    return tree.decode(), h, x
-
 
 def relator_sum(tree: CanonicalTree, edge: str) -> TreeSum:
     """I - H + X at an interior edge, in canonical coordinates."""
@@ -115,72 +109,34 @@ def ihx_relators(order, labels, nonrepeating=False, bounds=None):
 
 # ------------------------------------------------------------- presentation
 
-@lru_cache(maxsize=None)
-def _raw_generators(order, labels, nonrepeating):
-    seen = {}
-    for t in iter_raw_trees(order, labels):
-        if nonrepeating:
-            labs = labels_of(t)
-            if len(set(labs)) != len(labs):
-                continue
-        code = explicit_code(t)
-        if code not in seen:
-            seen[code] = True
-    return tuple(sorted(seen))
-
-
-def raw_generators(order, labels, nonrepeating=False, bounds=None):
-    """Orientation-explicit trees (no AS identification), one layout
-    representative per isomorphism class, sorted."""
-    check_bounds(order, labels, bounds)
-    return tuple(decode_code(c) for c in _raw_generators(order, labels, nonrepeating))
-
-
 def presentation(order, labels, nonrepeating=False, bounds=None):
-    """Raw presentation of the order-n group on labels 1..m."""
+    """The presentation of the order-n group on labels 1..m, restricted
+    to trees with pairwise distinct labels when ``nonrepeating``."""
     check_bounds(order, labels, bounds)
     return _presentation(order, labels, nonrepeating)
 
 
-def _presentation(order, labels, nonrepeating):
-    codes = _raw_generators(order, labels, nonrepeating)
-    index = {c: i for i, c in enumerate(codes)}
-    gens = tuple(decode_code(c) for c in codes)
-
-    rows = []
-    for i, g in enumerate(gens):
-        for path in internal_paths(g):
-            flipped = explicit_code(flip_at(g, path))
-            row = {i: 1}
-            j = index[flipped]
-            row[j] = row.get(j, 0) + 1
-            rows.append(tuple(sorted(row.items())))
-    as_count = len(rows)
-
-    for ct, edge in _ihx_triples(order, labels, nonrepeating):
-        i_raw, h_raw, x_raw = ihx_triple(ct, edge)
-        row = {}
-        for t, coeff in ((i_raw, 1), (h_raw, -1), (x_raw, 1)):
-            j = index[explicit_code(t)]
-            row[j] = row.get(j, 0) + coeff
-        row = {j: v for j, v in row.items() if v}
-        rows.append(tuple(sorted(row.items())))
-    ihx_count = len(rows) - as_count
-
-    return RelationMatrix(gens, tuple(rows), as_count, ihx_count)
+def _presentation(order, labels, nonrepeating=False):
+    trees = _all_trees_cached(order, labels)
+    if nonrepeating:
+        trees = tuple(ct for ct in trees if ct.nonrepeating)
+    index = {ct.code: i for i, ct in enumerate(trees)}
+    # a relator's terms come sorted by code, hence by column
+    rows = [tuple((index[t.code], c) for t, c in relator_sum(ct, edge).items())
+            for ct, edge in _ihx_triples(order, labels, nonrepeating)]
+    ihx_count = len(rows)
+    rows.extend(((i, 2),) for i, ct in enumerate(trees) if ct.two_torsion)
+    return RelationMatrix(trees, tuple(rows), ihx_count)
 
 
 @lru_cache(maxsize=None)
 def _group_structure_cached(order, labels, nonrepeating):
-    mat = _presentation(order, labels, nonrepeating)
-    factors, rank = smith_normal_form(mat.row_dicts())
-    torsion = tuple(d for d in factors if d > 1)
-    return AbelianGroupStructure(mat.ncols - rank, torsion)
+    return _presentation(order, labels, nonrepeating).cokernel()
 
 
 def group_structure(order, labels, nonrepeating=False, bounds=None):
-    """Free rank and invariant factors of the order-n group, computed
-    as the cokernel of the raw presentation via Smith normal form."""
+    """Free rank and invariant factors of the order-n group: the
+    cokernel of ``presentation``'s rows, via Smith normal form."""
     check_bounds(order, labels, bounds)
     return _group_structure_cached(order, labels, nonrepeating)
 
@@ -205,17 +161,11 @@ def ts_to_vec(ts: TreeSum, order, labels):
 
 @lru_cache(maxsize=None)
 def _relator_lattice(order, labels):
-    """Lattice of consequences of the relations among canonical trees:
-    2t for each 2-torsion tree plus every IHX relator."""
-    trees = _all_trees_cached(order, labels)
-    basis = tree_basis(order, labels)
+    """Lattice spanned by the presentation's rows.  ``reduce`` returns
+    the unique residue, so the row order changes no normal form."""
     lat = IntegerLattice()
-    for i, ct in enumerate(trees):
-        if ct.two_torsion:
-            lat.add({i: 2})
-    for ct, edge in _ihx_triples(order, labels):
-        vec = {basis[t.code]: c for t, c in relator_sum(ct, edge).items()}
-        lat.add(vec)
+    for row in _presentation(order, labels).row_dicts():
+        lat.add(row)
     return lat
 
 
@@ -251,20 +201,14 @@ def normal_form(ts: TreeSum, order, labels, bounds=None):
 @lru_cache(maxsize=None)
 def relator_solver(order, labels):
     """Tracked lattice for expressing zero classes as explicit relator
-    combinations.  Tags: ("ihx", k) for the k-th entry of
-    ihx_triples(order, labels), ("tors", i) for the doubling row of the
-    i-th canonical tree."""
-    trees = _all_trees_cached(order, labels)
-    basis = tree_basis(order, labels)
+    combinations, over the presentation's rows.  Tags: ("ihx", k) for
+    the k-th entry of ihx_triples(order, labels), ("tors", i) for the
+    doubling row of the i-th canonical tree."""
+    mat = _presentation(order, labels)
     lat = IntegerLattice(track=True)
-    triples = _ihx_triples(order, labels)
-    for k, (ct, edge) in enumerate(triples):
-        vec = {basis[t.code]: c for t, c in relator_sum(ct, edge).items()}
-        lat.add(vec, tag=("ihx", k))
-    for i, ct in enumerate(trees):
-        if ct.two_torsion:
-            lat.add({i: 2}, tag=("tors", i))
-    return triples, lat
+    for k, row in enumerate(mat.row_dicts()):
+        lat.add(row, tag=("ihx", k) if k < mat.ihx_count else ("tors", next(iter(row))))
+    return _ihx_triples(order, labels), lat
 
 
 # ------------------------------------------------------- spanning by simple

@@ -491,7 +491,7 @@ def explicit_code(tree):
 
     Two decorated trees get equal explicit codes iff they are related by
     edge reversals, whisker moves and relabeling of the internal
-    structure, with no AS flips.  Used as the raw generator identity.
+    structure, with no AS flips.
     """
     return min(code for _, code in _root_views(_graph(tree), least=True))
 
@@ -573,22 +573,6 @@ def _replace_at(rest, path, new):
     return Node(rest.left, _replace_at(rest.right, path[1:], new), rest.word)
 
 
-def flip_at(tree, path):
-    """Swap the two children of the internal vertex at a layout path
-    (a single AS move on a layout-form DecoratedTree)."""
-    rest = tree.right
-    sub = _subtree_at(rest, path)
-    if not isinstance(sub, Node):
-        raise ValueError(f"no internal vertex at path {path!r}")
-    flipped = Node(sub.right, sub.left, sub.word)
-    return DecoratedTree(tree.left, _replace_at(rest, path, flipped), tree.word)
-
-
-def internal_paths(tree):
-    """Paths of the internal vertices of a layout-form DecoratedTree."""
-    return [p for p, sub in _positions(tree.right, "") if isinstance(sub, Node)]
-
-
 def ihx_at(ct, path):
     """The H and X companions of a canonical tree at an interior edge.
 
@@ -638,8 +622,12 @@ def is_simple(t):
 
     Read off the canonical code: seen from the root leaf, the top vertex
     may have two trivalent children and every other vertex at most one.
-    A raw DecoratedTree is canonicalized first.
+    A raw DecoratedTree is canonicalized first.  A rooted Leaf or Node
+    is refused: whether it is simple depends on how it is closed up.
     """
+    if isinstance(t, (Leaf, Node)):
+        raise TypeError("is_simple expects an unrooted tree (DecoratedTree or CanonicalTree), "
+                        f"not a rooted {type(t).__name__}")
     if not isinstance(t, CanonicalTree):
         t = canonicalize(SignedTree(1, t))[0]
     return _code_is_simple(t.code[1], 2)

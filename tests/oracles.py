@@ -3,13 +3,16 @@
 Nothing here reuses the library's canonicalization search, Smith normal
 form elimination or Lie dimension formula; where an oracle needs tree
 plumbing it sticks to the raw building blocks (explicit codes and
-single-vertex flips).
+single-vertex flips).  ``raw_presentation`` is the reference for the
+library's one presentation of the tree groups: it keeps every vertex
+orientation and imposes antisymmetry by explicit rows.
 """
 
 from itertools import combinations, product
 from math import gcd
 
-from towertrees.trees import DecoratedTree, Leaf, Node, explicit_code, flip_at, internal_paths
+from towertrees.groups import ihx_triples
+from towertrees.trees import DecoratedTree, Leaf, Node, explicit_code, ihx_at, labels_of
 
 
 def planar_rooted(order, labels):
@@ -29,6 +32,70 @@ def all_planar_trees(order, labels):
     rests = planar_rooted(order, labels)
     return [DecoratedTree(Leaf(root), rest, "")
             for root, rest in product(range(1, labels + 1), rests)]
+
+
+def flip_at(tree, path):
+    """Swap the two children of the internal vertex at a layout path
+    (a single AS move on a layout-form DecoratedTree)."""
+
+    def go(sub, rest):
+        if not isinstance(sub, Node):
+            raise ValueError(f"no internal vertex at path {path!r}")
+        if not rest:
+            return Node(sub.right, sub.left, sub.word)
+        if rest[0] == "L":
+            return Node(go(sub.left, rest[1:]), sub.right, sub.word)
+        return Node(sub.left, go(sub.right, rest[1:]), sub.word)
+
+    return DecoratedTree(tree.left, go(tree.right, path), tree.word)
+
+
+def internal_paths(tree):
+    """Paths of the internal vertices of a layout-form DecoratedTree,
+    in preorder."""
+
+    def walk(sub, path):
+        if isinstance(sub, Node):
+            yield path
+            yield from walk(sub.left, path + "L")
+            yield from walk(sub.right, path + "R")
+
+    return list(walk(tree.right, ""))
+
+
+def raw_generators(order, labels, nonrepeating=False):
+    """Orientation-explicit trees (no AS identification): one planar
+    representative per explicit code, sorted by code."""
+    seen = {}
+    for t in all_planar_trees(order, labels):
+        labs = labels_of(t)
+        if not nonrepeating or len(set(labs)) == len(labs):
+            seen.setdefault(explicit_code(t), t)
+    return [seen[c] for c in sorted(seen)]
+
+
+def raw_presentation(order, labels, nonrepeating=False):
+    """(generators, rows) of the order-n tree group over orientation-
+    explicit generators: an AS row t + flip(t) per generator and
+    internal vertex, then an IHX row I - H + X per IHX triple.  Rows
+    are sparse dicts over generator indices."""
+    gens = raw_generators(order, labels, nonrepeating)
+    index = {explicit_code(g): i for i, g in enumerate(gens)}
+    rows = []
+    for i, g in enumerate(gens):
+        for path in internal_paths(g):
+            row = {i: 1}
+            j = index[explicit_code(flip_at(g, path))]
+            row[j] = row.get(j, 0) + 1
+            rows.append(row)
+    for ct, edge in ihx_triples(order, labels, nonrepeating):
+        h, x = ihx_at(ct, edge)
+        row = {}
+        for t, coeff in ((ct.decode(), 1), (h, -1), (x, 1)):
+            j = index[explicit_code(t)]
+            row[j] = row.get(j, 0) + coeff
+        rows.append({j: v for j, v in row.items() if v})
+    return gens, rows
 
 
 def is_simple_by_graph(tree):

@@ -31,6 +31,20 @@ def test_groups_json_fields(capsys):
                          "generator_count", "relator_count"]
     assert doc["free_rank"] == 0 and doc["torsion"] == [2]
     assert doc["generator_count"] == 1 and doc["relator_count"] == 1
+    # the counts are of the canonical presentation: 21 canonical order-2
+    # trees on 3 labels, 21 IHX rows + 15 torsion rows
+    code, out, _ = invoke(capsys, "groups", "--order", "2", "--labels", "3", "--json")
+    doc = json.loads(out)
+    assert code == 0 and doc["free_rank"] == 6 and doc["torsion"] == []
+    assert doc["generator_count"] == 21 and doc["relator_count"] == 36
+
+
+def test_deeply_nested_tree_exits_one(capsys):
+    # an order-1200 caterpillar nests past the interpreter's recursion limit
+    text = "inner(1," + "(1," * 1199 + "2" + ")" * 1199 + ",)"
+    code, out, err = invoke(capsys, "canon", text)
+    assert code == 1 and out == ""
+    assert err == "error: tree nested too deeply to process\n"
 
 
 def test_canon_absorbs_sign(capsys):

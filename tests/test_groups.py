@@ -3,24 +3,30 @@ import itertools
 import pytest
 
 from towertrees.groups import (
+    AbelianGroupStructure,
     group_structure,
     ihx_relators,
     ihx_triples,
     is_zero,
     normal_form,
     presentation,
-    raw_generators,
     reduce_to_simple,
     relator_sum,
 )
+from towertrees.intlinalg import IntegerLattice, smith_normal_form
+from towertrees.lie import lie_dimension_oracle
 from towertrees.sums import TreeSum
 from towertrees.trees import (
+    Bounds,
     SignedTree,
     all_trees,
     canonicalize,
+    explicit_code,
     is_simple,
     parse_tree,
 )
+
+from oracles import raw_generators, raw_presentation
 
 
 def canon(text):
@@ -75,12 +81,22 @@ def test_presentation_forces_two_torsion():
 
 def test_presentation_row_counts():
     mat = presentation(2, 3)
-    n_gens = len(mat.generators)
-    # one AS row per generator and internal vertex, one IHX row per
-    # (canonical tree, interior edge) pair
-    assert mat.as_count == 2 * n_gens
-    assert mat.ihx_count == len(ihx_triples(2, 3))
-    assert len(mat.rows) == mat.as_count + mat.ihx_count
+    trees = all_trees(2, 3)
+    # the canonical trees are the generators; one IHX row per (canonical
+    # tree, interior edge) pair, in that order, then one doubling row per
+    # 2-torsion tree
+    assert mat.generators == trees
+    index = {t.code: i for i, t in enumerate(trees)}
+    ihx = [tuple((index[t.code], c) for t, c in relator_sum(ct, edge).items())
+           for ct, edge in ihx_triples(2, 3)]
+    torsion = [((i, 2),) for i, t in enumerate(trees) if t.two_torsion]
+    assert mat.ihx_count == len(ihx)
+    assert list(mat.rows) == ihx + torsion
+    assert (mat.ncols, len(mat.rows)) == (21, 36)
+    # nonrepeating keeps the trees with distinct labels, none of them 2-torsion
+    mat = presentation(2, 4, nonrepeating=True)
+    assert mat.generators == tuple(t for t in all_trees(2, 4) if t.nonrepeating)
+    assert mat.ihx_count == len(mat.rows) == len(ihx_triples(2, 4, nonrepeating=True))
 
 
 def test_raw_generators_are_orientation_explicit():
@@ -204,14 +220,11 @@ def _raw_zero_test(ts, n, m):
     """Zero test straight from the raw presentation: express the sum
     over orientation-explicit generators and test membership in the
     integer span of the AS and IHX rows."""
-    from towertrees.intlinalg import IntegerLattice
-    from towertrees.trees import explicit_code
-
-    mat = presentation(n, m)
-    index = {explicit_code(g): i for i, g in enumerate(mat.generators)}
+    gens, rows = raw_presentation(n, m)
+    index = {explicit_code(g): i for i, g in enumerate(gens)}
     lat = IntegerLattice()
-    for row in mat.rows:
-        lat.add(dict(row))
+    for row in rows:
+        lat.add(row)
     vec = {}
     for t, c in ts.items():
         # any raw representative works; representatives differ by AS rows
@@ -244,18 +257,27 @@ def test_zero_test_agrees_with_raw_presentation():
 
 
 def test_cokernels_agree_between_presentations():
-    # SNF of the raw presentation vs SNF of the canonical-coordinate
-    # lattice (2t rows for torsion trees plus IHX rows): equal free
-    # rank and equal invariant factors > 1
-    from towertrees.groups import relator_sum, ts_to_vec
-    from towertrees.intlinalg import smith_normal_form
-
-    for n, m in [(0, 3), (1, 1), (1, 2), (1, 3), (2, 2), (2, 3), (3, 2)]:
-        raw = group_structure(n, m)
-        trees = all_trees(n, m)
-        rows = [{i: 2} for i, t in enumerate(trees) if t.two_torsion]
-        for ct, edge in ihx_triples(n, m):
-            rows.append(ts_to_vec(relator_sum(ct, edge), n, m))
+    # SNF of the orientation-explicit AS + IHX presentation against the
+    # library's canonical one: equal free rank, equal invariant factors
+    cells = [(0, 3, False), (1, 1, False), (1, 2, False), (1, 3, False), (2, 2, False),
+             (2, 3, False), (3, 2, False), (3, 3, False),
+             (0, 2, True), (1, 3, True), (2, 4, True), (3, 5, True)]
+    for n, m, nonrepeating in cells:
+        gens, rows = raw_presentation(n, m, nonrepeating)
         factors, rank = smith_normal_form(rows)
-        assert len(trees) - rank == raw.free_rank, (n, m)
-        assert tuple(d for d in factors if d > 1) == raw.torsion, (n, m)
+        raw = AbelianGroupStructure(len(gens) - rank, tuple(d for d in factors if d > 1))
+        assert group_structure(n, m, nonrepeating) == raw, (n, m, nonrepeating)
+
+
+def _closed_form(n, m):
+    """The order-n group on m labels (Conant-Schneiderman-Teichner, Tree
+    homology and a conjecture of Levine): free rank m L_{n+1} - L_{n+2},
+    with L_k the Witt dimensions, plus (Z/2)^{m L_{(n+1)/2}} at odd n."""
+    free = m * lie_dimension_oracle(m, n + 1) - lie_dimension_oracle(m, n + 2)
+    torsion = (2,) * (m * lie_dimension_oracle(m, (n + 1) // 2)) if n % 2 else ()
+    return AbelianGroupStructure(free, torsion)
+
+
+@pytest.mark.parametrize("n, m", [(n, m) for n in range(5) for m in range(1, 5)] + [(5, 2), (5, 3)])
+def test_group_structure_matches_closed_form(n, m):
+    assert group_structure(n, m, bounds=Bounds(max_order=5)) == _closed_form(n, m)

@@ -20,13 +20,11 @@ from towertrees.trees import (
     SignedTree,
     all_trees,
     canonicalize,
-    flip_at,
-    internal_paths,
     parse_tree,
     rooted_product,
 )
 
-from oracles import lie_dim_by_rank
+from oracles import flip_at, internal_paths, lie_dim_by_rank
 
 X = {i: LieElement.generator(i) for i in range(1, 6)}
 

@@ -17,10 +17,8 @@ from towertrees.trees import (
     canonicalize_rooted,
     canonicalize_with_edges,
     edge_paths,
-    flip_at,
     hol_normalize,
     inner_product,
-    internal_paths,
     interior_edge_paths,
     is_simple,
     labels_of,
@@ -31,7 +29,14 @@ from towertrees.trees import (
     to_text,
 )
 
-from oracles import all_planar_trees, brute_canonical, count_classes, is_simple_by_graph
+from oracles import (
+    all_planar_trees,
+    brute_canonical,
+    count_classes,
+    flip_at,
+    internal_paths,
+    is_simple_by_graph,
+)
 
 
 # ------------------------------------------------------------------ grammar
@@ -313,6 +318,15 @@ def test_order5_caterpillar_simple():
     cat = parse_tree("inner(1,(2,(3,(4,(5,(6,7))))),)")
     assert order_of(cat) == 5
     assert is_simple(cat)
+
+
+def test_is_simple_refuses_rooted_trees():
+    # a rooted tree is simple or not only once it is closed up: read as
+    # inner(((1,2),(3,4)),5) it is, closed with a sixth leaf it is not
+    assert not is_simple(parse_tree("inner(6,(((1,2),(3,4)),5),)"))
+    for text in ["(((1,2),(3,4)),5)", "1"]:
+        with pytest.raises(TypeError, match="is_simple expects an unrooted tree"):
+            is_simple(parse_tree(text))
 
 
 def test_order_and_simplicity_read_off_the_code():

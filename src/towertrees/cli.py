@@ -261,7 +261,9 @@ def build_parser():
     return parser
 
 
-_TREE_ARG = re.compile(r"^-\s*(\(|\d|inner)")
+# a plain negative integer is left to argparse, which reads it as a
+# positional or as the value of an integer option (``--order -1``)
+_TREE_ARG = re.compile(r"^-(?!\d+$)\s*(\(|\d|inner)")
 
 
 def _stash_tree_args(argv):

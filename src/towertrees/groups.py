@@ -161,11 +161,15 @@ def ts_to_vec(ts: TreeSum, order, labels):
 
 @lru_cache(maxsize=None)
 def _relator_lattice(order, labels):
-    """Lattice spanned by the presentation's rows.  ``reduce`` returns
-    the unique residue, so the row order changes no normal form."""
-    lat = IntegerLattice()
-    for row in _presentation(order, labels).row_dicts():
-        lat.add(row)
+    """Lattice spanned by the presentation's rows, tracked so that
+    ``relator_solver`` shares it.  Tags: ("ihx", k) for the k-th entry
+    of ihx_triples(order, labels), ("tors", i) for the doubling row of
+    the i-th canonical tree.  ``reduce`` returns the unique residue, so
+    the row order changes no normal form."""
+    mat = _presentation(order, labels)
+    lat = IntegerLattice(track=True)
+    for k, row in enumerate(mat.row_dicts()):
+        lat.add(row, tag=("ihx", k) if k < mat.ihx_count else ("tors", next(iter(row))))
     return lat
 
 
@@ -200,15 +204,10 @@ def normal_form(ts: TreeSum, order, labels, bounds=None):
 
 @lru_cache(maxsize=None)
 def relator_solver(order, labels):
-    """Tracked lattice for expressing zero classes as explicit relator
-    combinations, over the presentation's rows.  Tags: ("ihx", k) for
-    the k-th entry of ihx_triples(order, labels), ("tors", i) for the
-    doubling row of the i-th canonical tree."""
-    mat = _presentation(order, labels)
-    lat = IntegerLattice(track=True)
-    for k, row in enumerate(mat.row_dicts()):
-        lat.add(row, tag=("ihx", k) if k < mat.ihx_count else ("tors", next(iter(row))))
-    return _ihx_triples(order, labels), lat
+    """ihx_triples(order, labels) and the tracked relator lattice, for
+    expressing zero classes as explicit relator combinations; the zero
+    test reads the same lattice, so a cell's rows are built once."""
+    return _ihx_triples(order, labels), _relator_lattice(order, labels)
 
 
 # ------------------------------------------------------- spanning by simple

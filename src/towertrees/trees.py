@@ -28,7 +28,6 @@ never tried.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -159,11 +158,14 @@ def _parse_word(text, i, alphabet):
 
 def _parse_label(text, i, alphabet):
     j = i
-    while j < len(text) and text[j].isdigit():
+    while j < len(text) and "0" <= text[j] <= "9":
         j += 1
     if j == i:
         raise ParseError("expected a label", i)
-    label = int(text[i:j])
+    try:
+        label = int(text[i:j])
+    except ValueError:  # more digits than int() converts
+        raise ParseError(f"label of {j - i} digits is too long", i) from None
     if label < 1:
         raise ParseError(f"label {label} out of range (labels start at 1)", i)
     word = ""
@@ -645,63 +647,42 @@ def _code_is_simple(c, room):
 
 # ------------------------------------------------------------- enumeration
 
-@lru_cache(maxsize=None)
-def _shapes(n):
-    """Full binary tree shapes with n internal vertices (None = leaf slot)."""
-    if n == 0:
-        return (None,)
-    out = []
-    for k in range(n):
-        for l in _shapes(k):
-            for r in _shapes(n - 1 - k):
-                out.append((l, r))
-    return tuple(out)
-
-
-def _leaf_slots(shape):
-    return 1 if shape is None else _leaf_slots(shape[0]) + _leaf_slots(shape[1])
-
-
-def _fill(shape, labels, i=0):
-    if shape is None:
-        return Leaf(labels[i]), i + 1
-    left, i = _fill(shape[0], labels, i)
-    right, i = _fill(shape[1], labels, i)
-    return Node(left, right), i
-
-
-def iter_raw_trees(order, labels):
-    """Planar presentations of the order-n trees with labels in 1..m,
-    trivially decorated, each rooted at a leaf carrying its least label.
-
-    Every unrooted tree, and every orientation-explicit class of one,
-    occurs (several times): re-root it at a least-label leaf and read
-    the rest as a planar rooted tree.  Callers dedupe through a code.
-    """
-    for shape in _shapes(order):
-        slots = _leaf_slots(shape)
-        for root_label in range(1, labels + 1):
-            rest_labels = range(root_label, labels + 1)
-            for assignment in itertools.product(rest_labels, repeat=slots):
-                rest, _ = _fill(shape, assignment)
-                yield DecoratedTree(Leaf(root_label), rest, "")
-
-
 def check_bounds(order, labels, bounds=None):
     bounds = bounds or DEFAULT_BOUNDS
-    if order > bounds.max_order or order < 0:
+    if order < 0:
+        raise BoundsError(f"order must be at least 0, not {order}")
+    if order > bounds.max_order:
         raise BoundsError(f"order {order} exceeds bound {bounds.max_order}")
-    if labels > bounds.max_labels or labels < 1:
+    if labels < 1:
+        raise BoundsError(f"label count must be at least 1, not {labels}")
+    if labels > bounds.max_labels:
         raise BoundsError(f"label count {labels} exceeds bound {bounds.max_labels}")
+
+
+def _sorted_rests(order, low, high):
+    """Trivially decorated rooted codes with ``order`` vertices, leaf
+    labels in low..high and the children of every vertex in code order:
+    the fixed points of ``_canon_rec``, built up by order."""
+    by_order = [[(0, label, "") for label in range(low, high + 1)]]
+    for n in range(1, order + 1):
+        by_order.append([(1, a, b) for k in range(n)
+                         for a in by_order[k] for b in by_order[n - 1 - k] if a <= b])
+    return by_order[order]
 
 
 @lru_cache(maxsize=None)
 def _all_trees_cached(order, labels):
-    seen = {}
-    for t in iter_raw_trees(order, labels):
-        ct, _ = canonicalize(SignedTree(1, t))
-        seen[ct.code] = ct
-    return tuple(seen[c] for c in sorted(seen))
+    """Canonical augmentation: a canonical code (r, rest) has least label
+    r and a rest with sorted children, so every such candidate is
+    canonicalized once and kept iff no other rooting at a leaf labelled
+    r gives a smaller code, i.e. iff canonicalization returns it."""
+    out = []
+    for root in range(1, labels + 1):
+        for rest in _sorted_rests(order, root, labels):
+            ct = _canonical_rooting(DecoratedTree(Leaf(root), _decode_rest(rest), ""))[0]
+            if ct.code == (root, rest):
+                out.append(ct)
+    return tuple(sorted(out, key=lambda ct: ct.code))
 
 
 def all_trees(order, labels, bounds=None):

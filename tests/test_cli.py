@@ -307,3 +307,22 @@ def test_certify_output_is_pinned(name, capsys):
 def test_seed_flag_is_gone(capsys):
     code, _, err = invoke(capsys, "groups", "--order", "1", "--labels", "1", "--seed", "3")
     assert code == 1 and "--seed" in err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["groups", "--order", "-1", "--labels", "2"], "order must be at least 0, not -1"),
+    (["rank", "--order", "-1", "--labels", "2"], "order must be at least 0, not -1"),
+    (["groups", "--order", "1", "--labels", "0"], "label count must be at least 1, not 0"),
+    (["groups", "--order", "1", "--labels", "-2"], "label count must be at least 1, not -2"),
+    (["rank", "--ord", "-1", "--labels", "2"], "order must be at least 0, not -1"),
+])
+def test_negative_integer_options_exit_one(argv, message, capsys):
+    # a negative integer value is an option value, not a signed tree
+    code, out, err = invoke(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err == f"error: {message}\n"
+
+
+def test_negative_tree_literal_still_parses(capsys):
+    code, out, _ = invoke(capsys, "canon", "-3")
+    assert code == 0 and out == "-3\n"

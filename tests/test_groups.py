@@ -281,3 +281,24 @@ def _closed_form(n, m):
 @pytest.mark.parametrize("n, m", [(n, m) for n in range(5) for m in range(1, 5)] + [(5, 2), (5, 3)])
 def test_group_structure_matches_closed_form(n, m):
     assert group_structure(n, m, bounds=Bounds(max_order=5)) == _closed_form(n, m)
+
+
+def test_zero_test_and_solver_build_one_presentation(monkeypatch):
+    from towertrees import groups
+
+    built = []
+    original = groups._presentation
+
+    def counting(*args):
+        built.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(groups, "_presentation", counting)
+    groups._relator_lattice.cache_clear()
+    groups.relator_solver.cache_clear()
+    t = canon("inner((1,2),(3,4),)")
+    assert not is_zero(TreeSum({t: 1}), 2, 4)
+    triples, solver = groups.relator_solver(2, 4)
+    assert built == [(2, 4)]
+    assert triples == ihx_triples(2, 4)
+    assert solver is groups._relator_lattice(2, 4)

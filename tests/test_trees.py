@@ -3,6 +3,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from towertrees import trees
 from towertrees.trees import (
     BoundsError,
     Bounds,
@@ -88,6 +89,14 @@ def test_parse_errors():
         parse_tree("(1:aA,2)")  # unreduced word
     with pytest.raises(ParseError):
         parse_tree("(1:c,2)", alphabet="ab")  # unknown letter
+
+
+def test_parse_labels_are_ascii_digits_of_bounded_length():
+    # '²' is a digit to str.isdigit but not to int()
+    with pytest.raises(ParseError, match="expected a label"):
+        parse_tree("(1,²)")
+    with pytest.raises(ParseError, match="label of 5000 digits is too long"):
+        parse_tree("(1," + "7" * 5000 + ")")
 
 
 def test_parse_signed():
@@ -365,14 +374,31 @@ def test_all_trees_counts_against_union_find():
 
 
 def test_all_trees_match_full_planar_enumeration():
-    # all_trees enumerates only least-label rootings; every rooting must
-    # canonicalize into the same set
-    for n, m in [(3, 3), (4, 2)]:
+    # all_trees canonicalizes only sorted codes rooted at a least label;
+    # every planar rooting must canonicalize into the same set
+    for n, m in [(3, 3), (4, 2), (3, 4), (4, 3), (2, 5)]:
         seen = {}
         for t in all_planar_trees(n, m):
             ct, _ = canonicalize(SignedTree(1, t))
-            seen[ct.code] = ct.two_torsion
-        assert [(ct.code, ct.two_torsion) for ct in all_trees(n, m)] == sorted(seen.items())
+            seen[ct.code] = (ct.two_torsion, ct.order)
+        assert [(ct.code, (ct.two_torsion, ct.order)) for ct in all_trees(n, m)] \
+            == sorted(seen.items()), (n, m)
+
+
+def test_all_trees_canonicalizes_few_candidates(monkeypatch):
+    # canonical augmentation tries 1,650 candidates for the 1,040 trees
+    # at (4, 4); a planar enumeration would canonicalize 18,200 rootings
+    calls = []
+    original = trees._canonical_rooting
+
+    def counting(signed):
+        calls.append(signed)
+        return original(signed)
+
+    monkeypatch.setattr(trees, "_canonical_rooting", counting)
+    found = trees._all_trees_cached.__wrapped__(4, 4)
+    assert len(found) == 1040
+    assert len(calls) <= 2 * len(found)
 
 
 def test_all_trees_sorted_unique():
@@ -388,6 +414,17 @@ def test_bounds():
     with pytest.raises(BoundsError):
         all_trees(2, 7)
     assert all_trees(2, 7, bounds=Bounds(4, 8))
+
+
+@pytest.mark.parametrize("order, labels, message", [
+    (-1, 2, "order must be at least 0, not -1"),
+    (5, 2, "order 5 exceeds bound 4"),
+    (2, 0, "label count must be at least 1, not 0"),
+    (2, 7, "label count 7 exceeds bound 6"),
+])
+def test_bounds_name_the_problem(order, labels, message):
+    with pytest.raises(BoundsError, match=f"^{message}$"):
+        all_trees(order, labels)
 
 
 def test_two_torsion_flags_match_brute_force():

@@ -21,13 +21,11 @@ from .trees import (
     Leaf,
     Node,
     ParseError,
-    PuncturedTree,
     RootedTree,
     SignedTree,
     all_trees,
     canonicalize,
     canonicalize_rooted,
-    canonicalize_with_edges,
     edge_paths,
     hol_normalize,
     ihx_at,
@@ -62,12 +60,12 @@ from .towers import (
     MoveError,
     ObstructionNonzero,
     PlannerError,
-    PunctureMove,
     RawDisk,
     RawPoint,
     RawTower,
     TowerError,
     TowerModel,
+    TowerPoint,
     VerificationResult,
     bch_tower,
     bracket_text,
@@ -82,7 +80,6 @@ from .towers import (
     make_model,
     model_from_json,
     model_to_json,
-    move_puncture,
     parse_bracket,
     random_raw_tower,
     raw_from_json,

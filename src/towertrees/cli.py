@@ -67,6 +67,16 @@ def _bounds(args):
     return Bounds(args.max_order, args.max_labels)
 
 
+def _at_least(least):
+    """argparse type of a bound: an integer no smaller than ``least``."""
+    def bound(text):
+        value = int(text)
+        if value < least:
+            raise argparse.ArgumentTypeError(f"must be at least {least}, not {value}")
+        return value
+    return bound
+
+
 def cmd_canon(args):
     sign, tree = _read_tree_arg(args)
     if isinstance(tree, DecoratedTree):
@@ -203,8 +213,8 @@ def build_parser():
         p.add_argument("--json", action="store_true", help="emit JSON")
         if out:
             p.add_argument("--out", metavar="FILE", help="write output to FILE")
-        p.add_argument("--max-order", type=int, default=4, help="enumeration bound")
-        p.add_argument("--max-labels", type=int, default=6, help="enumeration bound")
+        p.add_argument("--max-order", type=_at_least(0), default=4, help="enumeration bound")
+        p.add_argument("--max-labels", type=_at_least(1), default=6, help="enumeration bound")
 
     p = sub.add_parser("canon", help="canonical form of a signed tree")
     p.add_argument("tree", nargs="?", help="tree in the grammar (stdin if omitted)")

@@ -15,7 +15,7 @@ identity kills IHX relators, which is checked, not assumed.
 from __future__ import annotations
 
 from .intlinalg import integer_rank
-from .trees import CanonicalTree, DecoratedTree, Leaf, _graph, _root_views, all_trees
+from .trees import CanonicalTree, DecoratedTree, Leaf, all_trees, leaf_views
 
 
 class LieElement:
@@ -104,8 +104,7 @@ def eta(tree):
     if not isinstance(tree, DecoratedTree):
         raise TypeError("eta expects an unrooted tree")
     out: dict[int, LieElement] = {}
-    g = _graph(tree)
-    for _, (label, view) in _root_views(g):
+    for label, view in leaf_views(tree):
         img = _view_to_lie(view)
         out[label] = out.get(label, LieElement()) + img
     return {lab: el for lab, el in out.items() if el}

@@ -1,11 +1,11 @@
 """Split Whitney tower models and the certified move calculus.
 
-A tower model is a multiset of signed punctured trees over m order-0
-surfaces: one point per unpaired intersection, each stored as a
-canonical tree with a marked edge.  The moves never touch geometry,
-only its combinatorial shadow:
+A tower model is a multiset of signed trees over m order-0 surfaces:
+one point per unpaired intersection, each stored as a sign and a
+canonical tree.  The moves never touch geometry, only its combinatorial
+shadow; the geometric calculus needs only IHX insertions and pair
+cancellations:
 
-* ``move_puncture``     relocates the mark, tree and sign unchanged,
 * ``ihx_insert``        adds the three points +I, -H, +X of a local
                         IHX move (any sign), changing the hat-level sum
                         by a relator and the group-level class not at all,
@@ -19,7 +19,9 @@ that empties the order-n layer whenever the intersection sum vanishes
 in the order-n group, and ``verify_certificate`` replays one, checking
 every move on its delta (the points it adds or removes), never on the
 whole intersection sum.  The JSON loaders validate their input and name
-the offending record and key in a ``TowerError``.
+the offending record and key in a ``TowerError``; a model point's
+``puncture`` key, a marked edge that no invariant reads, is accepted
+and ignored, and a ``move_puncture`` certificate record is refused.
 """
 
 from __future__ import annotations
@@ -34,12 +36,9 @@ from .trees import (
     DecoratedTree,
     Leaf,
     Node,
-    PuncturedTree,
     RootedTree,
     SignedTree,
     canonicalize,
-    canonicalize_with_edges,
-    edge_paths,
     ihx_at,
     interior_edge_paths,
     is_simple,
@@ -235,7 +234,7 @@ def validate_raw(raw: RawTower):
 
 
 def extract_model(raw: RawTower):
-    """Split-tower model of a raw tower: one punctured tree per unpaired
+    """Split-tower model of a raw tower: one signed tree per unpaired
     point, with whiskers and orientations consumed by canonicalization.
 
     Edge words telescope through the disk whiskers; the fused edge of
@@ -267,8 +266,8 @@ def extract_model(raw: RawTower):
         fused = wmul(winv(whisker[p.left]), p.word, whisker[p.right])
         tree = DecoratedTree(build(p.left, None), build(p.right, None), fused)
         sign = p.sign * orient[p.left] * orient[p.right]
-        ct, csign, fused_path = canonicalize_with_edges(SignedTree(sign, tree))
-        points.append((next_id, PuncturedTree(csign, ct, fused_path)))
+        ct, csign = canonicalize(SignedTree(sign, tree))
+        points.append((next_id, TowerPoint(csign, ct)))
         orders.append(ct.order)
         next_id += 1
 
@@ -278,13 +277,21 @@ def extract_model(raw: RawTower):
 
 # --------------------------------------------------------------- the model
 
+@dataclass(frozen=True, slots=True)
+class TowerPoint:
+    """One unpaired intersection point: its sign and canonical tree."""
+
+    sign: int
+    tree: CanonicalTree
+
+
 @dataclass(frozen=True)
 class TowerModel:
     """Immutable split-tower model; every move returns a new model."""
 
     m: int
     order: int
-    points: tuple[tuple[int, PuncturedTree], ...]
+    points: tuple[tuple[int, TowerPoint], ...]
     next_id: int = 0
 
     def __post_init__(self):
@@ -306,20 +313,16 @@ class TowerModel:
         return all(is_trivially_decorated(pt.tree) for _, pt in self.points)
 
 
-def make_model(m, order, signed_trees, where="point"):
-    """Model from (sign, CanonicalTree, puncture-edge) triples; the k-th
-    triple becomes point k, named ``f"{where} {k}"`` in errors."""
-    pts = []
-    for k, (sign, ct, edge) in enumerate(signed_trees):
-        if edge not in edge_paths(ct):
-            raise TowerError(f"{where} {k}: 'puncture' {edge!r} is not an edge of {ct.text()}")
-        pts.append((k, PuncturedTree(1 if ct.two_torsion else sign, ct, edge)))
-    return TowerModel(m, order, tuple(pts), len(pts))
+def make_model(m, order, signed_trees):
+    """Model from (sign, CanonicalTree) pairs; the k-th pair becomes
+    point k."""
+    pts = tuple((k, TowerPoint(1 if ct.two_torsion else sign, ct))
+                for k, (sign, ct) in enumerate(signed_trees))
+    return TowerModel(m, order, pts, len(pts))
 
 
 def bch_tower(sigma, order, m):
-    """Model realizing a list of signed trees as its intersection sum,
-    punctures at the root-leaf edge."""
+    """Model realizing a list of signed trees as its intersection sum."""
     pts = []
     for k, st in enumerate(sigma):
         if isinstance(st, SignedTree):
@@ -331,14 +334,13 @@ def bch_tower(sigma, order, m):
             raise TowerError(f"tree {ct.text()} has order {ct.order}, expected {order}")
         if any(lab > m or lab < 1 for lab in ct.labels):
             raise TowerError(f"tree {ct.text()} uses labels outside 1..{m}")
-        pts.append((k, PuncturedTree(sign, ct, "")))
+        pts.append((k, TowerPoint(sign, ct)))
     return TowerModel(m, order, tuple(pts), len(pts))
 
 
 def tau(model: TowerModel) -> TreeSum:
-    """Signed sum of the trees of the points at the tower's own order
-    (punctures forgotten); the obstruction class lives in the order-n
-    tree group."""
+    """Signed sum of the trees of the points at the tower's own order;
+    the obstruction class lives in the order-n tree group."""
     return TreeSum(
         [(pt.tree, pt.sign) for _, pt in model.points if pt.tree.order == model.order])
 
@@ -355,7 +357,7 @@ def glue(a: TowerModel, b: TowerModel) -> TowerModel:
         k += 1
     for _, pt in b.points:
         sign = 1 if pt.tree.two_torsion else -pt.sign
-        pts.append((k, PuncturedTree(sign, pt.tree, pt.edge)))
+        pts.append((k, TowerPoint(sign, pt.tree)))
         k += 1
     return TowerModel(a.m, a.order, tuple(pts), k)
 
@@ -372,12 +374,6 @@ class IhxInsert:
 
 
 @dataclass(frozen=True)
-class PunctureMove:
-    point: int
-    edge: str
-
-
-@dataclass(frozen=True)
 class CancelPair:
     p: int
     q: int
@@ -391,18 +387,6 @@ class MoveCertificate:
 def make_ihx_insert(tree: CanonicalTree, edge: str, sign: int = 1):
     h, x = ihx_at(tree, edge)
     return IhxInsert(tree, edge, sign, h, x)
-
-
-def move_puncture(model: TowerModel, point_id, edge) -> TowerModel:
-    """Relocate the marked edge of a point; the signed tree (hence tau
-    and its hat lift) is unchanged."""
-    pt = model.point(point_id)
-    if edge not in edge_paths(pt.tree):
-        raise MoveError("UnknownEdge", f"{edge!r} is not an edge of {pt.tree.text()}")
-    pts = tuple(
-        (pid, PuncturedTree(pt.sign, pt.tree, edge) if pid == point_id else old)
-        for pid, old in model.points)
-    return replace(model, points=pts)
 
 
 def ihx_insert(model: TowerModel, tree, edge, sign=1) -> TowerModel:
@@ -446,7 +430,7 @@ def _apply_ihx(model, move: IhxInsert) -> TowerModel:
     pts = list(model.points)
     k = model.next_id
     for t, s, coeff in ((ct, 1, move.sign), (*ch, -move.sign), (*cx, move.sign)):
-        pts.append((k, PuncturedTree(1 if t.two_torsion else s * coeff, t, "")))
+        pts.append((k, TowerPoint(1 if t.two_torsion else s * coeff, t)))
         k += 1
     return replace(model, points=tuple(pts), next_id=k)
 
@@ -475,8 +459,6 @@ def cancel_simple_pair(model: TowerModel, p, q) -> TowerModel:
 def apply_move(model, move):
     if isinstance(move, IhxInsert):
         return _apply_ihx(model, move)
-    if isinstance(move, PunctureMove):
-        return move_puncture(model, move.point, move.edge)
     if isinstance(move, CancelPair):
         return cancel_simple_pair(model, move.p, move.q)
     raise MoveError("UnknownMove", f"unknown move {move!r}")
@@ -626,6 +608,15 @@ _JSON_KINDS = {dict: "an object", list: "an array", str: "a string", int: "an in
 _REQUIRED = object()
 
 
+def _parse_json(text, what):
+    """``json.loads``; a document nested deeper than the decoder can
+    follow is a ``TowerError`` that says so."""
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise TowerError(f"{what}: JSON nested too deeply to process") from None
+
+
 def _json_object(value, where):
     if not isinstance(value, dict):
         raise TowerError(f"{where} must be a JSON object, not {_JSON_KINDS[type(value)]}")
@@ -687,7 +678,7 @@ def model_to_json(model: TowerModel) -> str:
         "m": model.m,
         "order": model.order,
         "points": [
-            {"sign": pt.sign, "tree": pt.tree.text(), "puncture": pt.edge}
+            {"sign": pt.sign, "tree": pt.tree.text()}
             for _, pt in model.points
         ],
     }
@@ -695,12 +686,12 @@ def model_to_json(model: TowerModel) -> str:
 
 
 def model_from_json(text: str) -> TowerModel:
-    return _model_from_doc(_json_object(json.loads(text), "model"))
+    return _model_from_doc(_json_object(_parse_json(text, "model"), "model"))
 
 
 def _model_from_doc(doc) -> TowerModel:
     m, order = _get_head(doc, "model")
-    triples = []
+    pairs = []
     for k, entry in enumerate(_get(doc, "points", "model", list)):
         where = f"model point {k}"
         entry = _json_object(entry, where)
@@ -709,8 +700,8 @@ def _model_from_doc(doc) -> TowerModel:
         top = max(ct.labels)
         if top > m:
             raise TowerError(f"{where}: 'tree' uses the label {top} outside 1..{m}")
-        triples.append((sign, ct, _get(entry, "puncture", where, str)))
-    return make_model(m, order, triples, "model point")
+        pairs.append((sign, ct))
+    return make_model(m, order, pairs)
 
 
 def raw_to_json(raw: RawTower) -> str:
@@ -733,7 +724,7 @@ def raw_to_json(raw: RawTower) -> str:
 
 
 def raw_from_json(text: str) -> RawTower:
-    return _raw_from_doc(_json_object(json.loads(text), "raw tower"))
+    return _raw_from_doc(_json_object(_parse_json(text, "raw tower"), "raw tower"))
 
 
 def _raw_from_doc(doc) -> RawTower:
@@ -760,7 +751,7 @@ def _raw_from_doc(doc) -> RawTower:
 
 def load_tower(text: str):
     """Load either schema: a raw tower (has "disks") is extracted."""
-    doc = _json_object(json.loads(text), "tower")
+    doc = _json_object(_parse_json(text, "tower"), "tower")
     if "disks" in doc:
         return extract_model(_raw_from_doc(doc))
     return _model_from_doc(doc)
@@ -772,8 +763,6 @@ def certificate_to_json(cert: MoveCertificate) -> str:
         if isinstance(move, IhxInsert):
             out.append({"move": "ihx_insert", "i": move.tree.text(), "h": to_text(move.h),
                         "x": to_text(move.x), "edge": move.edge, "sign": move.sign})
-        elif isinstance(move, PunctureMove):
-            out.append({"move": "move_puncture", "point": move.point, "edge": move.edge})
         elif isinstance(move, CancelPair):
             out.append({"move": "cancel_pair", "p": move.p, "q": move.q})
         else:
@@ -782,7 +771,7 @@ def certificate_to_json(cert: MoveCertificate) -> str:
 
 
 def certificate_from_json(text: str) -> MoveCertificate:
-    doc = json.loads(text)
+    doc = _parse_json(text, "certificate")
     if type(doc) is not list:
         raise TowerError(f"certificate must be a JSON array of moves, not {_JSON_KINDS[type(doc)]}")
     moves = []
@@ -801,8 +790,8 @@ def certificate_from_json(text: str) -> MoveCertificate:
             edge = _get(entry, "edge", where, str)
             moves.append(IhxInsert(ct, edge, _get_sign(entry, where) * csign, h, x))
         elif kind == "move_puncture":
-            moves.append(PunctureMove(_get(entry, "point", where, int),
-                                      _get(entry, "edge", where, str)))
+            raise TowerError(f"{where}: the move kind 'move_puncture' is retired: "
+                             f"punctures change no invariant of a tower")
         elif kind == "cancel_pair":
             moves.append(CancelPair(_get(entry, "p", where, int), _get(entry, "q", where, int)))
         else:

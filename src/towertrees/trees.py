@@ -24,6 +24,16 @@ sign per vertex swap; if the minimum is reached with both signs the
 class is 2-torsion.  Codes compare by root label first, so only roots
 carrying the least label can reach the minimum and the others are
 never tried.
+
+The views are read off the nested code, with no adjacency graph.  Each
+side of a DecoratedTree is a rooted code, and each side's top vertex
+sees the other side across the fused edge.  A vertex (1, a, b) whose
+outside view is P has the cyclic order (a, b, P); entered from a its
+view is (1, b, P), entered from b it is (1, P, a).  Leaf holonomies are
+measured once, from the top vertex of the left side; rooting at a leaf
+of holonomy h re-bases each of them by h^-1, which changes nothing when
+h is trivial, so decorated and trivially decorated trees share one
+path.
 """
 
 from __future__ import annotations
@@ -125,15 +135,6 @@ class CanonicalTree:
 
     def __repr__(self):
         return f"CanonicalTree({self.text()!r})"
-
-
-@dataclass(frozen=True, slots=True)
-class PuncturedTree:
-    """A signed tree with one marked edge (identified by a layout path)."""
-
-    sign: int
-    tree: CanonicalTree
-    edge: str
 
 
 # ----------------------------------------------------------------- grammar
@@ -293,102 +294,58 @@ def inner_product(a, b, g=""):
     return DecoratedTree(a, b, wreduce(g))
 
 
-# ----------------------------------------------------- adjacency and views
+# ------------------------------------------------------------ leaf views
 
-class _Graph:
-    """Adjacency form of a DecoratedTree.
+def _side_code(sub, hol):
+    """Rooted code of a layout side seen from its top, each leaf
+    carrying ``hol`` extended by the edge words down to it."""
+    if isinstance(sub, Leaf):
+        return (0, sub.label, hol)
+    return (1, _side_code(sub.left, wmul(hol, sub.left.word) if sub.left.word else hol),
+            _side_code(sub.right, wmul(hol, sub.right.word) if sub.right.word else hol))
 
-    nbr[v] lists (edge, neighbor) pairs; for a trivalent vertex the list
-    order realizes the cyclic orientation.  edges[e] = (tail, head, word)
-    with the word read along tail -> head.
+
+def _collect_views(code, outside, out):
+    """Append (label, holonomy, view) for every leaf of ``code``, the
+    subtree hanging below an edge whose other side reads ``outside``."""
+    if code[0] == 0:
+        out.append((code[1], code[2], outside))
+        return
+    # the cyclic order (a, b, parent): entered from a it continues
+    # (b, parent), entered from b it continues (parent, a)
+    _, a, b = code
+    _collect_views(a, (1, b, outside), out)
+    _collect_views(b, (1, outside, a), out)
+
+
+def _rebase(view, g):
+    """The view with every leaf holonomy h replaced by g h."""
+    if view[0] == 0:
+        return (0, view[1], wmul(g, view[2]))
+    return (1, _rebase(view[1], g), _rebase(view[2], g))
+
+
+def leaf_views(tree, least=False):
+    """(label, view) of a DecoratedTree rooted at each of its leaves.
+
+    A view is the rooted code of the rest of the tree as seen from the
+    root leaf: (0, label, holonomy) at a leaf, (1, left, right) at a
+    trivalent vertex entered from its parent, the children in cyclic
+    order.  With ``least``, only the leaves carrying the least label
+    are roots: a code starts with its root label, so no other root can
+    give the minimal code.
     """
-
-    __slots__ = ("labels", "nbr", "edges", "leaves", "fused")
-
-    def __init__(self):
-        self.labels = []   # label int for leaves, None for trivalent
-        self.nbr = []
-        self.edges = []
-        self.leaves = []
-        self.fused = None
-
-    def _vertex(self, label=None):
-        self.labels.append(label)
-        self.nbr.append([])
-        if label is not None:
-            self.leaves.append(len(self.labels) - 1)
-        return len(self.labels) - 1
-
-    def _edge(self, tail, head, word):
-        self.edges.append((tail, head, word))
-        return len(self.edges) - 1
-
-    def _link(self, parent, child, word):
-        e = self._edge(parent, child, word)
-        self.nbr[parent].append((e, child))
-        self.nbr[child].append((e, parent))
-        return e
-
-
-def _build_side(g, rt):
-    if isinstance(rt, Leaf):
-        return g._vertex(rt.label)
-    v = g._vertex()
-    lv = _build_side(g, rt.left)
-    rv = _build_side(g, rt.right)
-    # children first, fused/parent entry last: cyclic order (l, r, parent)
-    e1 = g._edge(v, lv, rt.left.word)
-    e2 = g._edge(v, rv, rt.right.word)
-    g.nbr[v].append((e1, lv))
-    g.nbr[v].append((e2, rv))
-    g.nbr[lv].append((e1, v))
-    g.nbr[rv].append((e2, v))
-    return v
-
-
-def _graph(t):
-    g = _Graph()
-    lv = _build_side(g, t.left)
-    rv = _build_side(g, t.right)
-    fused_word = wmul(winv(t.left.word), t.word, t.right.word)
-    g.fused = g._edge(lv, rv, fused_word)
-    g.nbr[lv].append((g.fused, rv))
-    g.nbr[rv].append((g.fused, lv))
-    return g
-
-
-def _cross(g, v, entry, hol):
-    e, u = entry
-    tail, head, word = g.edges[e]
-    if not word:  # holonomies are always reduced, so nothing changes
-        return u, hol
-    return u, wmul(hol, word if tail == v else winv(word))
-
-
-def _view(g, v, e_in, hol):
-    """Plain rooted view: (0, label, holonomy) or (1, left, right)."""
-    if g.labels[v] is not None:
-        return (0, g.labels[v], hol)
-    ns = g.nbr[v]
-    k = next(i for i, (e, _) in enumerate(ns) if e == e_in)
-    c1, c2 = ns[(k + 1) % 3], ns[(k + 2) % 3]
-    u1, h1 = _cross(g, v, c1, hol)
-    u2, h2 = _cross(g, v, c2, hol)
-    return (1, _view(g, u1, c1[0], h1), _view(g, u2, c2[0], h2))
-
-
-def _root_views(g, least=False):
-    """(root leaf, (label, view)) for every leaf, or with ``least`` only
-    for the leaves carrying the least label: a code starts with its root
-    label, so no other root can give the minimal code."""
-    roots = g.leaves
+    left = _side_code(tree.left, "")
+    right = _side_code(tree.right, wmul(winv(tree.left.word), tree.word, tree.right.word))
+    out = []
+    _collect_views(left, right, out)
+    _collect_views(right, left, out)
     if least:
-        low = min(g.labels[r] for r in roots)
-        roots = [r for r in roots if g.labels[r] == low]
-    for r in roots:
-        entry = g.nbr[r][0]
-        u, h = _cross(g, r, entry, "")
-        yield r, (g.labels[r], _view(g, u, entry[0], h))
+        low = min(label for label, _, _ in out)
+        out = [entry for entry in out if entry[0] == low]
+    # holonomies are measured from the top of the left side; rooting at
+    # a leaf of holonomy h re-bases each of them by h^-1
+    return [(label, _rebase(view, winv(hol)) if hol else view) for label, hol, view in out]
 
 
 def _canon_rec(view):
@@ -406,26 +363,24 @@ def _canon_rec(view):
 
 
 def _canonical_rooting(signed):
-    """(CanonicalTree, sign, graph, root leaf) of a signed tree; the root
-    is the first leaf, in ``g.leaves`` order, reaching the minimal code."""
+    """(CanonicalTree, sign) of a signed tree, minimized over the
+    rootings at its least-label leaves."""
     if isinstance(signed, DecoratedTree):
         signed = SignedTree(1, signed)
-    g = _graph(signed.tree)
     best = None
     signs = set()
     amb_at_best = False
-    for r, (lab, view) in _root_views(g, least=True):
+    for label, view in leaf_views(signed.tree, least=True):
         code, sign, amb = _canon_rec(view)
-        full = (lab, code)
+        full = (label, code)
         if best is None or full < best:
-            best, best_root, signs, amb_at_best = full, r, {sign}, amb
+            best, signs, amb_at_best = full, {sign}, amb
         elif full == best:
             signs.add(sign)
             amb_at_best = amb_at_best or amb
     torsion = amb_at_best or len(signs) == 2
     sign = 1 if torsion else min(signs) * signed.sign
-    order = len(g.labels) - len(g.leaves)
-    return CanonicalTree(best, torsion, order), sign, g, best_root
+    return CanonicalTree(best, torsion, order_of(signed.tree)), sign
 
 
 def canonicalize(signed):
@@ -435,41 +390,7 @@ def canonicalize(signed):
     canonical trees with the AS-predicted sign relation; for 2-torsion
     classes the sign is normalized to +1.
     """
-    ct, sign, _, _ = _canonical_rooting(signed)
-    return ct, sign
-
-
-def canonicalize_with_edges(signed):
-    """Like canonicalize, also tracking where the fused edge of the
-    input presentation lands in the canonical layout.
-
-    The tracking is one deterministic choice when the tree has
-    symmetries.  Returns (CanonicalTree, sign, path_of_fused_edge).
-    """
-    ct, sign, g, root = _canonical_rooting(signed)
-    entry = g.nbr[root][0]
-    paths = {entry[0]: ""}
-    u, h = _cross(g, root, entry, "")
-    _assign_paths(g, u, entry[0], h, "", paths)
-    return ct, sign, paths[g.fused]
-
-
-def _assign_paths(g, v, e_in, hol, path, paths):
-    if g.labels[v] is not None:
-        return
-    ns = g.nbr[v]
-    k = next(i for i, (e, _) in enumerate(ns) if e == e_in)
-    c1, c2 = ns[(k + 1) % 3], ns[(k + 2) % 3]
-    u1, h1 = _cross(g, v, c1, hol)
-    u2, h2 = _cross(g, v, c2, hol)
-    k1, _, _ = _canon_rec(_view(g, u1, c1[0], h1))
-    k2, _, _ = _canon_rec(_view(g, u2, c2[0], h2))
-    if k2 < k1:
-        c1, c2, u1, u2, h1, h2 = c2, c1, u2, u1, h2, h1
-    paths[c1[0]] = path + "L"
-    paths[c2[0]] = path + "R"
-    _assign_paths(g, u1, c1[0], h1, path + "L", paths)
-    _assign_paths(g, u2, c2[0], h2, path + "R", paths)
+    return _canonical_rooting(signed)
 
 
 def canonicalize_rooted(sign, rooted):
@@ -478,13 +399,7 @@ def canonicalize_rooted(sign, rooted):
 
     Returns (rooted tree in layout form, sign, two_torsion).
     """
-    def view(sub, hol):
-        if isinstance(sub, Leaf):
-            return (0, sub.label, wmul(hol, sub.word))
-        h = wmul(hol, sub.word)
-        return (1, view(sub.left, h), view(sub.right, h))
-
-    code, s, amb = _canon_rec(view(rooted, ""))
+    code, s, amb = _canon_rec(_side_code(rooted, wreduce(rooted.word)))
     return _decode_rest(code), (1 if amb else s * sign), amb
 
 
@@ -495,7 +410,7 @@ def explicit_code(tree):
     edge reversals, whisker moves and relabeling of the internal
     structure, with no AS flips.
     """
-    return min(code for _, code in _root_views(_graph(tree), least=True))
+    return min(leaf_views(tree, least=True))
 
 
 def decode_code(code):

@@ -3,16 +3,130 @@
 Nothing here reuses the library's canonicalization search, Smith normal
 form elimination or Lie dimension formula; where an oracle needs tree
 plumbing it sticks to the raw building blocks (explicit codes and
-single-vertex flips).  ``raw_presentation`` is the reference for the
-library's one presentation of the tree groups: it keeps every vertex
-orientation and imposes antisymmetry by explicit rows.
+single-vertex flips).  ``graph_leaf_views`` is the reference for the
+library's leaf views: it builds the adjacency graph of a tree and walks
+it from every leaf, carrying the holonomy edge by edge, and the
+explicit codes and canonical forms here are read off it.
+``raw_presentation`` is the reference for the library's one
+presentation of the tree groups: it keeps every vertex orientation and
+imposes antisymmetry by explicit rows.
 """
 
 from itertools import combinations, product
 from math import gcd
 
 from towertrees.groups import ihx_triples
-from towertrees.trees import DecoratedTree, Leaf, Node, explicit_code, ihx_at, labels_of
+from towertrees.trees import DecoratedTree, Leaf, Node, ihx_at, labels_of
+from towertrees.words import winv, wmul
+
+
+class _Graph:
+    """Adjacency form of a DecoratedTree.
+
+    nbr[v] lists (edge, neighbor) pairs; for a trivalent vertex the list
+    order realizes the cyclic orientation.  edges[e] = (tail, head, word)
+    with the word read along tail -> head.
+    """
+
+    def __init__(self):
+        self.labels = []   # label int for leaves, None for trivalent
+        self.nbr = []
+        self.edges = []
+        self.leaves = []
+
+    def vertex(self, label=None):
+        self.labels.append(label)
+        self.nbr.append([])
+        if label is not None:
+            self.leaves.append(len(self.labels) - 1)
+        return len(self.labels) - 1
+
+    def link(self, tail, head, word):
+        e = len(self.edges)
+        self.edges.append((tail, head, word))
+        self.nbr[tail].append((e, head))
+        self.nbr[head].append((e, tail))
+
+
+def _build_side(g, rt):
+    if isinstance(rt, Leaf):
+        return g.vertex(rt.label)
+    v = g.vertex()
+    # children first, the parent entry last: cyclic order (l, r, parent)
+    g.link(v, _build_side(g, rt.left), rt.left.word)
+    g.link(v, _build_side(g, rt.right), rt.right.word)
+    return v
+
+
+def _graph(t):
+    g = _Graph()
+    lv = _build_side(g, t.left)
+    rv = _build_side(g, t.right)
+    g.link(lv, rv, wmul(winv(t.left.word), t.word, t.right.word))
+    return g
+
+
+def _cross(g, v, entry, hol):
+    e, u = entry
+    tail, _, word = g.edges[e]
+    return u, wmul(hol, word if tail == v else winv(word))
+
+
+def _view(g, v, e_in, hol):
+    """Rooted view: (0, label, holonomy) or (1, left, right)."""
+    if g.labels[v] is not None:
+        return (0, g.labels[v], hol)
+    ns = g.nbr[v]
+    k = next(i for i, (e, _) in enumerate(ns) if e == e_in)
+    c1, c2 = ns[(k + 1) % 3], ns[(k + 2) % 3]
+    u1, h1 = _cross(g, v, c1, hol)
+    u2, h2 = _cross(g, v, c2, hol)
+    return (1, _view(g, u1, c1[0], h1), _view(g, u2, c2[0], h2))
+
+
+def graph_leaf_views(tree):
+    """(label, view) of a DecoratedTree rooted at each of its leaves,
+    walked on its adjacency graph."""
+    g = _graph(tree)
+    out = []
+    for r in g.leaves:
+        entry = g.nbr[r][0]
+        u, h = _cross(g, r, entry, "")
+        out.append((g.labels[r], _view(g, u, entry[0], h)))
+    return out
+
+
+def _min_orientation(view):
+    """Minimal code over vertex orientation states, with sign and tie flag."""
+    if view[0] == 0:
+        return view, 1, False
+    ca, sa, aa = _min_orientation(view[1])
+    cb, sb, ab = _min_orientation(view[2])
+    if cb < ca:
+        return (1, cb, ca), -sa * sb, aa or ab
+    return (1, ca, cb), sa * sb, aa or ab or ca == cb
+
+
+def graph_explicit_code(tree):
+    """Least (root label, view) over all rootings: the tree up to
+    isomorphism and OR/HOL gauge, vertex orientations kept."""
+    return min(graph_leaf_views(tree))
+
+
+def graph_canonicalize(tree):
+    """(code, sign, two_torsion) of +tree, minimized over every rooting
+    and every orientation state of the graph walk."""
+    best, signs, torsion = None, set(), False
+    for label, view in graph_leaf_views(tree):
+        code, sign, amb = _min_orientation(view)
+        full = (label, code)
+        if best is None or full < best:
+            best, signs, torsion = full, {sign}, amb
+        elif full == best:
+            signs.add(sign)
+            torsion = torsion or amb
+    torsion = torsion or len(signs) == 2
+    return best, (1 if torsion else min(signs)), torsion
 
 
 def planar_rooted(order, labels):
@@ -70,7 +184,7 @@ def raw_generators(order, labels, nonrepeating=False):
     for t in all_planar_trees(order, labels):
         labs = labels_of(t)
         if not nonrepeating or len(set(labs)) == len(labs):
-            seen.setdefault(explicit_code(t), t)
+            seen.setdefault(graph_explicit_code(t), t)
     return [seen[c] for c in sorted(seen)]
 
 
@@ -80,19 +194,19 @@ def raw_presentation(order, labels, nonrepeating=False):
     internal vertex, then an IHX row I - H + X per IHX triple.  Rows
     are sparse dicts over generator indices."""
     gens = raw_generators(order, labels, nonrepeating)
-    index = {explicit_code(g): i for i, g in enumerate(gens)}
+    index = {graph_explicit_code(g): i for i, g in enumerate(gens)}
     rows = []
     for i, g in enumerate(gens):
         for path in internal_paths(g):
             row = {i: 1}
-            j = index[explicit_code(flip_at(g, path))]
+            j = index[graph_explicit_code(flip_at(g, path))]
             row[j] = row.get(j, 0) + 1
             rows.append(row)
     for ct, edge in ihx_triples(order, labels, nonrepeating):
         h, x = ihx_at(ct, edge)
         row = {}
         for t, coeff in ((ct.decode(), 1), (h, -1), (x, 1)):
-            j = index[explicit_code(t)]
+            j = index[graph_explicit_code(t)]
             row[j] = row.get(j, 0) + coeff
         rows.append({j: v for j, v in row.items() if v})
     return gens, rows
@@ -134,7 +248,7 @@ def gauge_orbit(layout_tree):
     frontier = [(layout_tree, 1)]
     while frontier:
         t, sign = frontier.pop()
-        code = explicit_code(t)
+        code = graph_explicit_code(t)
         signs = seen.setdefault(code, set())
         if sign in signs:
             continue
@@ -172,13 +286,13 @@ def count_classes(raw_trees):
 
     reps = {}
     for t in raw_trees:
-        code = explicit_code(t)
+        code = graph_explicit_code(t)
         if code not in parent:
             parent[code] = code
             reps[code] = t
     for code, t in reps.items():
         for path in internal_paths(t):
-            other = explicit_code(flip_at(t, path))
+            other = graph_explicit_code(flip_at(t, path))
             if other not in parent:
                 parent[other] = other
             union(code, other)

@@ -326,3 +326,58 @@ def test_negative_integer_options_exit_one(argv, message, capsys):
 def test_negative_tree_literal_still_parses(capsys):
     code, out, _ = invoke(capsys, "canon", "-3")
     assert code == 0 and out == "-3\n"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["groups", "--order", "1", "--labels", "2", "--max-order", "-1"],
+     "argument --max-order: must be at least 0, not -1"),
+    (["groups", "--order", "1", "--labels", "2", "--max-labels", "0"],
+     "argument --max-labels: must be at least 1, not 0"),
+    (["rank", "--order", "1", "--labels", "2", "--max-labels", "-3"],
+     "argument --max-labels: must be at least 1, not -3"),
+    (["canon", "inner(1,2,)", "--max-order", "-2"],
+     "argument --max-order: must be at least 0, not -2"),
+])
+def test_impossible_bounds_exit_one_naming_the_flag(argv, message, capsys):
+    # a bound below the least order or label count would refuse every
+    # request, so the bound itself is refused, by the flag's name
+    code, out, err = invoke(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err.splitlines()[-1].endswith(f"error: {message}")
+
+
+def test_least_bounds_are_accepted(capsys):
+    code, out, _ = invoke(capsys, "groups", "--order", "0", "--labels", "1",
+                          "--max-order", "0", "--max-labels", "1")
+    assert (code, out) == (0, "Z\n")
+
+
+def test_deeply_nested_json_exits_one(tmp_path, capsys):
+    # the decoder, not the tree parser, runs out of depth: say so
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000)
+    code, out, err = invoke(capsys, "tau", str(deep))
+    assert (code, out, err) == (1, "", "error: tower: JSON nested too deeply to process\n")
+    code, out, err = invoke(capsys, "verify", _zero_tower(tmp_path, capsys), str(deep))
+    assert (code, out, err) == (1, "", "error: certificate: JSON nested too deeply to process\n")
+
+
+def test_verify_move_puncture_certificate_exits_one(tmp_path, capsys):
+    cert = _write(tmp_path, "cert.json", [{"move": "move_puncture", "point": 0, "edge": ""}])
+    code, out, err = invoke(capsys, "verify", _zero_tower(tmp_path, capsys), cert)
+    assert (code, out) == (1, "")
+    assert err == ("error: certificate move 0 (move_puncture): the move kind 'move_puncture' "
+                   "is retired: punctures change no invariant of a tower\n")
+
+
+def test_model_output_has_no_puncture_key(tmp_path, capsys):
+    # "puncture" is read and ignored on input and never written
+    model = str(FIXTURES / "certify_3_4_b.json")
+    assert '"puncture"' in Path(model).read_text()
+    out_file = tmp_path / "g.json"
+    code, _, _ = invoke(capsys, "glue", model, model, "--out", str(out_file))
+    assert code == 0
+    points = json.loads(out_file.read_text())["points"]
+    assert len(points) == 12 and all(list(p) == ["sign", "tree"] for p in points)
+    code, out, _ = invoke(capsys, "bch", "+inner(1,2,)", "--order", "0", "--labels", "2")
+    assert code == 0 and json.loads(out)["points"] == [{"sign": 1, "tree": "inner(1,2,)"}]

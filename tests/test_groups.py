@@ -302,3 +302,32 @@ def test_zero_test_and_solver_build_one_presentation(monkeypatch):
     assert built == [(2, 4)]
     assert triples == ihx_triples(2, 4)
     assert solver is groups._relator_lattice(2, 4)
+
+
+def test_relator_lattice_adds_ihx_rows_first_then_torsion_rows(monkeypatch):
+    # certificates name rows by tag, and the solver's combination depends
+    # on the order the rows enter the lattice: the ("ihx", k) rows come
+    # first, in ihx_triples order, then the ("tors", i) doubling rows in
+    # ascending column i
+    from towertrees import groups
+
+    added = []
+
+    class Recording(IntegerLattice):
+        def add(self, vec, tag=None):
+            added.append((tag, dict(vec)))
+            return super().add(vec, tag)
+
+    monkeypatch.setattr(groups, "IntegerLattice", Recording)
+    n, m = 3, 2
+    trees = all_trees(n, m)
+    index = {ct: i for i, ct in enumerate(trees)}
+    triples = ihx_triples(n, m)
+    torsion = [i for i, ct in enumerate(trees) if ct.two_torsion]
+    assert triples and torsion
+    groups._relator_lattice.__wrapped__(n, m)
+    assert [tag for tag, _ in added] == \
+        [("ihx", k) for k in range(len(triples))] + [("tors", i) for i in torsion]
+    for (_, row), (ct, edge) in zip(added, triples):
+        assert row == {index[t]: c for t, c in relator_sum(ct, edge).items()}
+    assert [row for _, row in added[len(triples):]] == [{i: 2} for i in torsion]

@@ -33,7 +33,6 @@ from towertrees.towers import (
     make_model,
     model_from_json,
     model_to_json,
-    move_puncture,
     parse_bracket,
     random_raw_tower,
     raw_from_json,
@@ -47,7 +46,6 @@ from towertrees.trees import (
     DecoratedTree,
     SignedTree,
     canonicalize,
-    edge_paths,
     ihx_at,
     order_of,
     parse_tree,
@@ -188,7 +186,7 @@ def test_gauge_invariance_randomized():
 
 def test_tau_cancelling_pair():
     y = canon("inner(1,(2,3),)")
-    model = make_model(3, 1, [(1, y, ""), (-1, y, "")])
+    model = make_model(3, 1, [(1, y), (-1, y)])
     assert tau(model).is_empty()
 
 
@@ -217,29 +215,9 @@ def test_bch_rejects_wrong_order():
 
 # -------------------------------------------------------------------- moves
 
-def test_move_puncture_conserves_everything():
-    model = bch_tower([SignedTree(1, parse_tree("inner((1,2),(3,4),)"))], 2, 4)
-    pt = model.points[0][1]
-    same = move_puncture(model, 0, pt.edge)
-    assert same == model
-    for edge in edge_paths(pt.tree):
-        moved = move_puncture(model, 0, edge)
-        assert tau(moved) == tau(model)
-        assert moved.points[0][1].tree == pt.tree
-        assert moved.points[0][1].edge == edge
-
-
-def test_move_puncture_errors():
-    model = bch_tower([SignedTree(1, parse_tree("inner(1,2,)"))], 0, 2)
-    with pytest.raises(MoveError):
-        move_puncture(model, 5, "")
-    with pytest.raises(MoveError):
-        move_puncture(model, 0, "LL")
-
-
 def test_ihx_insert_counts_and_conservation():
     ct, edge = ihx_triples(2, 4)[0]
-    base = make_model(4, 2, [(1, canon("inner((1,2),(3,4),)"), "")])
+    base = make_model(4, 2, [(1, canon("inner((1,2),(3,4),)"))])
     before = is_zero(tau(base), 2, 4)
     grown = ihx_insert(base, ct, edge, 1)
     assert len(grown.points) == len(base.points) + 3
@@ -271,19 +249,19 @@ def test_replay_rejects_swapped_h_and_x():
 def test_cancel_simple_pair():
     y = canon("inner(1,(2,3),)")
     s = canon("inner(1,(2,2),)")
-    model = make_model(3, 1, [(1, y, ""), (-1, y, ""), (1, s, "")])
+    model = make_model(3, 1, [(1, y), (-1, y), (1, s)])
     out = cancel_simple_pair(model, 0, 1)
     assert [pid for pid, _ in out.points] == [2]
     # the pair cancelled algebraically, so the hat-level sum is untouched
     assert tau(out) == tau(model)
-    empty = cancel_simple_pair(make_model(3, 1, [(1, y, ""), (-1, y, "")]), 0, 1)
+    empty = cancel_simple_pair(make_model(3, 1, [(1, y), (-1, y)]), 0, 1)
     assert not empty.points
 
 
 def test_cancel_pair_errors():
     y = canon("inner(1,(2,3),)")
     other = canon("inner(1,(2,2),)")
-    model = make_model(3, 1, [(1, y, ""), (1, y, ""), (1, other, "")])
+    model = make_model(3, 1, [(1, y), (1, y), (1, other)])
     with pytest.raises(MoveError) as exc:
         cancel_simple_pair(model, 0, 1)
     assert exc.value.reason == "SameSign"
@@ -291,7 +269,7 @@ def test_cancel_pair_errors():
         cancel_simple_pair(model, 0, 2)
     assert exc.value.reason == "TreesDiffer"
     star = canon("inner((1,2),((3,1),(2,3)),)")
-    model4 = make_model(3, 4, [(1, star, ""), (-1, star, "")])
+    model4 = make_model(3, 4, [(1, star), (-1, star)])
     with pytest.raises(MoveError) as exc:
         cancel_simple_pair(model4, 0, 1)
     assert exc.value.reason == "NotSimple"
@@ -299,7 +277,7 @@ def test_cancel_pair_errors():
 
 def test_cancel_torsion_pair_same_stored_sign():
     y = canon("inner(1,(1,1),)")
-    model = make_model(1, 1, [(1, y, ""), (1, y, "")])
+    model = make_model(1, 1, [(1, y), (1, y)])
     out = cancel_simple_pair(model, 0, 1)
     assert not out.points
 
@@ -308,7 +286,7 @@ def test_cancel_torsion_pair_same_stored_sign():
 
 def test_certify_simple_pair():
     y = canon("inner(1,(2,3),)")
-    model = make_model(3, 1, [(1, y, ""), (-1, y, "L")])
+    model = make_model(3, 1, [(1, y), (-1, y)])
     cert = certify_raise_order(model)
     assert len(cert.moves) == 1 and isinstance(cert.moves[0], CancelPair)
     final = replay_certificate(model, cert)
@@ -328,7 +306,7 @@ def test_certify_ihx_triple_model():
 def test_certify_leaves_higher_order_points():
     y = canon("inner(1,(2,3),)")
     higher = canon("inner((1,2),(3,4),)")
-    model = make_model(4, 1, [(1, y, ""), (-1, y, ""), (1, higher, "")])
+    model = make_model(4, 1, [(1, y), (-1, y), (1, higher)])
     assert tau(model) == TreeSum()  # only order-1 points count
     cert = certify_raise_order(model)
     final = replay_certificate(model, cert)
@@ -338,7 +316,7 @@ def test_certify_leaves_higher_order_points():
 
 def test_certify_obstruction():
     t = canon("inner((1,2),(3,4),)")
-    model = make_model(4, 2, [(1, t, "")])
+    model = make_model(4, 2, [(1, t)])
     with pytest.raises(ObstructionNonzero) as exc:
         certify_raise_order(model)
     assert not exc.value.normal_form.is_empty()
@@ -347,7 +325,7 @@ def test_certify_obstruction():
 
 def test_certify_non_simple_unreachable_pair():
     star = canon("inner((1,2),((3,4),(1,2)),)")
-    model = make_model(4, 4, [(1, star, ""), (-1, star, "")])
+    model = make_model(4, 4, [(1, star), (-1, star)])
     with pytest.raises(PlannerError, match="non-simple"):
         certify_raise_order(model)
 
@@ -355,12 +333,12 @@ def test_certify_non_simple_unreachable_pair():
 def test_verify_rejects_bad_certificates():
     y = canon("inner(1,(2,3),)")
     s = canon("inner(1,(2,2),)")
-    model = make_model(3, 1, [(1, y, ""), (-1, s, "")])
+    model = make_model(3, 1, [(1, y), (-1, s)])
     bad = MoveCertificate((CancelPair(0, 1),))
     res = verify_certificate(model, bad)
     assert not res.ok and "different trees" in res.reason
 
-    ok_model = make_model(3, 1, [(1, y, ""), (-1, y, "")])
+    ok_model = make_model(3, 1, [(1, y), (-1, y)])
     incomplete = MoveCertificate(())
     res = verify_certificate(ok_model, incomplete)
     assert not res.ok and "points remain" in res.reason
@@ -443,7 +421,30 @@ def test_model_points_keep_field_order():
     model = bch_tower([SignedTree(1, parse_tree("inner(1,2,)"))], 0, 2)
     text = model_to_json(model)
     assert text.index('"m"') < text.index('"order"') < text.index('"points"')
-    assert text.index('"sign"') < text.index('"tree"') < text.index('"puncture"')
+    assert text.index('"sign"') < text.index('"tree"')
+    assert json.loads(text)["points"] == [{"sign": 1, "tree": "inner(1,2,)"}]
+
+
+@pytest.mark.parametrize("puncture", [{}, {"puncture": ""}, {"puncture": "LL"},
+                                      {"puncture": 7}])
+def test_load_tower_ignores_the_puncture_key(puncture):
+    # a point's marked edge changes no invariant: any "puncture" value,
+    # or none, loads the same model, and output carries no such key
+    doc = {"m": 3, "order": 1,
+           "points": [{"sign": 1, "tree": "inner(1,(2,3),)", **puncture},
+                      {"sign": -1, "tree": "inner(1,(3,2),)", **puncture}]}
+    model = load_tower(json.dumps(doc))
+    assert model == load_tower(json.dumps({"m": 3, "order": 1, "points": [
+        {"sign": 1, "tree": "inner(1,(2,3),)"}, {"sign": 1, "tree": "inner(1,(2,3),)"}]}))
+    assert "puncture" not in model_to_json(model)
+    assert "puncture" not in model_to_json(glue(model, model))
+
+
+def test_move_puncture_record_is_retired():
+    record = {"move": "move_puncture", "point": 0, "edge": ""}
+    with pytest.raises(TowerError, match=r"^certificate move 0 \(move_puncture\): "
+                                         r"the move kind 'move_puncture' is retired"):
+        certificate_from_json(json.dumps([record]))
 
 
 # ------------------------------------------------------ failing move codes
@@ -527,7 +528,7 @@ def test_doctored_certificate_fails_with_its_reason(doctor, code):
 
 def test_non_simple_pair_fails_with_its_reason():
     star = canon("inner((1,2),((3,4),(1,2)),)")
-    model = make_model(4, 4, [(1, star, ""), (-1, star, "")])
+    model = make_model(4, 4, [(1, star), (-1, star)])
     res = verify_certificate(model, MoveCertificate((CancelPair(0, 1),)))
     assert (res.ok, res.code, res.move) == (False, "NotSimple", 0)
 
@@ -594,8 +595,8 @@ def test_ihx_insert_accepts_equivalent_h_and_x():
      "model point 0: 'tree' is '(1,(2,3))', not an unrooted tree"),
     ({"m": 3, "order": 1, "points": [{"sign": 1, "tree": "inner(1,(2,3)", "puncture": ""}]},
      "model point 0: 'tree': expected ','"),
-    ({"m": 3, "order": 1, "points": [{"sign": 1, "tree": "inner(1,(2,3),)", "puncture": "LL"}]},
-     "model point 0: 'puncture' 'LL' is not an edge"),
+    ({"m": 3, "order": 1, "points": [{"sign": 1, "puncture": ""}]},
+     "model point 0 lacks the key 'tree'"),
     ({"m": 3, "order": 1, "disks": [{"bracket": 12}], "points": []},
      "raw tower disk 0: 'bracket' must be a string, not an integer"),
     ({"m": 3, "order": 1, "disks": [], "points": [{"sign": 1, "left": "(1,", "right": "3"}]},

@@ -3,7 +3,8 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from towertrees import trees
+from towertrees import lie, trees
+from towertrees.lie import LieElement, eta
 from towertrees.trees import (
     BoundsError,
     Bounds,
@@ -16,11 +17,9 @@ from towertrees.trees import (
     all_trees,
     canonicalize,
     canonicalize_rooted,
-    canonicalize_with_edges,
     edge_paths,
     hol_normalize,
     inner_product,
-    interior_edge_paths,
     is_simple,
     labels_of,
     order_of,
@@ -35,6 +34,9 @@ from oracles import (
     brute_canonical,
     count_classes,
     flip_at,
+    graph_canonicalize,
+    graph_explicit_code,
+    graph_leaf_views,
     internal_paths,
     is_simple_by_graph,
 )
@@ -277,24 +279,50 @@ def test_single_hol_move_invisible():
             assert canonicalize(SignedTree(1, moved)) == (ct, 1), (text, path)
 
 
-def test_canonicalize_with_edges_tracks_fused_edge():
-    t = parse_tree("inner((1,2),(3,4),)")
-    ct, sign, fused = canonicalize_with_edges(SignedTree(1, t))
-    assert fused in edge_paths(ct)
-    # fused edge of the order-2 tree is its unique interior edge
-    assert fused in interior_edge_paths(ct)
+def _strip(sub):
+    """The same shape and labels with every edge word removed."""
+    if isinstance(sub, Leaf):
+        return Leaf(sub.label)
+    if isinstance(sub, Node):
+        return Node(_strip(sub.left), _strip(sub.right))
+    return DecoratedTree(_strip(sub.left), _strip(sub.right), "")
 
 
-def test_canonicalize_with_edges_symmetric_tree_picks_first_root():
-    # both 1-leaves of ((1,2),(1,2)) root the same code; the first one
-    # reached puts the fused 2-leaf edge next to the root vertex ("L",
-    # not "RR"), and the torsion tree keeps its fused edge at "RL"
-    t = parse_tree("inner(2,(1,(1,2)),)")
-    ct, sign, fused = canonicalize_with_edges(SignedTree(1, t))
-    assert (ct.text(), sign, ct.two_torsion, fused) == ("inner(1,(2,(1,2)),)", -1, False, "L")
-    t = parse_tree("inner(3,((1,2),(1,2)),)")
-    ct, sign, fused = canonicalize_with_edges(SignedTree(1, t))
-    assert (ct.text(), sign, ct.two_torsion, fused) == ("inner(1,(2,(3,(1,2))),)", 1, True, "RL")
+def _view_is_trivial(view):
+    if view[0] == 0:
+        return not view[2]
+    return _view_is_trivial(view[1]) and _view_is_trivial(view[2])
+
+
+def _graph_eta(views):
+    out = {}
+    for label, view in views:
+        out[label] = out.get(label, LieElement()) + lie._view_to_lie(view)
+    return {label: el for label, el in out.items() if el}
+
+
+def test_leaf_views_match_graph_oracle():
+    # the nested-code re-rooting against the adjacency-graph walk on
+    # 5,000 seeded random trees of orders 0-5 on 4 labels, decorated
+    # over ab, every third one stripped to trivial decorations
+    rng = random.Random(20260)
+    for k in range(5000):
+        t = _random_decorated(rng, max_order=5)
+        if k % 3 == 0:
+            t = _strip(t)
+        views = graph_leaf_views(t)
+        assert sorted(trees.leaf_views(t)) == sorted(views)
+        sign = rng.choice((1, -1))
+        ct, s = canonicalize(SignedTree(sign, t))
+        code, gsign, torsion = graph_canonicalize(t)
+        assert (ct.code, ct.two_torsion, ct.order) == (code, torsion, order_of(t))
+        assert s == (1 if torsion else sign * gsign)
+        assert trees.explicit_code(t) == graph_explicit_code(t)
+        if all(_view_is_trivial(view) for _, view in views):
+            assert eta(t) == _graph_eta(views)
+        else:
+            with pytest.raises(ValueError, match="decorated trees have no Lie image"):
+                eta(t)
 
 
 def test_edge_paths_count():

@@ -153,7 +153,7 @@ def cmd_certify(args):
     with open(args.file, encoding="utf-8") as fh:
         model = load_tower(fh.read())
     try:
-        cert = certify_raise_order(model)
+        cert = certify_raise_order(model, _bounds(args))
     except ObstructionNonzero as exc:
         print(f"obstruction nonzero: {exc.normal_form.text()}")
         return 2
@@ -166,7 +166,7 @@ def cmd_verify(args):
         model = load_tower(fh.read())
     with open(args.certificate, encoding="utf-8") as fh:
         cert = certificate_from_json(fh.read())
-    res = verify_certificate(model, cert)
+    res = verify_certificate(model, cert, _bounds(args))
     if args.json:
         _emit(args, json.dumps({"ok": res.ok, "reason": res.reason, "move": res.move,
                                 "code": res.code}, indent=2))

@@ -1,8 +1,11 @@
-"""Exact integer linear algebra: Smith normal form and lattice membership.
+"""Exact integer linear algebra: lattice membership and Smith normal form.
 
 Everything here runs over Python ints, never floats; torsion detection
 is the whole point.  Matrices are sparse: a row is a dict column ->
-nonzero value.
+nonzero value.  There is one elimination, ``IntegerLattice.add``: its
+echelon basis answers membership, residues and solving, gives
+``integer_rank``, and ``smith_normal_form`` alternates it between rows
+and columns until the basis is diagonal.
 """
 
 from __future__ import annotations
@@ -10,126 +13,65 @@ from __future__ import annotations
 from math import gcd
 
 
-def _to_sparse_rows(rows):
-    out = []
+def _echelon(rows):
+    """The lattice of dense (sequence) or sparse (dict) rows, added in
+    the order given."""
+    lat = IntegerLattice()
     for row in rows:
-        if isinstance(row, dict):
-            out.append({c: v for c, v in row.items() if v})
-        else:
-            out.append({c: v for c, v in enumerate(row) if v})
-    return out
+        lat.add(row if isinstance(row, dict) else dict(enumerate(row)))
+    return lat
 
 
-def smith_normal_form(rows, ncols=None):
+def smith_normal_form(rows):
     """Invariant factors and rank of an integer matrix.
 
     Accepts dense rows (sequences) or sparse rows (dicts).  Returns
     (factors, rank) where factors is the tuple of nonzero invariant
     factors d1 | d2 | ... (including any 1s) and rank = len(factors).
 
-    Classic elimination: repeatedly pick a least-magnitude pivot, use
-    Euclidean row/column steps until the pivot divides its row and
-    column, clear them, and recurse on the rest; a final gcd/lcm pass
-    enforces the divisibility chain.
+    Alternates row and column echelon forms of the same
+    ``IntegerLattice`` (Kannan-Bachem): take the echelon basis of the
+    rows, ordered by pivot column; stop once every basis row has a
+    single entry; otherwise transpose the basis and take the echelon
+    basis of its rows, fed in ascending original-column order.  Each
+    pass preserves the row lattice up to a transpose, hence the factors.
+
+    Termination rests on that feed order.  Call a pivot isolated when it
+    is alone in its row and its column; isolated pivots never change.
+    Let row k of the basis hold the first pivot a that is not isolated.
+    Columns before a's column meet only isolated rows, and a's column
+    meets row k alone, so the first transposed row with an entry at
+    index k is exactly {k: a}.  The next basis row at index k is then
+    either {k: a} itself, now isolated, when a divides every entry of
+    row k, or leads with the gcd of that row, a proper divisor of |a|.
+    So every pass isolates one more pivot or shrinks the first pivot
+    not isolated, and each can happen only finitely often.
+
+    The diagonal is then put into the divisibility chain by gcd/lcm
+    swaps.  The 1s divide everything, so the swaps run over the factors
+    above 1 only; one sweep suffices, since after pair (i, j) the i-th
+    entry divides the j-th and later swaps keep it so.
     """
-    mat = [r for r in _to_sparse_rows(rows) if r]
-    cols: dict[int, set[int]] = {}
-    for i, row in enumerate(mat):
-        for c in row:
-            cols.setdefault(c, set()).add(i)
-
-    def set_entry(i, c, v):
-        row = mat[i]
-        if v:
-            row[c] = v
-            cols.setdefault(c, set()).add(i)
-        else:
-            if c in row:
-                del row[c]
-                cols[c].discard(i)
-
-    def add_row(dst, src, factor):
-        # row[dst] += factor * row[src]
-        for c, v in list(mat[src].items()):
-            set_entry(dst, c, mat[dst].get(c, 0) + factor * v)
-
-    def add_col(dst, src, factor):
-        # col[dst] += factor * col[src]
-        for i in list(cols.get(src, ())):
-            set_entry(i, dst, mat[i].get(dst, 0) + factor * mat[i][src])
-
-    live_rows = set(range(len(mat)))
-    live_cols = set(cols)
-    factors = []
-
+    lat = _echelon(rows)
     while True:
-        pivot = None
-        best = None
-        for i in live_rows:
-            for c, v in mat[i].items():
-                key = (abs(v), len(mat[i]))
-                if best is None or key < best:
-                    best, pivot = key, (i, c)
-                    if key[0] == 1 and key[1] <= 2:
-                        break
-            else:
-                continue
-            if best and best[0] == 1 and best[1] <= 2:
-                break
-        if pivot is None:
+        basis = [lat.basis[lat.pivots[c]] for c in sorted(lat.pivots)]
+        if all(len(row) == 1 for row in basis):
             break
-        pi, pc = pivot
-
-        while True:
-            # clear the pivot column with Euclidean steps
-            again = False
-            for i in list(cols.get(pc, ())):
-                if i == pi or i not in live_rows:
-                    continue
-                a, b = mat[pi][pc], mat[i][pc]
-                q = b // a
-                if q:
-                    add_row(i, pi, -q)
-                if mat[i].get(pc, 0):
-                    pi = i  # smaller remainder becomes the pivot row
-                    again = True
-                    break
-            if again:
-                continue
-            # clear the pivot row
-            for c in list(mat[pi]):
-                if c == pc or c not in live_cols:
-                    continue
-                a, b = mat[pi][pc], mat[pi][c]
-                q = b // a
-                if q:
-                    add_col(c, pc, -q)
-                if mat[pi].get(c, 0):
-                    pc = c
-                    again = True
-                    break
-            if not again:
-                break
-
-        factors.append(abs(mat[pi][pc]))
-        live_rows.discard(pi)
-        live_cols.discard(pc)
-        # pivot row and column are clear except the pivot itself
-        cols.get(pc, set()).discard(pi)
-
-    # enforce d1 | d2 | ...
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(factors)):
-            for j in range(i + 1, len(factors)):
-                a, b = factors[i], factors[j]
-                if b % a:
-                    g = gcd(a, b)
-                    factors[i], factors[j] = g, a * b // g
-                    changed = True
-    factors.sort()
-    return tuple(factors), len(factors)
+        columns: dict[int, dict[int, int]] = {}
+        for i, row in enumerate(basis):
+            for c, v in row.items():
+                columns.setdefault(c, {})[i] = v
+        lat = _echelon(columns[c] for c in sorted(columns))
+    diagonal = sorted(abs(v) for row in basis for v in row.values())
+    units = [d for d in diagonal if d == 1]
+    rest = diagonal[len(units):]
+    for i in range(len(rest)):
+        for j in range(i + 1, len(rest)):
+            a, b = rest[i], rest[j]
+            if b % a:
+                g = gcd(a, b)
+                rest[i], rest[j] = g, a * b // g
+    return tuple(units + rest), len(diagonal)
 
 
 class IntegerLattice:
@@ -279,9 +221,4 @@ def _xgcd(a, b):
 
 def integer_rank(rows):
     """Exact rank of a list of sparse or dense integer rows."""
-    lat = IntegerLattice()
-    rank = 0
-    for row in _to_sparse_rows(rows):
-        if lat.add(row):
-            rank += 1
-    return rank
+    return _echelon(rows).rank

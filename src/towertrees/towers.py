@@ -466,21 +466,22 @@ def apply_move(model, move):
 
 # ------------------------------------------------------ certify and verify
 
-def certify_raise_order(model: TowerModel) -> MoveCertificate:
+def certify_raise_order(model: TowerModel, bounds=None) -> MoveCertificate:
     """Plan a certificate emptying the order-n layer.
 
     Requires the trivial group alphabet and a vanishing obstruction;
-    raises ObstructionNonzero (with the normal form) otherwise.  The
-    plan expresses tau as an integer combination of IHX relators,
-    inserts the negated combination so that the points pair off
-    algebraically, then cancels the pairs.
+    raises ObstructionNonzero (with the normal form) otherwise.
+    ``bounds`` limits the zero test, as in ``is_zero``.  The plan
+    expresses tau as an integer combination of IHX relators, inserts
+    the negated combination so that the points pair off algebraically,
+    then cancels the pairs.
     """
     n, m = model.order, model.m
     if not model.trivially_decorated():
         raise PlannerError("certification supports the trivial group alphabet only")
     ts = tau(model)
-    if not is_zero(ts, n, m):
-        raise ObstructionNonzero(normal_form(ts, n, m))
+    if not is_zero(ts, n, m, bounds):
+        raise ObstructionNonzero(normal_form(ts, n, m, bounds))
 
     moves = []
     state = model
@@ -528,7 +529,7 @@ def certify_raise_order(model: TowerModel) -> MoveCertificate:
     return MoveCertificate(tuple(moves))
 
 
-def replay_certificate(model: TowerModel, cert: MoveCertificate) -> TowerModel:
+def replay_certificate(model: TowerModel, cert: MoveCertificate, bounds=None) -> TowerModel:
     """Apply every move, checking its preconditions and that it keeps
     the zero-ness of tau; returns the final model with the order raised.
 
@@ -538,8 +539,9 @@ def replay_certificate(model: TowerModel, cert: MoveCertificate) -> TowerModel:
     The moves' own preconditions already imply this (``_apply_ihx``
     checks H and X against the local move, ``cancel_simple_pair`` the
     equal trees and opposite signs), so ``ZeronessChanged`` is a
-    defensive re-check of them, at the cost of one small ``is_zero``.
-    Raises MoveError on the first violation, carrying the move's index.
+    defensive re-check of them, at the cost of one small ``is_zero``,
+    which ``bounds`` limits.  Raises MoveError on the first violation,
+    carrying the move's index.
     """
     n, m = model.order, model.m
     if not model.trivially_decorated():
@@ -551,7 +553,7 @@ def replay_certificate(model: TowerModel, cert: MoveCertificate) -> TowerModel:
         except MoveError as exc:
             exc.move = k
             raise
-        if not is_zero(_tau_delta(state, after, move), n, m):
+        if not is_zero(_tau_delta(state, after, move), n, m, bounds):
             raise MoveError("ZeronessChanged", f"move #{k} changed the vanishing of tau", k)
         state = after
     leftover = [pid for pid, pt in state.points if pt.tree.order == n]
@@ -585,11 +587,12 @@ class VerificationResult:
         return self.ok
 
 
-def verify_certificate(model: TowerModel, cert: MoveCertificate) -> VerificationResult:
+def verify_certificate(model: TowerModel, cert: MoveCertificate,
+                       bounds=None) -> VerificationResult:
     """Replay a certificate; failures come back as a result, not an
-    exception."""
+    exception.  ``bounds`` limits the zero tests, as in ``is_zero``."""
     try:
-        replay_certificate(model, cert)
+        replay_certificate(model, cert, bounds)
     except MoveError as exc:
         return VerificationResult(False, str(exc), exc.move, exc.reason)
     except TowerError as exc:

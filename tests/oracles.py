@@ -300,20 +300,27 @@ def count_classes(raw_trees):
 
 
 def snf_by_minors(rows, nrows, ncols):
-    """Invariant factors through determinant divisors; exponential, for
-    small dense matrices only."""
+    """Invariant factors through determinant divisors: the k-th divisor
+    is the gcd of all k x k minors.  The minors are exponentially many,
+    so this is for small dense matrices only."""
 
     def det(m):
-        n = len(m)
-        if n == 0:
-            return 1
-        if n == 1:
-            return m[0][0]
-        total = 0
-        for j in range(n):
-            sub = [row[:j] + row[j + 1:] for row in m[1:]]
-            total += (-1) ** j * m[0][j] * det(sub)
-        return total
+        # fraction-free Bareiss elimination: every division is exact
+        a = [row[:] for row in m]
+        n = len(a)
+        sign, prev = 1, 1
+        for k in range(n - 1):
+            if not a[k][k]:
+                swap = next((i for i in range(k + 1, n) if a[i][k]), None)
+                if swap is None:
+                    return 0
+                a[k], a[swap] = a[swap], a[k]
+                sign = -sign
+            for i in range(k + 1, n):
+                for j in range(k + 1, n):
+                    a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
+            prev = a[k][k]
+        return sign * a[-1][-1] if n else 1
 
     divisors = [1]
     k = 1

@@ -124,6 +124,36 @@ def test_certify_obstruction_exit_two(tmp_path, capsys):
     assert "obstruction nonzero" in out
 
 
+def test_certify_honours_max_order(tmp_path, capsys):
+    # a nonzero order-5 class: above the default bound, certify refuses it
+    one = tmp_path / "one.json"
+    invoke(capsys, "bch", "+inner(1,(2,(1,(2,(1,(2,1))))),)", "--order", "5", "--labels", "2",
+           "--out", str(one))
+    code, out, err = invoke(capsys, "certify", str(one), "--max-order", "5")
+    assert code == 2 and "obstruction nonzero" in out and err == ""
+    code, out, err = invoke(capsys, "certify", str(one))
+    assert (code, out) == (1, "")
+    assert err.strip() == "error: order 5 exceeds bound 4"
+
+
+def test_verify_honours_max_order(tmp_path, capsys):
+    # a zero class whose certificate inserts an IHX relator: replay
+    # tests that move's points in the order-5 group
+    zero = tmp_path / "zero.json"
+    cert = tmp_path / "cert.json"
+    invoke(capsys, "bch", "+inner(1,(1,(1,(1,(1,(1,2))))),)", "--order", "5", "--labels", "2",
+           "--out", str(zero))
+    code, _, _ = invoke(capsys, "certify", str(zero), "--max-order", "5", "--out", str(cert))
+    assert code == 0
+    assert [move["move"] for move in json.loads(cert.read_text())] == \
+        ["ihx_insert", "cancel_pair", "cancel_pair"]
+    code, out, _ = invoke(capsys, "verify", str(zero), str(cert), "--max-order", "5")
+    assert code == 0 and out.strip() == "OK"
+    code, out, err = invoke(capsys, "verify", str(zero), str(cert))
+    assert (code, out) == (1, "")
+    assert err.strip() == "error: order 5 exceeds bound 4"
+
+
 def test_glue_cli(tmp_path, capsys):
     a = tmp_path / "a.json"
     b = tmp_path / "b.json"

@@ -278,9 +278,10 @@ def _closed_form(n, m):
     return AbelianGroupStructure(free, torsion)
 
 
-@pytest.mark.parametrize("n, m", [(n, m) for n in range(5) for m in range(1, 5)] + [(5, 2), (5, 3)])
+@pytest.mark.parametrize("n, m", [(n, m) for n in range(5) for m in range(1, 5)]
+                         + [(5, 2), (5, 3), (5, 4), (6, 3)])
 def test_group_structure_matches_closed_form(n, m):
-    assert group_structure(n, m, bounds=Bounds(max_order=5)) == _closed_form(n, m)
+    assert group_structure(n, m, bounds=Bounds(max_order=6)) == _closed_form(n, m)
 
 
 def test_zero_test_and_solver_build_one_presentation(monkeypatch):

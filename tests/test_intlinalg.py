@@ -1,7 +1,9 @@
 import random
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
+from towertrees import intlinalg
 from towertrees.intlinalg import IntegerLattice, integer_rank, smith_normal_form
 
 from oracles import snf_by_minors
@@ -48,6 +50,59 @@ def test_snf_wide_random():
         # divisibility chain
         for a, b in zip(factors, factors[1:]):
             assert b % a == 0
+
+
+@st.composite
+def integer_matrices(draw):
+    """Up to 5 x 6, from dense to mostly zero, with a common factor and
+    some rows and columns zeroed."""
+    r, c = draw(st.integers(0, 5)), draw(st.integers(0, 6))
+    entry = st.one_of(*[st.just(0)] * draw(st.integers(0, 3)), st.integers(-6, 6))
+    scale = draw(st.integers(1, 4))
+    m = [[scale * draw(entry) for _ in range(c)] for _ in range(r)]
+    for i in draw(st.sets(st.integers(0, r - 1))) if r else ():
+        m[i] = [0] * c
+    for j in draw(st.sets(st.integers(0, c - 1))) if c else ():
+        for row in m:
+            row[j] = 0
+    return m
+
+
+@given(integer_matrices())
+@settings(max_examples=300, deadline=None)
+def test_snf_matches_minors_oracle(m):
+    r, c = len(m), len(m[0]) if m else 0
+    factors, rank = smith_normal_form(m)
+    assert factors == snf_by_minors(m, r, c)
+    assert rank == len(factors)
+    sparse = [{j: v for j, v in enumerate(row) if v} for row in m]
+    assert smith_normal_form(sparse) == (factors, rank)
+
+
+@pytest.mark.parametrize("m, snf, lattices", [
+    # the first pivot, 2, does not divide its row (2, 3): the column pass
+    # shrinks it to gcd 1, and the next row pass isolates it
+    ([[2, 3], [0, 6]], ((1, 12), 2), 3),
+    # the first pivot, 5, divides its row (5, -5): the column pass
+    # isolates it; fed in descending column order, the passes cycle
+    ([[0, -5], [5, -5]], ((5, 5), 2), 2),
+    ([[4, 0, 2, -2], [0, -4, 3, -2], [0, -2, 1, 3]], ((1, 1, 4), 3), 5),
+])
+def test_snf_passes_follow_the_feed_order(monkeypatch, m, snf, lattices):
+    # each pass builds one echelon lattice; feeding the transposed rows
+    # by ascending column is what makes each pass isolate or shrink the
+    # first pivot not yet alone in its row and column
+    built = []
+
+    class Counting(IntegerLattice):
+        def __init__(self, track=False):
+            built.append(self)
+            assert len(built) <= 20, "smith_normal_form is not converging"
+            super().__init__(track)
+
+    monkeypatch.setattr(intlinalg, "IntegerLattice", Counting)
+    assert smith_normal_form(m) == snf
+    assert len(built) == lattices
 
 
 def test_lattice_membership():

@@ -149,15 +149,11 @@ class IntegerLattice:
                 v = new_v
         return False
 
-    def reduce(self, vec):
-        """Canonical residue of vec modulo the lattice (not inserted).
-
-        Floor-reduces against every pivot in ascending column order
+    def _sweep(self, vec, combo=None):
+        """Floor-reduce vec against every pivot in ascending column order
         (reductions only create entries in later columns, so one
-        ascending sweep suffices).  The residue is the unique coset
-        representative with entries in [0, pivot) at pivot columns; it
-        is zero iff vec lies in the lattice.
-        """
+        ascending sweep suffices) and return the residue.  With a
+        ``combo`` dict, add to it the basis combinations subtracted."""
         v = {c: x for c, x in vec.items() if x}
         seen: set[int] = set()
         while True:
@@ -172,6 +168,17 @@ class IntegerLattice:
             q = v[c] // self.basis[i][c]
             if q:
                 self._addmul(v, self.basis[i], -q)
+                if combo is not None:
+                    self._addmul(combo, self.combos[i], q)
+
+    def reduce(self, vec):
+        """Canonical residue of vec modulo the lattice (not inserted).
+
+        The residue is the unique coset representative with entries in
+        [0, pivot) at pivot columns; it is zero iff vec lies in the
+        lattice.
+        """
+        return self._sweep(vec)
 
     def contains(self, vec):
         return not self.reduce(vec)
@@ -179,29 +186,13 @@ class IntegerLattice:
     def solve(self, vec):
         """Integer combination of the added rows equal to vec, or None.
 
-        Requires track=True.  Returns {tag: coefficient}.
+        Requires track=True.  Returns {tag: coefficient}: the sweep's
+        combinations, exact when vec lies in the lattice.
         """
         if not self.track:
             raise ValueError("lattice built without track=True")
-        v = {c: x for c, x in vec.items() if x}
         combo: dict = {}
-        seen: set[int] = set()
-        while True:
-            todo = [c for c in v if c not in seen]
-            if not todo:
-                break
-            c = min(todo)
-            seen.add(c)
-            i = self.pivots.get(c)
-            if i is None:
-                return None
-            a = self.basis[i][c]
-            x = v[c]
-            if x % a:
-                return None
-            self._addmul(v, self.basis[i], -(x // a))
-            self._addmul(combo, self.combos[i], x // a)
-        return combo if not v else None
+        return None if self._sweep(vec, combo) else combo
 
 
 def _xgcd(a, b):

@@ -12,14 +12,18 @@ cancellations:
 * ``cancel_simple_pair`` removes two points carrying the same simple
                         tree with opposite signs.
 
-Each move does only its own work: an insertion canonicalizes its H and
-X companions once each, and a cancellation reads simplicity off the
-canonical code.  ``certify_raise_order`` plans a replayable certificate
-that empties the order-n layer whenever the intersection sum vanishes
-in the order-n group, and ``verify_certificate`` replays one, checking
-every move on its delta (the points it adds or removes), never on the
-whole intersection sum.  The JSON loaders validate their input and name
-the offending record and key in a ``TowerError``; a model point's
+A model keys its points by id.  One in-place step applies every move
+and returns its change of tau: the planner and replay copy the points
+once, and each public move is a copy, one step and a new model.  Each
+move does only its own work: an insertion canonicalizes its H and X
+companions once each, and a cancellation reads simplicity off the
+canonical code.
+``certify_raise_order`` plans a replayable certificate that empties the
+order-n layer whenever the intersection sum vanishes in the order-n
+group, and ``verify_certificate`` replays one, checking every move on
+its delta (the points it adds or removes), never on the whole
+intersection sum.  The JSON loaders validate their input and name the
+offending record and key in a ``TowerError``; a model point's
 ``puncture`` key, a marked edge that no invariant reads, is accepted
 and ignored, and a ``move_puncture`` certificate record is refused.
 """
@@ -27,7 +31,7 @@ and ignored, and a ``move_puncture`` certificate record is refused.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .groups import is_zero, normal_form, relator_solver, ts_to_vec
 from .sums import TreeSum
@@ -39,6 +43,7 @@ from .trees import (
     RootedTree,
     SignedTree,
     canonicalize,
+    check_bounds,
     ihx_at,
     interior_edge_paths,
     is_simple,
@@ -260,19 +265,14 @@ def extract_model(raw: RawTower):
         return Node(left, right, word)
 
     points = []
-    next_id = 0
-    orders = []
     for p in unpaired:
         fused = wmul(winv(whisker[p.left]), p.word, whisker[p.right])
         tree = DecoratedTree(build(p.left, None), build(p.right, None), fused)
         sign = p.sign * orient[p.left] * orient[p.right]
         ct, csign = canonicalize(SignedTree(sign, tree))
-        points.append((next_id, TowerPoint(csign, ct)))
-        orders.append(ct.order)
-        next_id += 1
-
-    model_order = min(orders) if orders else raw.order
-    return TowerModel(raw.m, model_order, tuple(points), next_id)
+        points.append(TowerPoint(csign, ct))
+    order = min(pt.tree.order for pt in points) if points else raw.order
+    return _numbered(raw.m, order, points)
 
 
 # --------------------------------------------------------------- the model
@@ -287,44 +287,41 @@ class TowerPoint:
 
 @dataclass(frozen=True)
 class TowerModel:
-    """Immutable split-tower model; every move returns a new model."""
+    """Split-tower model: its points keyed by id, in insertion order.
+    The public moves return a new model and leave this one as it is."""
 
     m: int
     order: int
-    points: tuple[tuple[int, TowerPoint], ...]
+    points: dict[int, TowerPoint]
     next_id: int = 0
 
     def __post_init__(self):
-        for pid, pt in self.points:
+        for pid, pt in self.points.items():
             if pt.tree.order < self.order:
                 raise TowerError(
                     f"point {pid} has order {pt.tree.order} below the tower order {self.order}")
 
-    def point(self, pid):
-        for qid, pt in self.points:
-            if qid == pid:
-                return pt
-        raise MoveError("UnknownPoint", f"no point with id {pid}")
-
-    def point_ids(self):
-        return [pid for pid, _ in self.points]
-
     def trivially_decorated(self):
-        return all(is_trivially_decorated(pt.tree) for _, pt in self.points)
+        return all(is_trivially_decorated(pt.tree) for pt in self.points.values())
+
+
+def _numbered(m, order, points):
+    """Model whose k-th point gets the id k."""
+    points = dict(enumerate(points))
+    return TowerModel(m, order, points, len(points))
 
 
 def make_model(m, order, signed_trees):
     """Model from (sign, CanonicalTree) pairs; the k-th pair becomes
     point k."""
-    pts = tuple((k, TowerPoint(1 if ct.two_torsion else sign, ct))
-                for k, (sign, ct) in enumerate(signed_trees))
-    return TowerModel(m, order, pts, len(pts))
+    return _numbered(m, order, [TowerPoint(1 if ct.two_torsion else sign, ct)
+                                for sign, ct in signed_trees])
 
 
 def bch_tower(sigma, order, m):
     """Model realizing a list of signed trees as its intersection sum."""
     pts = []
-    for k, st in enumerate(sigma):
+    for st in sigma:
         if isinstance(st, SignedTree):
             ct, sign = canonicalize(st)
         else:
@@ -334,15 +331,15 @@ def bch_tower(sigma, order, m):
             raise TowerError(f"tree {ct.text()} has order {ct.order}, expected {order}")
         if any(lab > m or lab < 1 for lab in ct.labels):
             raise TowerError(f"tree {ct.text()} uses labels outside 1..{m}")
-        pts.append((k, TowerPoint(sign, ct)))
-    return TowerModel(m, order, tuple(pts), len(pts))
+        pts.append(TowerPoint(sign, ct))
+    return _numbered(m, order, pts)
 
 
 def tau(model: TowerModel) -> TreeSum:
     """Signed sum of the trees of the points at the tower's own order;
     the obstruction class lives in the order-n tree group."""
     return TreeSum(
-        [(pt.tree, pt.sign) for _, pt in model.points if pt.tree.order == model.order])
+        [(pt.tree, pt.sign) for pt in model.points.values() if pt.tree.order == model.order])
 
 
 def glue(a: TowerModel, b: TowerModel) -> TowerModel:
@@ -350,16 +347,9 @@ def glue(a: TowerModel, b: TowerModel) -> TowerModel:
     if a.m != b.m or a.order != b.order:
         raise TowerError(
             f"cannot glue ({a.m}, order {a.order}) with ({b.m}, order {b.order})")
-    pts = []
-    k = 0
-    for _, pt in a.points:
-        pts.append((k, pt))
-        k += 1
-    for _, pt in b.points:
-        sign = 1 if pt.tree.two_torsion else -pt.sign
-        pts.append((k, TowerPoint(sign, pt.tree)))
-        k += 1
-    return TowerModel(a.m, a.order, tuple(pts), k)
+    flipped = [TowerPoint(1 if pt.tree.two_torsion else -pt.sign, pt.tree)
+               for pt in b.points.values()]
+    return _numbered(a.m, a.order, [*a.points.values(), *flipped])
 
 
 # -------------------------------------------------------------------- moves
@@ -393,8 +383,7 @@ def ihx_insert(model: TowerModel, tree, edge, sign=1) -> TowerModel:
     """Add the three points of the local IHX move at an interior edge:
     +I, -H, +X, all scaled by ``sign``.  The group-level zero-ness of
     tau is unchanged; the hat-level sum changes by the relator."""
-    move = _coerce_ihx(tree, edge, sign)
-    return _apply_ihx(model, move)
+    return apply_move(model, _coerce_ihx(tree, edge, sign))
 
 
 def _coerce_ihx(tree, edge, sign):
@@ -410,7 +399,39 @@ def _coerce_ihx(tree, edge, sign):
     return make_ihx_insert(tree, edge, sign)
 
 
-def _apply_ihx(model, move: IhxInsert) -> TowerModel:
+def cancel_simple_pair(model: TowerModel, p, q) -> TowerModel:
+    """Remove an algebraically cancelling pair of simple points: same
+    canonical tree, opposite signs (a 2-torsion tree admits either
+    sign), both at the tower's own order."""
+    return apply_move(model, CancelPair(p, q))
+
+
+def apply_move(model, move) -> TowerModel:
+    points = dict(model.points)
+    _, next_id = _step(model, points, model.next_id, move)
+    return TowerModel(model.m, model.order, points, next_id)
+
+
+def _step(model, points, next_id, move):
+    """Check one move against ``model``'s order and labels and apply it
+    to the id -> TowerPoint dict ``points`` in place.  Returns the
+    move's tau-delta terms, (tree, sign) per added point and (tree,
+    -sign) per removed one, and the next free id."""
+    if isinstance(move, IhxInsert):
+        added = _ihx_points(model, move)
+        for pt in added:
+            points[next_id] = pt
+            next_id += 1
+        return [(pt.tree, pt.sign) for pt in added], next_id
+    if isinstance(move, CancelPair):
+        removed = _cancelling_pair(model, points, move.p, move.q)
+        del points[move.p], points[move.q]
+        return [(pt.tree, -pt.sign) for pt in removed], next_id
+    raise MoveError("UnknownMove", f"unknown move {move!r}")
+
+
+def _ihx_points(model, move: IhxInsert):
+    """The points +I, -H, +X of a checked insertion, scaled by its sign."""
     ct = move.tree
     if ct.order != model.order:
         raise MoveError(
@@ -427,21 +448,18 @@ def _apply_ihx(model, move: IhxInsert) -> TowerModel:
     if (move.h != h and canonicalize(SignedTree(1, move.h)) != ch) or \
             (move.x != x and canonicalize(SignedTree(1, move.x)) != cx):
         raise MoveError("BadTriple", "H and X do not match the local move at this edge")
-    pts = list(model.points)
-    k = model.next_id
-    for t, s, coeff in ((ct, 1, move.sign), (*ch, -move.sign), (*cx, move.sign)):
-        pts.append((k, TowerPoint(1 if t.two_torsion else s * coeff, t)))
-        k += 1
-    return replace(model, points=tuple(pts), next_id=k)
+    return [TowerPoint(1 if t.two_torsion else s * coeff, t)
+            for t, s, coeff in ((ct, 1, move.sign), (*ch, -move.sign), (*cx, move.sign))]
 
 
-def cancel_simple_pair(model: TowerModel, p, q) -> TowerModel:
-    """Remove an algebraically cancelling pair of simple points: same
-    canonical tree, opposite signs (a 2-torsion tree admits either
-    sign), both at the tower's own order."""
+def _cancelling_pair(model, points, p, q):
+    """The points p and q, checked to form a cancelling simple pair."""
     if p == q:
         raise MoveError("SamePoint", "a pair needs two distinct points")
-    pa, pb = model.point(p), model.point(q)
+    for pid in (p, q):
+        if pid not in points:
+            raise MoveError("UnknownPoint", f"no point with id {pid}")
+    pa, pb = points[p], points[q]
     for pid, pt in ((p, pa), (q, pb)):
         if pt.tree.order != model.order:
             raise MoveError("WrongOrder", f"point {pid} has order {pt.tree.order}, "
@@ -452,16 +470,7 @@ def cancel_simple_pair(model: TowerModel, p, q) -> TowerModel:
         raise MoveError("TreesDiffer", f"points {p} and {q} carry different trees")
     if not pa.tree.two_torsion and pa.sign + pb.sign != 0:
         raise MoveError("SameSign", f"points {p} and {q} have equal signs")
-    pts = tuple((pid, pt) for pid, pt in model.points if pid not in (p, q))
-    return replace(model, points=pts)
-
-
-def apply_move(model, move):
-    if isinstance(move, IhxInsert):
-        return _apply_ihx(model, move)
-    if isinstance(move, CancelPair):
-        return cancel_simple_pair(model, move.p, move.q)
-    raise MoveError("UnknownMove", f"unknown move {move!r}")
+    return pa, pb
 
 
 # ------------------------------------------------------ certify and verify
@@ -471,12 +480,13 @@ def certify_raise_order(model: TowerModel, bounds=None) -> MoveCertificate:
 
     Requires the trivial group alphabet and a vanishing obstruction;
     raises ObstructionNonzero (with the normal form) otherwise.
-    ``bounds`` limits the zero test, as in ``is_zero``.  The plan
-    expresses tau as an integer combination of IHX relators, inserts
-    the negated combination so that the points pair off algebraically,
-    then cancels the pairs.
+    ``bounds`` limits the model's order and labels, as in ``is_zero``.
+    The plan expresses tau as an integer combination of IHX relators,
+    inserts the negated combination so that the points pair off
+    algebraically, then cancels the pairs.
     """
     n, m = model.order, model.m
+    check_bounds(n, m, bounds)
     if not model.trivially_decorated():
         raise PlannerError("certification supports the trivial group alphabet only")
     ts = tau(model)
@@ -484,8 +494,7 @@ def certify_raise_order(model: TowerModel, bounds=None) -> MoveCertificate:
         raise ObstructionNonzero(normal_form(ts, n, m, bounds))
 
     moves = []
-    state = model
-    combo = {}
+    points, next_id = dict(model.points), model.next_id
     if not ts.is_empty():
         triples, solver = relator_solver(n, m)
         combo = solver.solve(ts_to_vec(ts, n, m))
@@ -499,11 +508,11 @@ def certify_raise_order(model: TowerModel, bounds=None) -> MoveCertificate:
             sign = -1 if coeff > 0 else 1
             for _ in range(abs(coeff)):
                 move = make_ihx_insert(ct, edge, sign)
-                state = _apply_ihx(state, move)
+                _, next_id = _step(model, points, next_id, move)
                 moves.append(move)
 
     by_tree: dict = {}
-    for pid, pt in state.points:
+    for pid, pt in points.items():
         if pt.tree.order == n:
             by_tree.setdefault(pt.tree, []).append((pid, pt.sign))
     for tree in sorted(by_tree, key=lambda t: t.code):
@@ -524,7 +533,7 @@ def certify_raise_order(model: TowerModel, bounds=None) -> MoveCertificate:
                 f"points and pair cancellation is restricted to simple trees")
         for p, q in pairs:
             move = CancelPair(p, q)
-            state = apply_move(state, move)
+            _step(model, points, next_id, move)
             moves.append(move)
     return MoveCertificate(tuple(moves))
 
@@ -536,40 +545,30 @@ def replay_certificate(model: TowerModel, cert: MoveCertificate, bounds=None) ->
     tau changes by exactly the points a move adds or removes, so each
     move is checked on that delta alone: the three inserted points of
     an IHX move, or the removed pair, must vanish in the order-n group.
-    The moves' own preconditions already imply this (``_apply_ihx``
-    checks H and X against the local move, ``cancel_simple_pair`` the
-    equal trees and opposite signs), so ``ZeronessChanged`` is a
-    defensive re-check of them, at the cost of one small ``is_zero``,
-    which ``bounds`` limits.  Raises MoveError on the first violation,
-    carrying the move's index.
+    The moves' own preconditions already imply this (an insertion
+    checks H and X against the local move, a cancellation the equal
+    trees and opposite signs), so ``ZeronessChanged`` is a defensive
+    re-check of them, at the cost of one small ``is_zero``.  ``bounds``
+    limits the model's order and labels, checked once before any move.
+    Raises MoveError on the first violation, carrying the move's index.
     """
     n, m = model.order, model.m
+    check_bounds(n, m, bounds)
     if not model.trivially_decorated():
         raise MoveError("Decorated", "replay supports the trivial group alphabet only")
-    state = model
+    points, next_id = dict(model.points), model.next_id
     for k, move in enumerate(cert.moves):
         try:
-            after = apply_move(state, move)
+            delta, next_id = _step(model, points, next_id, move)
         except MoveError as exc:
             exc.move = k
             raise
-        if not is_zero(_tau_delta(state, after, move), n, m, bounds):
+        if not is_zero(TreeSum(delta), n, m, bounds):
             raise MoveError("ZeronessChanged", f"move #{k} changed the vanishing of tau", k)
-        state = after
-    leftover = [pid for pid, pt in state.points if pt.tree.order == n]
+    leftover = [pid for pid, pt in points.items() if pt.tree.order == n]
     if leftover:
         raise MoveError("PointsRemain", f"order-{n} points remain: {leftover}")
-    return replace(state, order=n + 1)
-
-
-def _tau_delta(before: TowerModel, after: TowerModel, move) -> TreeSum:
-    """The change of tau made by one move: the points it appends, minus
-    the points it removes (every move's points lie at the tower order)."""
-    if isinstance(move, IhxInsert):
-        return TreeSum([(pt.tree, pt.sign) for _, pt in after.points[len(before.points):]])
-    if isinstance(move, CancelPair):
-        return TreeSum([(pt.tree, -pt.sign) for pt in (before.point(move.p), before.point(move.q))])
-    return TreeSum()
+    return TowerModel(m, n + 1, points, next_id)
 
 
 @dataclass(frozen=True)
@@ -682,7 +681,7 @@ def model_to_json(model: TowerModel) -> str:
         "order": model.order,
         "points": [
             {"sign": pt.sign, "tree": pt.tree.text()}
-            for _, pt in model.points
+            for pt in model.points.values()
         ],
     }
     return json.dumps(doc, indent=2)

@@ -325,24 +325,19 @@ def _rebase(view, g):
     return (1, _rebase(view[1], g), _rebase(view[2], g))
 
 
-def leaf_views(tree, least=False):
+def leaf_views(tree):
     """(label, view) of a DecoratedTree rooted at each of its leaves.
 
     A view is the rooted code of the rest of the tree as seen from the
     root leaf: (0, label, holonomy) at a leaf, (1, left, right) at a
     trivalent vertex entered from its parent, the children in cyclic
-    order.  With ``least``, only the leaves carrying the least label
-    are roots: a code starts with its root label, so no other root can
-    give the minimal code.
+    order.
     """
     left = _side_code(tree.left, "")
     right = _side_code(tree.right, wmul(winv(tree.left.word), tree.word, tree.right.word))
     out = []
     _collect_views(left, right, out)
     _collect_views(right, left, out)
-    if least:
-        low = min(label for label, _, _ in out)
-        out = [entry for entry in out if entry[0] == low]
     # holonomies are measured from the top of the left side; rooting at
     # a leaf of holonomy h re-bases each of them by h^-1
     return [(label, _rebase(view, winv(hol)) if hol else view) for label, hol, view in out]
@@ -364,13 +359,18 @@ def _canon_rec(view):
 
 def _canonical_rooting(signed):
     """(CanonicalTree, sign) of a signed tree, minimized over the
-    rootings at its least-label leaves."""
+    rootings at its least-label leaves: a code starts with its root
+    label, so no other root can give the minimal code."""
     if isinstance(signed, DecoratedTree):
         signed = SignedTree(1, signed)
+    views = leaf_views(signed.tree)
+    low = min(label for label, _ in views)
     best = None
     signs = set()
     amb_at_best = False
-    for label, view in leaf_views(signed.tree, least=True):
+    for label, view in views:
+        if label != low:
+            continue
         code, sign, amb = _canon_rec(view)
         full = (label, code)
         if best is None or full < best:
@@ -380,7 +380,8 @@ def _canonical_rooting(signed):
             amb_at_best = amb_at_best or amb
     torsion = amb_at_best or len(signs) == 2
     sign = 1 if torsion else min(signs) * signed.sign
-    return CanonicalTree(best, torsion, order_of(signed.tree)), sign
+    # an order-n tree has n + 2 leaves
+    return CanonicalTree(best, torsion, len(views) - 2), sign
 
 
 def canonicalize(signed):
@@ -410,7 +411,7 @@ def explicit_code(tree):
     edge reversals, whisker moves and relabeling of the internal
     structure, with no AS flips.
     """
-    return min(leaf_views(tree, least=True))
+    return min(leaf_views(tree))
 
 
 def decode_code(code):

@@ -154,6 +154,24 @@ def test_verify_honours_max_order(tmp_path, capsys):
     assert err.strip() == "error: order 5 exceeds bound 4"
 
 
+
+def test_bound_flags_apply_before_any_move(tmp_path, capsys):
+    # tau of +T, -T is empty and a cancelled pair's delta is empty, so no
+    # zero test sees the order: certify and replay check the model's own
+    tree = "inner(1,(2,(1,(2,(1,(2,1))))),)"
+    model = tmp_path / "pair.json"
+    cert = tmp_path / "cert.json"
+    model.write_text(json.dumps({"m": 2, "order": 5, "points": [
+        {"sign": 1, "tree": tree}, {"sign": -1, "tree": tree}]}))
+    code, out, err = invoke(capsys, "certify", str(model))
+    assert (code, out, err.strip()) == (1, "", "error: order 5 exceeds bound 4")
+    code, _, _ = invoke(capsys, "certify", str(model), "--max-order", "5", "--out", str(cert))
+    assert code == 0 and json.loads(cert.read_text()) == [{"move": "cancel_pair", "p": 0, "q": 1}]
+    code, out, err = invoke(capsys, "verify", str(model), str(cert))
+    assert (code, out, err.strip()) == (1, "", "error: order 5 exceeds bound 4")
+    code, out, _ = invoke(capsys, "verify", str(model), str(cert), "--max-order", "5")
+    assert code == 0 and out.strip() == "OK"
+
 def test_glue_cli(tmp_path, capsys):
     a = tmp_path / "a.json"
     b = tmp_path / "b.json"

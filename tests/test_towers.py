@@ -18,6 +18,7 @@ from towertrees.towers import (
     RawPoint,
     RawTower,
     TowerError,
+    TowerModel,
     apply_move,
     bch_tower,
     bracket_text,
@@ -203,7 +204,7 @@ def test_bch_tower():
     i_tree = parse_tree("inner((1,2),(3,4),)")
     model = bch_tower([SignedTree(1, i_tree)], 2, 4)
     assert tau(model) == TreeSum({canon("inner((1,2),(3,4),)"): 1})
-    assert bch_tower([], 2, 4).points == ()
+    assert bch_tower([], 2, 4).points == {}
     two = bch_tower([SignedTree(1, i_tree), SignedTree(-1, i_tree)], 2, 4)
     assert tau(two).is_empty() and len(two.points) == 2
 
@@ -251,7 +252,7 @@ def test_cancel_simple_pair():
     s = canon("inner(1,(2,2),)")
     model = make_model(3, 1, [(1, y), (-1, y), (1, s)])
     out = cancel_simple_pair(model, 0, 1)
-    assert [pid for pid, _ in out.points] == [2]
+    assert list(out.points) == [2]
     # the pair cancelled algebraically, so the hat-level sum is untouched
     assert tau(out) == tau(model)
     empty = cancel_simple_pair(make_model(3, 1, [(1, y), (-1, y)]), 0, 1)
@@ -311,7 +312,7 @@ def test_certify_leaves_higher_order_points():
     cert = certify_raise_order(model)
     final = replay_certificate(model, cert)
     assert final.order == 2
-    assert [pt.tree for _, pt in final.points] == [higher]
+    assert [pt.tree for pt in final.points.values()] == [higher]
 
 
 def test_certify_obstruction():
@@ -556,6 +557,29 @@ def test_replay_checks_each_move_on_its_delta(monkeypatch):
     assert sizes.count(0) == len(moves) - 1  # a cancelled pair adds nothing
 
 
+
+def test_certify_and_replay_build_a_constant_number_of_models(monkeypatch):
+    # both copy the points once and change them in place: certify builds
+    # no model and replay only its final one, however many moves there are
+    rng = random.Random(2024)
+    triples = ihx_triples(3, 4)
+    model = make_model(4, 3, [])
+    for _ in range(12):
+        ct, edge = rng.choice(triples)
+        model = ihx_insert(model, ct, edge, rng.choice((1, -1)))
+    built = []
+    real_post_init = TowerModel.__post_init__
+
+    def counting_post_init(self):
+        built.append(self)
+        real_post_init(self)
+
+    monkeypatch.setattr(TowerModel, "__post_init__", counting_post_init)
+    cert = certify_raise_order(model)
+    assert len(cert.moves) >= 40 and built == []
+    final = replay_certificate(model, cert)
+    assert built == [final] and final.order == 4 and not final.points
+
 def test_ihx_insert_matches_full_canonicalization():
     # the points of an insertion equal those of canonicalizing I, H and X
     for ct, edge in ihx_triples(3, 3):
@@ -564,7 +588,7 @@ def test_ihx_insert_matches_full_canonicalization():
             h, x = ihx_at(ct, edge)
             expected = [canonicalize(SignedTree(c, t))
                         for t, c in ((ct.decode(), sign), (h, -sign), (x, sign))]
-            assert [(pt.tree, pt.sign) for _, pt in grown.points] == expected
+            assert [(pt.tree, pt.sign) for pt in grown.points.values()] == expected
 
 
 def test_ihx_insert_accepts_equivalent_h_and_x():

@@ -10,6 +10,13 @@ Lie elements, one per label: rooting the tree at each leaf in turn
 reads off a bracket, which is added to the component of that leaf's
 label.  Antisymmetry of the bracket kills AS relators and the Jacobi
 identity kills IHX relators, which is checked, not assumed.
+
+Brackets are expanded by one kernel on plain dicts word -> coefficient;
+``LieElement`` wraps only finished results.  Within one call of
+``eta``, ``eta_sum`` or ``rational_rank_bound`` each distinct sub-view
+is expanded once, since the views of a tree, and the trees of a cell,
+share subtrees.  ``tests/oracles.py`` keeps the bracket-by-bracket
+expansion as the reference.
 """
 
 from __future__ import annotations
@@ -25,10 +32,8 @@ class LieElement:
 
     def __init__(self, terms=()):
         acc: dict[tuple, int] = {}
-        items = terms.items() if isinstance(terms, dict) else terms
-        for word, coeff in items:
-            if coeff:
-                acc[word] = acc.get(word, 0) + coeff
+        for word, coeff in terms.items() if isinstance(terms, dict) else terms:
+            acc[word] = acc.get(word, 0) + coeff
         self.terms = {w: c for w, c in acc.items() if c}
 
     @classmethod
@@ -56,9 +61,6 @@ class LieElement:
     def __neg__(self):
         return LieElement({w: -c for w, c in self.terms.items()})
 
-    def scale(self, k):
-        return LieElement({w: k * c for w, c in self.terms.items()})
-
     def __repr__(self):
         if not self.terms:
             return "LieElement(0)"
@@ -66,65 +68,80 @@ class LieElement:
         return "LieElement(" + " ".join(bits) + ")"
 
 
+def _bracket(a, b):
+    """ab - ba of two expanded polynomials (dicts word -> coefficient),
+    zero terms dropped: the one bracket kernel of this module."""
+    out: dict[tuple, int] = {}
+    for wa, ca in a.items():
+        for wb, cb in b.items():
+            c = ca * cb
+            w = wa + wb
+            out[w] = out.get(w, 0) + c
+            w = wb + wa
+            out[w] = out.get(w, 0) - c
+    return {w: c for w, c in out.items() if c}
+
+
 def lie_bracket(a: LieElement, b: LieElement) -> LieElement:
     """ab - ba in the associative expansion."""
-    out: dict[tuple, int] = {}
-    for wa, ca in a.terms.items():
-        for wb, cb in b.terms.items():
-            w = wa + wb
-            out[w] = out.get(w, 0) + ca * cb
-            w = wb + wa
-            out[w] = out.get(w, 0) - ca * cb
-    return LieElement(out)
+    return LieElement(_bracket(a.terms, b.terms))
 
 
 def rooted_tree_to_lie(t) -> LieElement:
     """Leaf i -> X_i, node -> bracket of the children's images."""
-    if isinstance(t, Leaf):
+    def poly(t):
         if t.word:
             raise ValueError("decorated trees have no Lie image")
-        return LieElement.generator(t.label)
-    if t.word:
-        raise ValueError("decorated trees have no Lie image")
-    return lie_bracket(rooted_tree_to_lie(t.left), rooted_tree_to_lie(t.right))
+        if isinstance(t, Leaf):
+            return {(t.label,): 1}
+        return _bracket(poly(t.left), poly(t.right))
+    return LieElement(poly(t))
 
 
-def _view_to_lie(view):
-    if view[0] == 0:
-        if view[2]:
-            raise ValueError("decorated trees have no Lie image")
-        return LieElement.generator(view[1])
-    return lie_bracket(_view_to_lie(view[1]), _view_to_lie(view[2]))
+def _view_poly(view, memo):
+    """Expanded bracket of a leaf view; ``memo`` maps each view already
+    expanded in the current call to its polynomial."""
+    poly = memo.get(view)
+    if poly is None:
+        if view[0] == 0:
+            if view[2]:
+                raise ValueError("decorated trees have no Lie image")
+            poly = {(view[1],): 1}
+        else:
+            poly = _bracket(_view_poly(view[1], memo), _view_poly(view[2], memo))
+        memo[view] = poly
+    return poly
+
+
+def _eta_terms(terms, memo):
+    """eta of a tree sum, given as (tree, coefficient) pairs, as one
+    dict (label, *word) -> coefficient, zero terms dropped."""
+    out: dict[tuple, int] = {}
+    for tree, k in terms:
+        if not isinstance(tree, (CanonicalTree, DecoratedTree)):
+            raise TypeError("eta expects an unrooted tree")
+        for label, view in leaf_views(tree):
+            for w, c in _view_poly(view, memo).items():
+                key = (label,) + w
+                out[key] = out.get(key, 0) + k * c
+    return {key: c for key, c in out.items() if c}
+
+
+def _by_label(terms):
+    out: dict[int, dict] = {}
+    for key, c in terms.items():
+        out.setdefault(key[0], {})[key[1:]] = c
+    return {lab: LieElement(poly) for lab, poly in out.items()}
 
 
 def eta(tree):
     """Label-indexed Lie images of a tree, summed over its rootings."""
-    if isinstance(tree, CanonicalTree):
-        tree = tree.decode()
-    if not isinstance(tree, DecoratedTree):
-        raise TypeError("eta expects an unrooted tree")
-    out: dict[int, LieElement] = {}
-    for label, view in leaf_views(tree):
-        img = _view_to_lie(view)
-        out[label] = out.get(label, LieElement()) + img
-    return {lab: el for lab, el in out.items() if el}
+    return _by_label(_eta_terms([(tree, 1)], {}))
 
 
 def eta_sum(ts) -> dict[int, LieElement]:
     """Linear extension of eta to tree sums."""
-    out: dict[int, LieElement] = {}
-    for t, c in ts.items():
-        for lab, el in eta(t).items():
-            out[lab] = out.get(lab, LieElement()) + el.scale(c)
-    return {lab: el for lab, el in out.items() if el}
-
-
-def _eta_vector(tree):
-    vec = {}
-    for lab, el in eta(tree).items():
-        for word, coeff in el.terms.items():
-            vec[(lab,) + word] = coeff
-    return vec
+    return _by_label(_eta_terms(ts.items(), {}))
 
 
 # ------------------------------------------------------------- Hall bases
@@ -148,17 +165,13 @@ def lyndon_words(m, length):
 
 def _standard_bracketing(word):
     if len(word) == 1:
-        return LieElement.generator(word[0])
-    # standard factorization: the longest proper Lyndon suffix
+        return {word: 1}
+    # standard factorization: the longest proper Lyndon suffix (a
+    # single letter is one, so the search always ends)
     for i in range(1, len(word)):
         suffix = word[i:]
-        if _is_lyndon(suffix):
-            return lie_bracket(_standard_bracketing(word[:i]), _standard_bracketing(suffix))
-    raise ValueError(f"{word} is not a Lyndon word")
-
-
-def _is_lyndon(w):
-    return all(w < w[i:] + w[:i] for i in range(1, len(w)))
+        if all(suffix < suffix[j:] + suffix[:j] for j in range(1, len(suffix))):
+            return _bracket(_standard_bracketing(word[:i]), _standard_bracketing(suffix))
 
 
 def hall_basis(m, length, max_length=8):
@@ -166,31 +179,24 @@ def hall_basis(m, length, max_length=8):
     free Lie algebra on m generators, expanded."""
     if length > max_length or length < 1:
         raise ValueError(f"length {length} out of bounds (1..{max_length})")
-    return [_standard_bracketing(w) for w in lyndon_words(m, length)]
+    return [LieElement(_standard_bracketing(w)) for w in lyndon_words(m, length)]
 
 
 def lie_dimension_oracle(m, length):
     """Necklace-count dimension of the degree-``length`` part (Witt)."""
     def mobius(n):
-        if n == 1:
-            return 1
-        result, p, left = 1, 2, n
-        while p * p <= left:
-            if left % p == 0:
-                left //= p
-                if left % p == 0:
+        result, p = 1, 2
+        while p * p <= n:
+            if n % p == 0:
+                n //= p
+                if n % p == 0:
                     return 0
                 result = -result
             p += 1
-        if left > 1:
-            result = -result
-        return result
+        return -result if n > 1 else result
 
-    total = 0
-    for d in range(1, length + 1):
-        if length % d == 0:
-            total += mobius(d) * m ** (length // d)
-    return total // length
+    return sum(mobius(d) * m ** (length // d)
+               for d in range(1, length + 1) if length % d == 0) // length
 
 
 def rational_rank_bound(order, labels, bounds=None):
@@ -200,12 +206,5 @@ def rational_rank_bound(order, labels, bounds=None):
     bound certificate: it never exceeds the free rank of the order-n
     tree group.
     """
-    rows = [_eta_vector(ct) for ct in all_trees(order, labels, bounds)]
-    keyed = []
-    index: dict = {}
-    for row in rows:
-        out = {}
-        for key, coeff in row.items():
-            out[index.setdefault(key, len(index))] = coeff
-        keyed.append(out)
-    return integer_rank(keyed)
+    memo: dict = {}
+    return integer_rank([_eta_terms([(ct, 1)], memo) for ct in all_trees(order, labels, bounds)])

@@ -95,15 +95,13 @@ def parse_bracket(text):
 
 
 def _tree_to_bracket(t, text):
+    if not isinstance(t, (Leaf, Node)):
+        raise TowerError(f"{text!r} is not a bracket")
+    if t.word:
+        raise TowerError(f"bracket {text!r} must not carry decorations")
     if isinstance(t, Leaf):
-        if t.word:
-            raise TowerError(f"bracket {text!r} must not carry decorations")
         return t.label
-    if isinstance(t, Node):
-        if t.word:
-            raise TowerError(f"bracket {text!r} must not carry decorations")
-        return (_tree_to_bracket(t.left, text), _tree_to_bracket(t.right, text))
-    raise TowerError(f"{text!r} is not a bracket")
+    return (_tree_to_bracket(t.left, text), _tree_to_bracket(t.right, text))
 
 
 def bracket_text(b):
@@ -322,11 +320,7 @@ def bch_tower(sigma, order, m):
     """Model realizing a list of signed trees as its intersection sum."""
     pts = []
     for st in sigma:
-        if isinstance(st, SignedTree):
-            ct, sign = canonicalize(st)
-        else:
-            sgn, tree = st
-            ct, sign = canonicalize(SignedTree(sgn, tree))
+        ct, sign = canonicalize(st if isinstance(st, SignedTree) else SignedTree(*st))
         if ct.order != order:
             raise TowerError(f"tree {ct.text()} has order {ct.order}, expected {order}")
         if any(lab > m or lab < 1 for lab in ct.labels):
@@ -418,11 +412,10 @@ def _step(model, points, next_id, move):
     move's tau-delta terms, (tree, sign) per added point and (tree,
     -sign) per removed one, and the next free id."""
     if isinstance(move, IhxInsert):
-        added = _ihx_points(model, move)
-        for pt in added:
-            points[next_id] = pt
-            next_id += 1
-        return [(pt.tree, pt.sign) for pt in added], next_id
+        h, x, added = _ihx_points(model, move.tree, move.edge, move.sign)
+        if not (_same_class(move.h, h) and _same_class(move.x, x)):
+            raise MoveError("BadTriple", "H and X do not match the local move at this edge")
+        return _add_points(points, next_id, added)
     if isinstance(move, CancelPair):
         removed = _cancelling_pair(model, points, move.p, move.q)
         del points[move.p], points[move.q]
@@ -430,26 +423,32 @@ def _step(model, points, next_id, move):
     raise MoveError("UnknownMove", f"unknown move {move!r}")
 
 
-def _ihx_points(model, move: IhxInsert):
-    """The points +I, -H, +X of a checked insertion, scaled by its sign."""
-    ct = move.tree
+def _same_class(t, layout):
+    """A move's own H or X needs canonicalizing only when it is not the
+    layout tree recomputed here."""
+    return t == layout or canonicalize(SignedTree(1, t)) == canonicalize(SignedTree(1, layout))
+
+
+def _add_points(points, next_id, added):
+    points.update(zip(range(next_id, next_id + len(added)), added))
+    return [(pt.tree, pt.sign) for pt in added], next_id + len(added)
+
+
+def _ihx_points(model, ct, edge, sign):
+    """The layout H and X of a checked insertion at ``edge`` of ``ct``,
+    and its points +I, -H, +X scaled by ``sign``."""
     if ct.order != model.order:
         raise MoveError(
             "WrongOrder", f"tree has order {ct.order}, tower has order {model.order}")
     if any(lab > model.m or lab < 1 for lab in ct.labels):
         raise MoveError("BadLabels", f"tree {ct.text()} uses labels outside 1..{model.m}")
-    if move.edge not in interior_edge_paths(ct):
-        raise MoveError("NotInterior", f"{move.edge!r} is not an interior edge of {ct.text()}")
-    h, x = ihx_at(ct, move.edge)
+    if edge not in interior_edge_paths(ct):
+        raise MoveError("NotInterior", f"{edge!r} is not an interior edge of {ct.text()}")
+    h, x = ihx_at(ct, edge)
     ch = canonicalize(SignedTree(1, h))
     cx = canonicalize(SignedTree(1, x))
-    # a certificate's own H and X need canonicalizing only when they are
-    # not the layout trees recomputed here
-    if (move.h != h and canonicalize(SignedTree(1, move.h)) != ch) or \
-            (move.x != x and canonicalize(SignedTree(1, move.x)) != cx):
-        raise MoveError("BadTriple", "H and X do not match the local move at this edge")
-    return [TowerPoint(1 if t.two_torsion else s * coeff, t)
-            for t, s, coeff in ((ct, 1, move.sign), (*ch, -move.sign), (*cx, move.sign))]
+    return h, x, [TowerPoint(1 if t.two_torsion else s * coeff, t)
+                  for t, s, coeff in ((ct, 1, sign), (*ch, -sign), (*cx, sign))]
 
 
 def _cancelling_pair(model, points, p, q):
@@ -507,9 +506,10 @@ def certify_raise_order(model: TowerModel, bounds=None) -> MoveCertificate:
             ct, edge = triples[tag[1]]
             sign = -1 if coeff > 0 else 1
             for _ in range(abs(coeff)):
-                move = make_ihx_insert(ct, edge, sign)
-                _, next_id = _step(model, points, next_id, move)
-                moves.append(move)
+                # the one ihx_at of the checked insertion also gives the move's H and X
+                h, x, added = _ihx_points(model, ct, edge, sign)
+                _, next_id = _add_points(points, next_id, added)
+                moves.append(IhxInsert(ct, edge, sign, h, x))
 
     by_tree: dict = {}
     for pid, pt in points.items():

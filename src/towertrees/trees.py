@@ -326,15 +326,20 @@ def _rebase(view, g):
 
 
 def leaf_views(tree):
-    """(label, view) of a DecoratedTree rooted at each of its leaves.
+    """(label, view) of a DecoratedTree or CanonicalTree rooted at each
+    of its leaves.
 
     A view is the rooted code of the rest of the tree as seen from the
     root leaf: (0, label, holonomy) at a leaf, (1, left, right) at a
     trivalent vertex entered from its parent, the children in cyclic
-    order.
+    order.  A CanonicalTree is read straight from its code, the root
+    leaf (0, r, "") against the rest, as its decoded layout would be.
     """
-    left = _side_code(tree.left, "")
-    right = _side_code(tree.right, wmul(winv(tree.left.word), tree.word, tree.right.word))
+    if isinstance(tree, CanonicalTree):
+        left, right = (0, tree.code[0], ""), tree.code[1]
+    else:
+        left = _side_code(tree.left, "")
+        right = _side_code(tree.right, wmul(winv(tree.left.word), tree.word, tree.right.word))
     out = []
     _collect_views(left, right, out)
     _collect_views(right, left, out)
@@ -357,10 +362,16 @@ def _canon_rec(view):
     return (1, ca, cb), sa * sb, amb
 
 
-def _canonical_rooting(signed):
-    """(CanonicalTree, sign) of a signed tree, minimized over the
-    rootings at its least-label leaves: a code starts with its root
-    label, so no other root can give the minimal code."""
+def canonicalize(signed):
+    """Canonical form of a signed decorated tree (a bare DecoratedTree
+    counts as signed +1).
+
+    Returns (CanonicalTree, sign).  Gauge-equivalent inputs map to equal
+    canonical trees with the AS-predicted sign relation; for 2-torsion
+    classes the sign is normalized to +1.  The code is minimized over
+    the rootings at the least-label leaves: a code starts with its root
+    label, so no other root can give the minimal code.
+    """
     if isinstance(signed, DecoratedTree):
         signed = SignedTree(1, signed)
     views = leaf_views(signed.tree)
@@ -382,16 +393,6 @@ def _canonical_rooting(signed):
     sign = 1 if torsion else min(signs) * signed.sign
     # an order-n tree has n + 2 leaves
     return CanonicalTree(best, torsion, len(views) - 2), sign
-
-
-def canonicalize(signed):
-    """Canonical form of a signed decorated tree.
-
-    Returns (CanonicalTree, sign).  Gauge-equivalent inputs map to equal
-    canonical trees with the AS-predicted sign relation; for 2-torsion
-    classes the sign is normalized to +1.
-    """
-    return _canonical_rooting(signed)
 
 
 def canonicalize_rooted(sign, rooted):
@@ -595,7 +596,7 @@ def _all_trees_cached(order, labels):
     out = []
     for root in range(1, labels + 1):
         for rest in _sorted_rests(order, root, labels):
-            ct = _canonical_rooting(DecoratedTree(Leaf(root), _decode_rest(rest), ""))[0]
+            ct = canonicalize(DecoratedTree(Leaf(root), _decode_rest(rest), ""))[0]
             if ct.code == (root, rest):
                 out.append(ct)
     return tuple(sorted(out, key=lambda ct: ct.code))

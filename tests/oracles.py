@@ -9,14 +9,17 @@ it from every leaf, carrying the holonomy edge by edge, and the
 explicit codes and canonical forms here are read off it.
 ``raw_presentation`` is the reference for the library's one
 presentation of the tree groups: it keeps every vertex orientation and
-imposes antisymmetry by explicit rows.
+imposes antisymmetry by explicit rows.  ``bracket_eta`` is the
+reference for ``lie.eta``: it expands every bracket of every graph-walk
+view afresh, one ``LieElement`` per bracket, sharing nothing.
 """
 
 from itertools import combinations, product
 from math import gcd
 
 from towertrees.groups import ihx_triples
-from towertrees.trees import DecoratedTree, Leaf, Node, ihx_at, labels_of
+from towertrees.lie import LieElement
+from towertrees.trees import CanonicalTree, DecoratedTree, Leaf, Node, ihx_at, labels_of
 from towertrees.words import winv, wmul
 
 
@@ -94,6 +97,49 @@ def graph_leaf_views(tree):
         u, h = _cross(g, r, entry, "")
         out.append((g.labels[r], _view(g, u, entry[0], h)))
     return out
+
+
+def _element_bracket(a, b):
+    """ab - ba of two LieElements, accumulated term by term."""
+    pairs = [(wa, ca, wb, cb) for wa, ca in a.terms.items() for wb, cb in b.terms.items()]
+    return LieElement([(wa + wb, ca * cb) for wa, ca, wb, cb in pairs]
+                      + [(wb + wa, -ca * cb) for wa, ca, wb, cb in pairs])
+
+
+def _view_element(view):
+    if view[0] == 0:
+        if view[2]:
+            raise ValueError("decorated trees have no Lie image")
+        return LieElement.generator(view[1])
+    return _element_bracket(_view_element(view[1]), _view_element(view[2]))
+
+
+def bracket_eta(tree):
+    """eta of a tree: the bracket read off each graph-walk leaf view,
+    added to the component of that leaf's label."""
+    if isinstance(tree, CanonicalTree):
+        tree = tree.decode()
+    out = {}
+    for label, view in graph_leaf_views(tree):
+        out[label] = out.get(label, LieElement()) + _view_element(view)
+    return {label: el for label, el in out.items() if el}
+
+
+def bracket_eta_sum(pairs):
+    """eta of a tree sum given as (tree, coefficient) pairs."""
+    out = {}
+    for tree, coeff in pairs:
+        for label, el in bracket_eta(tree).items():
+            scaled = LieElement({w: coeff * c for w, c in el.terms.items()})
+            out[label] = out.get(label, LieElement()) + scaled
+    return {label: el for label, el in out.items() if el}
+
+
+def bracket_eta_vector(tree):
+    """eta of a tree as one dict (label, *word) -> coefficient: a row of
+    the rank computation."""
+    return {(label,) + w: c for label, el in bracket_eta(tree).items()
+            for w, c in el.terms.items()}
 
 
 def _min_orientation(view):

@@ -580,6 +580,34 @@ def test_certify_and_replay_build_a_constant_number_of_models(monkeypatch):
     final = replay_certificate(model, cert)
     assert built == [final] and final.order == 4 and not final.points
 
+
+def test_certify_computes_each_insertion_once(monkeypatch):
+    # the planner takes each move's H and X from the one ihx_at of its
+    # checked insertion; replay recomputes them once per insertion too
+    from towertrees import towers
+
+    rng = random.Random(2024)
+    triples = ihx_triples(3, 4)
+    model = make_model(4, 3, [])
+    for _ in range(12):
+        ct, edge = rng.choice(triples)
+        model = ihx_insert(model, ct, edge, rng.choice((1, -1)))
+    calls = []
+    real_ihx_at = towers.ihx_at
+
+    def counting_ihx_at(ct, edge):
+        calls.append((ct, edge))
+        return real_ihx_at(ct, edge)
+
+    monkeypatch.setattr(towers, "ihx_at", counting_ihx_at)
+    cert = certify_raise_order(model)
+    inserts = [(mv.tree, mv.edge) for mv in cert.moves if isinstance(mv, IhxInsert)]
+    assert len(inserts) >= 10 and calls == inserts
+    calls.clear()
+    assert verify_certificate(model, cert)
+    assert calls == inserts
+
+
 def test_ihx_insert_matches_full_canonicalization():
     # the points of an insertion equal those of canonicalizing I, H and X
     for ct, edge in ihx_triples(3, 3):

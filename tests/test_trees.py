@@ -297,7 +297,7 @@ def _view_is_trivial(view):
 def _graph_eta(views):
     out = {}
     for label, view in views:
-        out[label] = out.get(label, LieElement()) + lie._view_to_lie(view)
+        out[label] = out.get(label, LieElement()) + LieElement(lie._view_poly(view, {}))
     return {label: el for label, el in out.items() if el}
 
 
@@ -417,13 +417,13 @@ def test_all_trees_canonicalizes_few_candidates(monkeypatch):
     # canonical augmentation tries 1,650 candidates for the 1,040 trees
     # at (4, 4); a planar enumeration would canonicalize 18,200 rootings
     calls = []
-    original = trees._canonical_rooting
+    original = trees.canonicalize
 
     def counting(signed):
         calls.append(signed)
         return original(signed)
 
-    monkeypatch.setattr(trees, "_canonical_rooting", counting)
+    monkeypatch.setattr(trees, "canonicalize", counting)
     found = trees._all_trees_cached.__wrapped__(4, 4)
     assert len(found) == 1040
     assert len(calls) <= 2 * len(found)

@@ -78,12 +78,16 @@ class RelationMatrix:
 
 # ------------------------------------------------------------- IHX relators
 
-def relator_sum(tree: CanonicalTree, edge: str) -> TreeSum:
-    """I - H + X at an interior edge, in canonical coordinates."""
-    h, x = ihx_at(tree, edge)
+def _relator_terms(tree, h, x):
+    """I - H + X as (CanonicalTree, coefficient) terms, H and X the codes from ``ihx_at``."""
     ch, sh = canonicalize(SignedTree(1, h))
     cx, sx = canonicalize(SignedTree(1, x))
-    return TreeSum([(tree, 1), (ch, -sh), (cx, sx)])
+    return [(tree, 1), (ch, -sh), (cx, sx)]
+
+
+def relator_sum(tree: CanonicalTree, edge: str) -> TreeSum:
+    """I - H + X at an interior edge, in canonical coordinates."""
+    return TreeSum(_relator_terms(tree, *ihx_at(tree, edge)))
 
 
 def ihx_triples(order, labels, nonrepeating=False, bounds=None):
@@ -121,9 +125,15 @@ def _presentation(order, labels, nonrepeating=False):
     if nonrepeating:
         trees = tuple(ct for ct in trees if ct.nonrepeating)
     index = {ct.code: i for i, ct in enumerate(trees)}
-    # a relator's terms come sorted by code, hence by column
-    rows = [tuple((index[t.code], c) for t, c in relator_sum(ct, edge).items())
-            for ct, edge in _ihx_triples(order, labels, nonrepeating)]
+    rows = []
+    for ct, edge in _ihx_triples(order, labels, nonrepeating):
+        row = {}
+        for t, c in _relator_terms(ct, *ihx_at(ct, edge)):
+            # as in a TreeSum: 2-torsion coefficients mod 2, zeros dropped
+            j = index[t.code]
+            c += row.get(j, 0)
+            row[j] = c % 2 if t.two_torsion else c
+        rows.append(tuple(sorted((j, c) for j, c in row.items() if c)))
     ihx_count = len(rows)
     rows.extend(((i, 2),) for i, ct in enumerate(trees) if ct.two_torsion)
     return RelationMatrix(trees, tuple(rows), ihx_count)

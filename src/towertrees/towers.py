@@ -33,7 +33,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .groups import is_zero, normal_form, relator_solver, ts_to_vec
+from .groups import _relator_terms, is_zero, normal_form, relator_solver, ts_to_vec
 from .sums import TreeSum
 from .trees import (
     CanonicalTree,
@@ -44,6 +44,7 @@ from .trees import (
     SignedTree,
     canonicalize,
     check_bounds,
+    decode_code,
     ihx_at,
     interior_edge_paths,
     is_simple,
@@ -323,7 +324,7 @@ def bch_tower(sigma, order, m):
         ct, sign = canonicalize(st if isinstance(st, SignedTree) else SignedTree(*st))
         if ct.order != order:
             raise TowerError(f"tree {ct.text()} has order {ct.order}, expected {order}")
-        if any(lab > m or lab < 1 for lab in ct.labels):
+        if ct.labels[0] < 1 or ct.labels[-1] > m:
             raise TowerError(f"tree {ct.text()} uses labels outside 1..{m}")
         pts.append(TowerPoint(sign, ct))
     return _numbered(m, order, pts)
@@ -370,17 +371,14 @@ class MoveCertificate:
 
 def make_ihx_insert(tree: CanonicalTree, edge: str, sign: int = 1):
     h, x = ihx_at(tree, edge)
-    return IhxInsert(tree, edge, sign, h, x)
+    return IhxInsert(tree, edge, sign, decode_code(h), decode_code(x))
 
 
 def ihx_insert(model: TowerModel, tree, edge, sign=1) -> TowerModel:
     """Add the three points of the local IHX move at an interior edge:
     +I, -H, +X, all scaled by ``sign``.  The group-level zero-ness of
-    tau is unchanged; the hat-level sum changes by the relator."""
-    return apply_move(model, _coerce_ihx(tree, edge, sign))
-
-
-def _coerce_ihx(tree, edge, sign):
+    tau is unchanged; the hat-level sum changes by the relator.  H and
+    X are computed once, by the checked insertion itself."""
     if isinstance(tree, str):
         tree = parse_tree(tree)
     if isinstance(tree, DecoratedTree):
@@ -388,9 +386,9 @@ def _coerce_ihx(tree, edge, sign):
         tree, sign = ct, sign * csign
     if sign not in (1, -1):
         raise MoveError("BadSign", "insertion sign must be +-1")
-    if edge not in interior_edge_paths(tree):
-        raise MoveError("NotInterior", f"{edge!r} is not an interior edge of {tree.text()}")
-    return make_ihx_insert(tree, edge, sign)
+    points = dict(model.points)
+    _, next_id = _add_points(points, model.next_id, _ihx_points(model, tree, edge, sign)[2])
+    return TowerModel(model.m, model.order, points, next_id)
 
 
 def cancel_simple_pair(model: TowerModel, p, q) -> TowerModel:
@@ -423,10 +421,11 @@ def _step(model, points, next_id, move):
     raise MoveError("UnknownMove", f"unknown move {move!r}")
 
 
-def _same_class(t, layout):
+def _same_class(t, code):
     """A move's own H or X needs canonicalizing only when it is not the
-    layout tree recomputed here."""
-    return t == layout or canonicalize(SignedTree(1, t)) == canonicalize(SignedTree(1, layout))
+    layout tree of the code recomputed here."""
+    return (t == decode_code(code)
+            or canonicalize(SignedTree(1, t)) == canonicalize(SignedTree(1, code)))
 
 
 def _add_points(points, next_id, added):
@@ -435,20 +434,18 @@ def _add_points(points, next_id, added):
 
 
 def _ihx_points(model, ct, edge, sign):
-    """The layout H and X of a checked insertion at ``edge`` of ``ct``,
-    and its points +I, -H, +X scaled by ``sign``."""
+    """The layout codes of H and X of a checked insertion at ``edge`` of
+    ``ct``, and its points +I, -H, +X scaled by ``sign``."""
     if ct.order != model.order:
         raise MoveError(
             "WrongOrder", f"tree has order {ct.order}, tower has order {model.order}")
-    if any(lab > model.m or lab < 1 for lab in ct.labels):
+    if ct.labels[0] < 1 or ct.labels[-1] > model.m:
         raise MoveError("BadLabels", f"tree {ct.text()} uses labels outside 1..{model.m}")
     if edge not in interior_edge_paths(ct):
         raise MoveError("NotInterior", f"{edge!r} is not an interior edge of {ct.text()}")
     h, x = ihx_at(ct, edge)
-    ch = canonicalize(SignedTree(1, h))
-    cx = canonicalize(SignedTree(1, x))
-    return h, x, [TowerPoint(1 if t.two_torsion else s * coeff, t)
-                  for t, s, coeff in ((ct, 1, sign), (*ch, -sign), (*cx, sign))]
+    return h, x, [TowerPoint(1 if t.two_torsion else c * sign, t)
+                  for t, c in _relator_terms(ct, h, x)]
 
 
 def _cancelling_pair(model, points, p, q):
@@ -509,7 +506,7 @@ def certify_raise_order(model: TowerModel, bounds=None) -> MoveCertificate:
                 # the one ihx_at of the checked insertion also gives the move's H and X
                 h, x, added = _ihx_points(model, ct, edge, sign)
                 _, next_id = _add_points(points, next_id, added)
-                moves.append(IhxInsert(ct, edge, sign, h, x))
+                moves.append(IhxInsert(ct, edge, sign, decode_code(h), decode_code(x)))
 
     by_tree: dict = {}
     for pid, pt in points.items():
@@ -699,7 +696,7 @@ def _model_from_doc(doc) -> TowerModel:
         entry = _json_object(entry, where)
         sign = _get_sign(entry, where)
         ct, sign = canonicalize(SignedTree(sign, _get_unrooted(entry, "tree", where)))
-        top = max(ct.labels)
+        top = ct.labels[-1]
         if top > m:
             raise TowerError(f"{where}: 'tree' uses the label {top} outside 1..{m}")
         pairs.append((sign, ct))

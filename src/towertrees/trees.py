@@ -33,7 +33,9 @@ view is (1, b, P), entered from b it is (1, P, a).  Leaf holonomies are
 measured once, from the top vertex of the left side; rooting at a leaf
 of holonomy h re-bases each of them by h^-1, which changes nothing when
 h is trivial, so decorated and trivially decorated trees share one
-path.
+path.  Edge paths and the IHX move are read on the layout code (root
+label, rest) as well: ``ihx_at`` returns H and X as such codes, and
+``canonicalize`` reads their views straight off them.
 """
 
 from __future__ import annotations
@@ -107,19 +109,15 @@ class CanonicalTree:
 
     ``two_torsion`` is set when some self-isomorphism of the tree
     reverses an odd number of vertex orientations, so that t = -t.
-    ``order`` (the number of trivalent vertices) is computed once, when
-    the tree is canonicalized; it takes no part in equality or hashing.
+    ``order`` (the number of trivalent vertices) and ``labels`` (the
+    sorted leaf labels) are computed once, when the tree is
+    canonicalized; they take no part in equality or hashing.
     """
 
     code: tuple
     two_torsion: bool
     order: int = field(compare=False, repr=False)
-
-    @property
-    def labels(self):
-        out = [self.code[0]]
-        _code_labels(self.code[1], out)
-        return sorted(out)
+    labels: list = field(compare=False, repr=False)
 
     @property
     def nonrepeating(self):
@@ -326,17 +324,19 @@ def _rebase(view, g):
 
 
 def leaf_views(tree):
-    """(label, view) of a DecoratedTree or CanonicalTree rooted at each
-    of its leaves.
+    """(label, view) of a DecoratedTree, a CanonicalTree or a layout
+    code (root label, rest) rooted at each of its leaves.
 
     A view is the rooted code of the rest of the tree as seen from the
     root leaf: (0, label, holonomy) at a leaf, (1, left, right) at a
     trivalent vertex entered from its parent, the children in cyclic
-    order.  A CanonicalTree is read straight from its code, the root
-    leaf (0, r, "") against the rest, as its decoded layout would be.
+    order.  A code, bare or a CanonicalTree's, is read straight off:
+    the root leaf (0, r, "") against the rest, as its decoded layout
+    would be.
     """
-    if isinstance(tree, CanonicalTree):
-        left, right = (0, tree.code[0], ""), tree.code[1]
+    if isinstance(tree, (CanonicalTree, tuple)):
+        root, rest = tree.code if isinstance(tree, CanonicalTree) else tree
+        left, right = (0, root, ""), rest
     else:
         left = _side_code(tree.left, "")
         right = _side_code(tree.right, wmul(winv(tree.left.word), tree.word, tree.right.word))
@@ -364,7 +364,8 @@ def _canon_rec(view):
 
 def canonicalize(signed):
     """Canonical form of a signed decorated tree (a bare DecoratedTree
-    counts as signed +1).
+    counts as signed +1); the signed tree may also be a CanonicalTree
+    or a layout code (root label, rest), such as ``ihx_at`` returns.
 
     Returns (CanonicalTree, sign).  Gauge-equivalent inputs map to equal
     canonical trees with the AS-predicted sign relation; for 2-torsion
@@ -375,7 +376,8 @@ def canonicalize(signed):
     if isinstance(signed, DecoratedTree):
         signed = SignedTree(1, signed)
     views = leaf_views(signed.tree)
-    low = min(label for label, _ in views)
+    labels = sorted(label for label, _ in views)
+    low = labels[0]
     best = None
     signs = set()
     amb_at_best = False
@@ -392,7 +394,7 @@ def canonicalize(signed):
     torsion = amb_at_best or len(signs) == 2
     sign = 1 if torsion else min(signs) * signed.sign
     # an order-n tree has n + 2 leaves
-    return CanonicalTree(best, torsion, len(views) - 2), sign
+    return CanonicalTree(best, torsion, len(views) - 2, labels), sign
 
 
 def canonicalize_rooted(sign, rooted):
@@ -426,14 +428,6 @@ def _decode_rest(c):
     return Node(_decode_rest(c[1]), _decode_rest(c[2]))
 
 
-def _code_labels(c, out):
-    if c[0] == 0:
-        out.append(c[1])
-    else:
-        _code_labels(c[1], out)
-        _code_labels(c[2], out)
-
-
 def _code_words(c, out):
     if c[0] == 0:
         out.append(c[2])
@@ -454,6 +448,7 @@ def is_trivially_decorated(ct):
 
 
 # -------------------------------------------------------- layout addressing
+# Edge paths and the IHX move are read on the layout code itself.
 
 def edge_paths(ct):
     """All edge identifiers of a canonical layout.
@@ -461,35 +456,36 @@ def edge_paths(ct):
     The edge above the layout subtree at path p is named p; "" is the
     edge at the root leaf.  A tree of order n has 2n + 1 edges.
     """
-    rest = _decode_rest(ct.code[1])
-    return [p for p, _ in _positions(rest, "")]
+    return [p for p, _ in _positions(ct.code[1], "")]
 
 
 def interior_edge_paths(ct):
     """Edges whose both endpoints are trivalent."""
-    rest = _decode_rest(ct.code[1])
-    return [p for p, sub in _positions(rest, "") if p and isinstance(sub, Node)]
+    return [p for p, sub in _positions(ct.code[1], "") if p and sub[0] == 1]
 
 
-def _positions(sub, path):
-    yield path, sub
-    if isinstance(sub, Node):
-        yield from _positions(sub.left, path + "L")
-        yield from _positions(sub.right, path + "R")
+def _positions(c, path):
+    yield path, c
+    if c[0] == 1:
+        yield from _positions(c[1], path + "L")
+        yield from _positions(c[2], path + "R")
 
 
-def _subtree_at(rest, path):
+def _code_at(c, path):
+    """The subcode at ``path``, or None when the path leaves the tree."""
     for step in path:
-        rest = rest.left if step == "L" else rest.right
-    return rest
+        if c[0] == 0 or step not in "LR":
+            return None
+        c = c[1] if step == "L" else c[2]
+    return c
 
 
-def _replace_at(rest, path, new):
+def _code_replace(c, path, new):
     if not path:
         return new
     if path[0] == "L":
-        return Node(_replace_at(rest.left, path[1:], new), rest.right, rest.word)
-    return Node(rest.left, _replace_at(rest.right, path[1:], new), rest.word)
+        return (1, _code_replace(c[1], path[1:], new), c[2])
+    return (1, c[1], _code_replace(c[2], path[1:], new))
 
 
 def ihx_at(ct, path):
@@ -498,28 +494,24 @@ def ihx_at(ct, path):
     With the edge's endpoints carrying subtree pairs (A, B) and (C, D)
     in cyclic order following the edge, the three trees joining (A,B |
     C,D), (A,C | B,D) and (A,D | B,C) satisfy I - H + X = 0, the tree
-    form of the Jacobi identity.  Returns the raw layout trees (H, X).
+    form of the Jacobi identity.  Returns H and X as layout codes (root
+    label, rest), shaped as ``CanonicalTree.code`` but not canonical,
+    for ``canonicalize`` or ``decode_code``.  Leaf holonomies are
+    measured from the root, so they move with their subtrees.
     """
     if not path:
         raise ValueError("the root-leaf edge is not interior")
-    rest = _decode_rest(ct.code[1])
-    sub = _subtree_at(rest, path)
-    if not isinstance(sub, Node):
+    root, rest = ct.code
+    sub = _code_at(rest, path)
+    if sub is None or sub[0] == 0:
         raise ValueError(f"edge {path!r} is not interior")
-    parent = _subtree_at(rest, path[:-1])
-    a, b = sub.left, sub.right
-    if path[-1] == "L":
-        s = parent.right
-        h_sub = Node(Node(a, s), b)
-        x_sub = Node(Node(b, s), a)
-    else:
-        s = parent.left
-        h_sub = Node(Node(b, s), a)
-        x_sub = Node(Node(a, s), b)
-    root = Leaf(ct.code[0])
-    h = DecoratedTree(root, _replace_at(rest, path[:-1], h_sub), "")
-    x = DecoratedTree(root, _replace_at(rest, path[:-1], x_sub), "")
-    return h, x
+    # the edge's lower end holds (A, B), its upper end the sibling S; a
+    # right edge reads as a left one with A and B swapped
+    _, a, b = sub
+    parent = _code_at(rest, path[:-1])
+    a, b, s = (a, b, parent[2]) if path[-1] == "L" else (b, a, parent[1])
+    return ((root, _code_replace(rest, path[:-1], (1, (1, a, s), b))),
+            (root, _code_replace(rest, path[:-1], (1, (1, b, s), a))))
 
 
 # ------------------------------------------------------------ normal forms
@@ -596,7 +588,7 @@ def _all_trees_cached(order, labels):
     out = []
     for root in range(1, labels + 1):
         for rest in _sorted_rests(order, root, labels):
-            ct = canonicalize(DecoratedTree(Leaf(root), _decode_rest(rest), ""))[0]
+            ct = canonicalize(SignedTree(1, (root, rest)))[0]
             if ct.code == (root, rest):
                 out.append(ct)
     return tuple(sorted(out, key=lambda ct: ct.code))

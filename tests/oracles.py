@@ -9,7 +9,9 @@ it from every leaf, carrying the holonomy edge by edge, and the
 explicit codes and canonical forms here are read off it.
 ``raw_presentation`` is the reference for the library's one
 presentation of the tree groups: it keeps every vertex orientation and
-imposes antisymmetry by explicit rows.  ``bracket_eta`` is the
+imposes antisymmetry by explicit rows.  ``layout_ihx_at`` is the
+reference for ``trees.ihx_at``: it takes the IHX move on the decoded
+Leaf/Node layout and returns H and X as DecoratedTrees.  ``bracket_eta`` is the
 reference for ``lie.eta``: it expands every bracket of every graph-walk
 view afresh, one ``LieElement`` per bracket, sharing nothing.
 """
@@ -19,7 +21,7 @@ from math import gcd
 
 from towertrees.groups import ihx_triples
 from towertrees.lie import LieElement
-from towertrees.trees import CanonicalTree, DecoratedTree, Leaf, Node, ihx_at, labels_of
+from towertrees.trees import CanonicalTree, DecoratedTree, Leaf, Node, labels_of
 from towertrees.words import winv, wmul
 
 
@@ -223,6 +225,47 @@ def internal_paths(tree):
     return list(walk(tree.right, ""))
 
 
+def _subtree_at(rest, path):
+    for step in path:
+        rest = rest.left if step == "L" else rest.right
+    return rest
+
+
+def _replace_at(rest, path, new):
+    if not path:
+        return new
+    if path[0] == "L":
+        return Node(_replace_at(rest.left, path[1:], new), rest.right, rest.word)
+    return Node(rest.left, _replace_at(rest.right, path[1:], new), rest.word)
+
+
+def layout_ihx_at(ct, path):
+    """H and X of a canonical tree at an interior edge, built on the
+    decoded layout: the subtree pairs (A, B) below the edge and the
+    sibling S above it give (A,S | B) and (B,S | A) at a left edge,
+    (B,S | A) and (A,S | B) at a right one."""
+    if not path:
+        raise ValueError("the root-leaf edge is not interior")
+    layout = ct.decode()
+    rest = layout.right
+    sub = _subtree_at(rest, path)
+    if not isinstance(sub, Node):
+        raise ValueError(f"edge {path!r} is not interior")
+    parent = _subtree_at(rest, path[:-1])
+    a, b = sub.left, sub.right
+    if path[-1] == "L":
+        s = parent.right
+        h_sub = Node(Node(a, s), b)
+        x_sub = Node(Node(b, s), a)
+    else:
+        s = parent.left
+        h_sub = Node(Node(b, s), a)
+        x_sub = Node(Node(a, s), b)
+    h = DecoratedTree(layout.left, _replace_at(rest, path[:-1], h_sub), "")
+    x = DecoratedTree(layout.left, _replace_at(rest, path[:-1], x_sub), "")
+    return h, x
+
+
 def raw_generators(order, labels, nonrepeating=False):
     """Orientation-explicit trees (no AS identification): one planar
     representative per explicit code, sorted by code."""
@@ -249,7 +292,7 @@ def raw_presentation(order, labels, nonrepeating=False):
             row[j] = row.get(j, 0) + 1
             rows.append(row)
     for ct, edge in ihx_triples(order, labels, nonrepeating):
-        h, x = ihx_at(ct, edge)
+        h, x = layout_ihx_at(ct, edge)
         row = {}
         for t, coeff in ((ct.decode(), 1), (h, -1), (x, 1)):
             j = index[graph_explicit_code(t)]

@@ -1,4 +1,7 @@
+import hashlib
 import itertools
+import json
+from pathlib import Path
 
 import pytest
 
@@ -77,6 +80,20 @@ def test_presentation_forces_two_torsion():
     mat = presentation(1, 1)
     assert len(mat.generators) == 1
     assert mat.rows == (((0, 2),),)
+
+
+def test_presentation_matches_golden_hashes():
+    # SHA-256 of repr(rows) and of repr(generator codes), recorded when
+    # the rows were still built from decoded layout trees
+    golden = json.loads((Path(__file__).parent / "fixtures" / "presentation_sha256.json")
+                        .read_text())
+    assert len(golden) == 8
+    for cell, want in golden.items():
+        n, m = map(int, cell.split(","))
+        mat = presentation(n, m, bounds=Bounds(max_order=5))
+        codes = tuple(ct.code for ct in mat.generators)
+        assert hashlib.sha256(repr(mat.rows).encode()).hexdigest() == want["rows"], cell
+        assert hashlib.sha256(repr(codes).encode()).hexdigest() == want["generators"], cell
 
 
 def test_presentation_row_counts():

@@ -47,6 +47,7 @@ from towertrees.trees import (
     DecoratedTree,
     SignedTree,
     canonicalize,
+    decode_code,
     ihx_at,
     order_of,
     parse_tree,
@@ -608,12 +609,34 @@ def test_certify_computes_each_insertion_once(monkeypatch):
     assert calls == inserts
 
 
+def test_public_insertion_computes_h_and_x_once(monkeypatch):
+    # the public ihx_insert checks its insertion and takes the points
+    # from one ihx_at, not from one to build the move and one to check it
+    from towertrees import towers
+
+    calls = []
+    real_ihx_at = towers.ihx_at
+
+    def counting_ihx_at(ct, edge):
+        calls.append((ct, edge))
+        return real_ihx_at(ct, edge)
+
+    monkeypatch.setattr(towers, "ihx_at", counting_ihx_at)
+    rng = random.Random(77)
+    triples = ihx_triples(3, 4)
+    model = make_model(4, 3, [])
+    chosen = [rng.choice(triples) for _ in range(10)]
+    for ct, edge in chosen:
+        model = ihx_insert(model, ct, edge, rng.choice((1, -1)))
+    assert calls == chosen and len(model.points) == 30
+
+
 def test_ihx_insert_matches_full_canonicalization():
     # the points of an insertion equal those of canonicalizing I, H and X
     for ct, edge in ihx_triples(3, 3):
         for sign in (1, -1):
             grown = ihx_insert(make_model(3, 3, []), ct, edge, sign)
-            h, x = ihx_at(ct, edge)
+            h, x = map(decode_code, ihx_at(ct, edge))
             expected = [canonicalize(SignedTree(c, t))
                         for t, c in ((ct.decode(), sign), (h, -sign), (x, sign))]
             assert [(pt.tree, pt.sign) for pt in grown.points.values()] == expected
@@ -622,7 +645,7 @@ def test_ihx_insert_matches_full_canonicalization():
 def test_ihx_insert_accepts_equivalent_h_and_x():
     # a certificate may write H and X in any gauge-equivalent layout
     ct, edge = next((c, e) for c, e in ihx_triples(2, 4) if c.nonrepeating)
-    h, x = ihx_at(ct, edge)
+    h, x = map(decode_code, ihx_at(ct, edge))
     swapped_h = DecoratedTree(h.right, h.left, h.word)
     model = make_model(4, 2, [])
     plain = apply_move(model, IhxInsert(ct, edge, 1, h, x))

@@ -17,9 +17,12 @@ from towertrees.trees import (
     all_trees,
     canonicalize,
     canonicalize_rooted,
+    decode_code,
     edge_paths,
     hol_normalize,
+    ihx_at,
     inner_product,
+    interior_edge_paths,
     is_simple,
     labels_of,
     order_of,
@@ -39,6 +42,7 @@ from oracles import (
     graph_leaf_views,
     internal_paths,
     is_simple_by_graph,
+    layout_ihx_at,
 )
 
 
@@ -331,6 +335,54 @@ def test_edge_paths_count():
             assert len(edge_paths(ct)) == 2 * n + 1
 
 
+def _check_ihx_against_layout(ct):
+    """The code-level IHX move against the layout reference at every
+    edge: equal H and X layouts and canonical forms with equal signs at
+    interior edges, the same refusals at the others."""
+    interior = interior_edge_paths(ct)
+    assert interior == [p for p in internal_paths(ct.decode()) if p]
+    for edge in edge_paths(ct):
+        if edge not in interior:
+            with pytest.raises(ValueError) as kernel:
+                ihx_at(ct, edge)
+            with pytest.raises(ValueError) as reference:
+                layout_ihx_at(ct, edge)
+            assert str(kernel.value) == str(reference.value)
+            continue
+        h, x = ihx_at(ct, edge)
+        ref_h, ref_x = layout_ihx_at(ct, edge)
+        assert (decode_code(h), decode_code(x)) == (ref_h, ref_x)
+        assert canonicalize(SignedTree(1, h)) == canonicalize(SignedTree(1, ref_h))
+        assert canonicalize(SignedTree(-1, x)) == canonicalize(SignedTree(-1, ref_x))
+
+
+def test_ihx_at_matches_layout_reference_on_all_small_cells():
+    for n in range(5):
+        for m in range(1, 5):
+            for ct in all_trees(n, m):
+                _check_ihx_against_layout(ct)
+
+
+def test_ihx_at_matches_layout_reference_on_decorated_trees():
+    # 1,000 seeded canonical forms of random decorated trees of orders
+    # 2-5 on 4 labels, decorated over ab
+    rng = random.Random(4242)
+    for _ in range(1000):
+        t = _random_decorated(rng, max_order=5)
+        while order_of(t) < 2:
+            t = _random_decorated(rng, max_order=5)
+        _check_ihx_against_layout(canonicalize(SignedTree(1, t))[0])
+
+
+def test_ihx_at_refuses_non_interior_edges():
+    ct = canonicalize(SignedTree(1, parse_tree("inner((1,2),(3,4),)")))[0]
+    with pytest.raises(ValueError, match="^the root-leaf edge is not interior$"):
+        ihx_at(ct, "")
+    for edge in ("L", "RR", "RRL", "Q"):
+        with pytest.raises(ValueError, match=f"^edge '{edge}' is not interior$"):
+            ihx_at(ct, edge)
+
+
 def test_canonicalize_rooted():
     body, sign, torsion = canonicalize_rooted(-1, parse_tree("(2,1)"))
     assert to_text(body) == "(1,2)" and sign == 1 and not torsion
@@ -382,7 +434,8 @@ def test_order_and_simplicity_read_off_the_code():
 
 def test_order_takes_no_part_in_equality_hash_or_repr():
     ct = canonicalize(SignedTree(1, parse_tree("inner((1,2),(3,4),)")))[0]
-    other = CanonicalTree(ct.code, ct.two_torsion, ct.order + 1)
+    assert ct.labels == [1, 2, 3, 4]
+    other = CanonicalTree(ct.code, ct.two_torsion, ct.order + 1, [9])
     assert other == ct and hash(other) == hash(ct) and repr(other) == repr(ct)
     assert repr(ct) == "CanonicalTree('inner(1,(2,(3,4)),)')"
 

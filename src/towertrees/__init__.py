@@ -26,7 +26,6 @@ from .trees import (
     all_trees,
     canonicalize,
     canonicalize_rooted,
-    edge_paths,
     hol_normalize,
     ihx_at,
     inner_product,

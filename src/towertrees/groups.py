@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 from .intlinalg import IntegerLattice, smith_normal_form
 from .sums import TreeSum
@@ -153,40 +154,40 @@ def group_structure(order, labels, nonrepeating=False, bounds=None):
 
 # ---------------------------------------------------------- the zero test
 
-@lru_cache(maxsize=None)
-def tree_basis(order, labels):
-    """Index of every canonical order-n tree over labels 1..m."""
-    return {ct.code: i for i, ct in enumerate(_all_trees_cached(order, labels))}
-
-
-def ts_to_vec(ts: TreeSum, order, labels):
-    basis = tree_basis(order, labels)
-    vec = {}
-    for t, c in ts.items():
-        if t.code not in basis:
-            raise ValueError(f"tree {t.text()} is not an order-{order} tree on labels 1..{labels}")
-        vec[basis[t.code]] = c
-    return vec
+class _Cell(NamedTuple):
+    triples: tuple            # _ihx_triples(order, labels)
+    index: dict               # canonical tree code -> column
+    lattice: IntegerLattice   # tracked; added row k is presentation row k
 
 
 @lru_cache(maxsize=None)
-def _relator_lattice(order, labels):
-    """Lattice spanned by the presentation's rows, tracked so that
-    ``relator_solver`` shares it.  Tags: ("ihx", k) for the k-th entry
-    of ihx_triples(order, labels), ("tors", i) for the doubling row of
-    the i-th canonical tree.  ``reduce`` returns the unique residue, so
-    the row order changes no normal form."""
+def _cell(order, labels):
+    """The relator cell of (order, labels): its lattice adds
+    ``_presentation``'s rows in order, so row k < len(triples) is the IHX
+    row of triples[k] and later rows double 2-torsion trees.  ``reduce``
+    returns the unique residue: the row order changes no normal form."""
     mat = _presentation(order, labels)
-    lat = IntegerLattice(track=True)
-    for k, row in enumerate(mat.row_dicts()):
-        lat.add(row, tag=("ihx", k) if k < mat.ihx_count else ("tors", next(iter(row))))
-    return lat
+    lattice = IntegerLattice(track=True)
+    for row in mat.row_dicts():
+        lattice.add(row)
+    return _Cell(_ihx_triples(order, labels),
+                 {ct.code: i for i, ct in enumerate(mat.generators)}, lattice)
 
 
-def _check_trivial(ts: TreeSum):
-    for t, _ in ts.items():
-        if not is_trivially_decorated(t):
-            raise ValueError("zero test supports the trivial group alphabet only")
+def _vector(ts: TreeSum, order, labels, bounds):
+    """The coefficients of a nonempty ts by column of its cell, after
+    checking its order, the bounds and its decorations."""
+    if ts.order != order:
+        raise ValueError(f"sum has order {ts.order}, expected {order}")
+    check_bounds(order, labels, bounds)
+    terms = ts.items()
+    if not all(is_trivially_decorated(t) for t, _ in terms):
+        raise ValueError("zero test supports the trivial group alphabet only")
+    index = _cell(order, labels).index
+    for t, _ in terms:
+        if t.code not in index:
+            raise ValueError(f"tree {t.text()} is not an order-{order} tree on labels 1..{labels}")
+    return {index[t.code]: c for t, c in terms}
 
 
 def is_zero(ts: TreeSum, order, labels, bounds=None):
@@ -194,30 +195,41 @@ def is_zero(ts: TreeSum, order, labels, bounds=None):
     vector lies in the integer relator lattice."""
     if ts.is_empty():
         return True
-    if ts.order != order:
-        raise ValueError(f"sum has order {ts.order}, expected {order}")
-    check_bounds(order, labels, bounds)
-    _check_trivial(ts)
-    return _relator_lattice(order, labels).contains(ts_to_vec(ts, order, labels))
+    vec = _vector(ts, order, labels, bounds)
+    return _cell(order, labels).lattice.contains(vec)
 
 
 def normal_form(ts: TreeSum, order, labels, bounds=None):
     """Canonical coset representative of ts modulo the relator lattice."""
     if ts.is_empty():
         return TreeSum()
-    check_bounds(order, labels, bounds)
-    _check_trivial(ts)
-    residue = _relator_lattice(order, labels).reduce(ts_to_vec(ts, order, labels))
+    vec = _vector(ts, order, labels, bounds)
+    residue = _cell(order, labels).lattice.reduce(vec)
     trees = _all_trees_cached(order, labels)
     return TreeSum([(trees[i], c) for i, c in residue.items()])
 
 
-@lru_cache(maxsize=None)
 def relator_solver(order, labels):
-    """ihx_triples(order, labels) and the tracked relator lattice, for
-    expressing zero classes as explicit relator combinations; the zero
-    test reads the same lattice, so a cell's rows are built once."""
-    return _ihx_triples(order, labels), _relator_lattice(order, labels)
+    """ihx_triples(order, labels) and the cell's tracked relator lattice,
+    whose ``solve`` names the IHX row of triples[k] by k."""
+    cell = _cell(order, labels)
+    return cell.triples, cell.lattice
+
+
+def relator_combination(ts: TreeSum, order, labels, bounds=None):
+    """ts as an integer combination of IHX relators I - H + X: the
+    (tree, edge, coefficient) triples with nonzero coefficient, in
+    ``ihx_triples`` order, or None when ts is not zero.  The doubling
+    rows are left out, as a sum's 2-torsion coefficients are mod 2."""
+    if ts.is_empty():
+        return []
+    vec = _vector(ts, order, labels, bounds)
+    # by the public name, which the benchmark's tracer wraps for the lattice rank
+    triples, lattice = relator_solver(order, labels)
+    combo = lattice.solve(vec)
+    if combo is None:
+        return None
+    return [(*triples[k], c) for k, c in sorted(combo.items()) if k < len(triples)]
 
 
 # ------------------------------------------------------- spanning by simple

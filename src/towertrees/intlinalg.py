@@ -79,8 +79,9 @@ class IntegerLattice:
 
     Holds an echelon basis over Z (Hermite-style: one pivot column per
     row, built by Euclidean elimination).  With ``track=True`` every
-    basis row remembers its expression over the added rows, so
-    ``solve`` can return an explicit integer combination.
+    basis row remembers its expression over the added rows, the k-th
+    added row named k, so ``solve`` can return an explicit integer
+    combination.
     """
 
     def __init__(self, track=False):
@@ -103,10 +104,10 @@ class IntegerLattice:
             else:
                 dst.pop(c, None)
 
-    def add(self, vec, tag=None):
+    def add(self, vec):
         """Insert a vector (sparse dict); returns True if rank grew."""
         v = {c: x for c, x in vec.items() if x}
-        combo = {tag if tag is not None else self.n_added: 1} if self.track else None
+        combo = {self.n_added: 1} if self.track else None
         self.n_added += 1
         while v:
             c = min(v)
@@ -155,21 +156,17 @@ class IntegerLattice:
         ascending sweep suffices) and return the residue.  With a
         ``combo`` dict, add to it the basis combinations subtracted."""
         v = {c: x for c, x in vec.items() if x}
-        seen: set[int] = set()
-        while True:
-            todo = [c for c in v if c not in seen]
-            if not todo:
-                return v
-            c = min(todo)
-            seen.add(c)
+        c = min(v, default=None)
+        while c is not None:
             i = self.pivots.get(c)
-            if i is None:
-                continue
-            q = v[c] // self.basis[i][c]
-            if q:
-                self._addmul(v, self.basis[i], -q)
-                if combo is not None:
-                    self._addmul(combo, self.combos[i], q)
+            if i is not None:
+                q = v[c] // self.basis[i][c]
+                if q:
+                    self._addmul(v, self.basis[i], -q)
+                    if combo is not None:
+                        self._addmul(combo, self.combos[i], q)
+            c = min((k for k in v if k > c), default=None)
+        return v
 
     def reduce(self, vec):
         """Canonical residue of vec modulo the lattice (not inserted).
@@ -186,8 +183,9 @@ class IntegerLattice:
     def solve(self, vec):
         """Integer combination of the added rows equal to vec, or None.
 
-        Requires track=True.  Returns {tag: coefficient}: the sweep's
-        combinations, exact when vec lies in the lattice.
+        Requires track=True.  Returns {k: coefficient}, k naming the
+        k-th added row: the sweep's combinations, exact when vec lies in
+        the lattice.
         """
         if not self.track:
             raise ValueError("lattice built without track=True")

@@ -3,7 +3,8 @@
 Everything is verified by expansion in the free associative algebra
 (noncommutative words with integer coefficients), never by basis
 rewriting: this module exists to cross-check the tree groups, so it
-shares no machinery with them beyond the tree types.
+shares with them only the tree types, ``trees.leaf_views`` (a tree
+read from each of its leaves) and ``intlinalg.integer_rank``.
 
 The bridge map ``eta`` sends a trivially decorated tree to a tuple of
 Lie elements, one per label: rooting the tree at each leaf in turn
@@ -184,6 +185,8 @@ def hall_basis(m, length, max_length=8):
 
 def lie_dimension_oracle(m, length):
     """Necklace-count dimension of the degree-``length`` part (Witt)."""
+    if length < 1:
+        raise ValueError(f"length {length} out of bounds (at least 1)")
     def mobius(n):
         result, p = 1, 2
         while p * p <= n:

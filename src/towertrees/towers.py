@@ -33,7 +33,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .groups import _relator_terms, is_zero, normal_form, relator_solver, ts_to_vec
+from .groups import _relator_terms, is_zero, normal_form, relator_combination
 from .sums import TreeSum
 from .trees import (
     CanonicalTree,
@@ -491,22 +491,16 @@ def certify_raise_order(model: TowerModel, bounds=None) -> MoveCertificate:
 
     moves = []
     points, next_id = dict(model.points), model.next_id
-    if not ts.is_empty():
-        triples, solver = relator_solver(n, m)
-        combo = solver.solve(ts_to_vec(ts, n, m))
-        if combo is None:  # contradicts is_zero; defensive
-            raise PlannerError("relator solve failed on a zero class")
-        for tag in sorted(k for k in combo if k[0] == "ihx"):
-            coeff = combo[tag]
-            if coeff == 0:
-                continue
-            ct, edge = triples[tag[1]]
-            sign = -1 if coeff > 0 else 1
-            for _ in range(abs(coeff)):
-                # the one ihx_at of the checked insertion also gives the move's H and X
-                h, x, added = _ihx_points(model, ct, edge, sign)
-                _, next_id = _add_points(points, next_id, added)
-                moves.append(IhxInsert(ct, edge, sign, decode_code(h), decode_code(x)))
+    combo = relator_combination(ts, n, m, bounds)
+    if combo is None:  # contradicts is_zero; defensive
+        raise PlannerError("relator solve failed on a zero class")
+    for ct, edge, coeff in combo:
+        sign = -1 if coeff > 0 else 1
+        for _ in range(abs(coeff)):
+            # the one ihx_at of the checked insertion also gives the move's H and X
+            h, x, added = _ihx_points(model, ct, edge, sign)
+            _, next_id = _add_points(points, next_id, added)
+            moves.append(IhxInsert(ct, edge, sign, decode_code(h), decode_code(x)))
 
     by_tree: dict = {}
     for pid, pt in points.items():

@@ -126,7 +126,7 @@ class CanonicalTree:
 
     def decode(self):
         """The canonical layout as a concrete DecoratedTree."""
-        return DecoratedTree(Leaf(self.code[0]), _decode_rest(self.code[1]), "")
+        return decode_code(self.code)
 
     def text(self):
         return to_text(self.decode())
@@ -450,17 +450,9 @@ def is_trivially_decorated(ct):
 # -------------------------------------------------------- layout addressing
 # Edge paths and the IHX move are read on the layout code itself.
 
-def edge_paths(ct):
-    """All edge identifiers of a canonical layout.
-
-    The edge above the layout subtree at path p is named p; "" is the
-    edge at the root leaf.  A tree of order n has 2n + 1 edges.
-    """
-    return [p for p, _ in _positions(ct.code[1], "")]
-
-
 def interior_edge_paths(ct):
-    """Edges whose both endpoints are trivalent."""
+    """Edges whose both endpoints are trivalent, the edge above the
+    layout subtree at path p named p."""
     return [p for p, sub in _positions(ct.code[1], "") if p and sub[0] == 1]
 
 

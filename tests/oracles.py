@@ -212,6 +212,20 @@ def flip_at(tree, path):
     return DecoratedTree(tree.left, go(tree.right, path), tree.word)
 
 
+def edge_paths(tree):
+    """Paths of every edge of a layout-form DecoratedTree, in preorder:
+    the edge above the subtree at path p is p, and "" is the edge at the
+    root leaf, so an order-n tree has 2n + 1 of them."""
+
+    def walk(sub, path):
+        yield path
+        if isinstance(sub, Node):
+            yield from walk(sub.left, path + "L")
+            yield from walk(sub.right, path + "R")
+
+    return list(walk(tree.right, ""))
+
+
 def internal_paths(tree):
     """Paths of the internal vertices of a layout-form DecoratedTree,
     in preorder."""

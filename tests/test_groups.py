@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import json
+import random
 from pathlib import Path
 
 import pytest
@@ -14,6 +15,7 @@ from towertrees.groups import (
     normal_form,
     presentation,
     reduce_to_simple,
+    relator_combination,
     relator_sum,
 )
 from towertrees.intlinalg import IntegerLattice, smith_normal_form
@@ -200,6 +202,13 @@ def test_is_zero_rejects_wrong_order():
         is_zero(TreeSum({t: 1}), 1, 2)
 
 
+def test_normal_form_rejects_wrong_order_like_is_zero():
+    ts = TreeSum({canon("inner((1,2),(3,(4,1)),)"): 1})
+    for query in (is_zero, normal_form, relator_combination):
+        with pytest.raises(ValueError, match=r"^sum has order 3, expected 2$"):
+            query(ts, 2, 4)
+
+
 def test_normal_form_deterministic_and_reduced():
     t = canon("inner((1,2),(3,4),)")
     nf = normal_form(TreeSum({t: 1}), 2, 4)
@@ -312,29 +321,27 @@ def test_zero_test_and_solver_build_one_presentation(monkeypatch):
         return original(*args)
 
     monkeypatch.setattr(groups, "_presentation", counting)
-    groups._relator_lattice.cache_clear()
-    groups.relator_solver.cache_clear()
+    groups._cell.cache_clear()
     t = canon("inner((1,2),(3,4),)")
     assert not is_zero(TreeSum({t: 1}), 2, 4)
     triples, solver = groups.relator_solver(2, 4)
     assert built == [(2, 4)]
     assert triples == ihx_triples(2, 4)
-    assert solver is groups._relator_lattice(2, 4)
+    assert solver is groups._cell(2, 4).lattice
 
 
 def test_relator_lattice_adds_ihx_rows_first_then_torsion_rows(monkeypatch):
-    # certificates name rows by tag, and the solver's combination depends
-    # on the order the rows enter the lattice: the ("ihx", k) rows come
-    # first, in ihx_triples order, then the ("tors", i) doubling rows in
-    # ascending column i
+    # the solver names a row by the order it entered the lattice, and its
+    # combination depends on that order: the IHX rows come first, in
+    # ihx_triples order, then the doubling rows in ascending column
     from towertrees import groups
 
     added = []
 
     class Recording(IntegerLattice):
-        def add(self, vec, tag=None):
-            added.append((tag, dict(vec)))
-            return super().add(vec, tag)
+        def add(self, vec):
+            added.append(dict(vec))
+            return super().add(vec)
 
     monkeypatch.setattr(groups, "IntegerLattice", Recording)
     n, m = 3, 2
@@ -343,9 +350,30 @@ def test_relator_lattice_adds_ihx_rows_first_then_torsion_rows(monkeypatch):
     triples = ihx_triples(n, m)
     torsion = [i for i, ct in enumerate(trees) if ct.two_torsion]
     assert triples and torsion
-    groups._relator_lattice.__wrapped__(n, m)
-    assert [tag for tag, _ in added] == \
-        [("ihx", k) for k in range(len(triples))] + [("tors", i) for i in torsion]
-    for (_, row), (ct, edge) in zip(added, triples):
+    groups._cell.__wrapped__(n, m)
+    assert len(added) == len(triples) + len(torsion)
+    for row, (ct, edge) in zip(added, triples):
         assert row == {index[t]: c for t, c in relator_sum(ct, edge).items()}
-    assert [row for _, row in added[len(triples):]] == [{i: 2} for i in torsion]
+    assert added[len(triples):] == [{i: 2} for i in torsion]
+
+
+def test_relator_combination_sums_back_to_the_input():
+    # an integer combination of relators comes back as relators, in
+    # ihx_triples order, that sum to it; a nonzero class has none
+    rng = random.Random(11)
+    for n, m in [(2, 4), (3, 3), (4, 2)]:
+        triples = ihx_triples(n, m)
+        order = {triple: k for k, triple in enumerate(triples)}
+        ts = TreeSum()
+        for _ in range(6):
+            ts = ts + relator_sum(*rng.choice(triples)).scale(rng.choice((1, -1, 2)))
+        combo = relator_combination(ts, n, m)
+        assert [order[ct, edge] for ct, edge, _ in combo] == \
+            sorted(order[ct, edge] for ct, edge, _ in combo)
+        assert all(c for _, _, c in combo)
+        total = TreeSum()
+        for ct, edge, c in combo:
+            total = total + relator_sum(ct, edge).scale(c)
+        assert total == ts, (n, m)
+    assert relator_combination(TreeSum(), 2, 4) == []
+    assert relator_combination(TreeSum({canon("inner((1,2),(3,4),)"): 1}), 2, 4) is None

@@ -134,7 +134,7 @@ def test_lattice_solve_roundtrip(seed):
         row = {c: rng.randint(-3, 3) for c in range(rng.randint(1, 5))}
         row = {c: v for c, v in row.items() if v}
         rows[t] = row
-        lat.add(row, tag=t)
+        lat.add(row)
     coeffs = {t: rng.randint(-4, 4) for t in rows}
     target = {}
     for t, k in coeffs.items():
@@ -152,10 +152,13 @@ def test_lattice_solve_roundtrip(seed):
 
 def test_solve_outside_lattice():
     lat = IntegerLattice(track=True)
-    lat.add({0: 2}, tag="a")
+    lat.add({0: 2})
+    lat.add({0: 4, 1: 2})
     assert lat.solve({0: 3}) is None
     assert lat.solve({1: 1}) is None
-    assert lat.solve({0: -6}) == {"a": -3}
+    # rows are named by the order they were added in
+    assert lat.solve({0: -6}) == {0: -3}
+    assert lat.solve({0: 4, 1: 2}) == {1: 1}
 
 
 def test_integer_rank():

@@ -145,6 +145,12 @@ def test_hall_sizes_match_necklace_oracle():
         assert len(hall_basis(m, length)) == lie_dimension_oracle(m, length)
 
 
+def test_dimension_oracle_refuses_lengths_below_one():
+    for length in (0, -1):
+        with pytest.raises(ValueError, match=f"length {length} out of bounds"):
+            lie_dimension_oracle(3, length)
+
+
 def test_hall_dimension_matches_bracketing_rank_oracle():
     for m, length in [(2, 3), (2, 4), (3, 3)]:
         assert lie_dimension_oracle(m, length) == lie_dim_by_rank(m, length)

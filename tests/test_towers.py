@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 from dataclasses import replace
@@ -330,6 +331,48 @@ def test_certify_non_simple_unreachable_pair():
     model = make_model(4, 4, [(1, star), (-1, star)])
     with pytest.raises(PlannerError, match="non-simple"):
         certify_raise_order(model)
+
+
+def _bracket(rng, order, m):
+    if order == 0:
+        return str(rng.randint(1, m))
+    k = rng.randint(0, order - 1)
+    return f"({_bracket(rng, k, m)},{_bracket(rng, order - 1 - k, m)})"
+
+
+def _jacobi_model(rng, order, m, triples):
+    """Shuffled points of Jacobi triples ((a,b),c)-d, ((b,c),a)-d,
+    ((c,a),b)-d, one sign per triple: each triple is an IHX relator, so
+    the model's tau vanishes in the order-n group."""
+    points = []
+    for _ in range(triples):
+        sign = rng.choice((1, -1))
+        sizes = [0, 0, 0, 0]
+        for _ in range(order - 2):
+            sizes[rng.randrange(4)] += 1
+        a, b, c, d = (_bracket(rng, s, m) for s in sizes)
+        points += [{"sign": sign, "tree": f"inner((({x},{y}),{z}),{d},)"}
+                   for x, y, z in ((a, b, c), (b, c, a), (c, a, b))]
+    rng.shuffle(points)
+    return model_from_json(json.dumps({"m": m, "order": order, "points": points}))
+
+
+def test_certificates_of_seeded_zero_models_match_golden_digests():
+    # 30 seeded zero models per cell, of 2 to 12 Jacobi triples: the
+    # SHA-256 of their certificate JSON pins the planner's relator
+    # combinations and pairings byte for byte
+    golden = json.loads((FIXTURES / "certificate_sha256.json").read_text())
+    assert len(golden) == 2
+    for cell, want in golden.items():
+        n, m = map(int, cell.split(","))
+        rng = random.Random(f"certificates-{cell}")
+        digest = hashlib.sha256()
+        for k in range(30):
+            model = _jacobi_model(rng, n, m, 2 + k % 11)
+            cert = certify_raise_order(model)
+            assert verify_certificate(model, cert), (cell, k)
+            digest.update(certificate_to_json(cert).encode())
+        assert digest.hexdigest() == want, cell
 
 
 def test_verify_rejects_bad_certificates():

@@ -18,7 +18,6 @@ from towertrees.trees import (
     canonicalize,
     canonicalize_rooted,
     decode_code,
-    edge_paths,
     hol_normalize,
     ihx_at,
     inner_product,
@@ -36,6 +35,7 @@ from oracles import (
     all_planar_trees,
     brute_canonical,
     count_classes,
+    edge_paths,
     flip_at,
     graph_canonicalize,
     graph_explicit_code,
@@ -332,7 +332,7 @@ def test_leaf_views_match_graph_oracle():
 def test_edge_paths_count():
     for n, m in [(0, 2), (1, 3), (2, 4), (3, 4)]:
         for ct in all_trees(n, m)[:5]:
-            assert len(edge_paths(ct)) == 2 * n + 1
+            assert len(edge_paths(ct.decode())) == 2 * n + 1
 
 
 def _check_ihx_against_layout(ct):
@@ -341,7 +341,7 @@ def _check_ihx_against_layout(ct):
     interior edges, the same refusals at the others."""
     interior = interior_edge_paths(ct)
     assert interior == [p for p in internal_paths(ct.decode()) if p]
-    for edge in edge_paths(ct):
+    for edge in edge_paths(ct.decode()):
         if edge not in interior:
             with pytest.raises(ValueError) as kernel:
                 ihx_at(ct, edge)

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import random
+import re
 from dataclasses import replace
 from pathlib import Path
 
@@ -183,6 +184,49 @@ def test_gauge_invariance_randomized():
         p = pts[j]
         pts[j] = RawPoint(p.sign, p.right, p.left, winv(p.word), p.paired_by)
         assert tau(extract_model(replace(raw, points=tuple(pts)))) == base
+
+
+
+def _mutate_raw_doc(rng, doc):
+    """One seeded mutation of a raw tower document, in place: drop a
+    point, swap a point's sides, push a disk label past m, duplicate a
+    disk or flip a disk orientation."""
+    kind = rng.choice(["drop", "swap", "label", "duplicate", "flip"] if doc["disks"]
+                      else ["drop", "swap"])
+    if kind == "drop":
+        del doc["points"][rng.randrange(len(doc["points"]))]
+    elif kind == "swap":
+        p = rng.choice(doc["points"])
+        p["left"], p["right"] = p["right"], p["left"]
+    else:
+        k = rng.randrange(len(doc["disks"]))
+        disk = doc["disks"][k]
+        if kind == "label":
+            disk["bracket"] = re.sub(r"\d+", str(doc["m"] + 1), disk["bracket"], count=1)
+        elif kind == "duplicate":
+            doc["disks"].insert(k, dict(disk))
+        else:
+            disk["orientation"] = -disk["orientation"]
+
+
+def test_seeded_raw_towers_match_golden_digest():
+    # 500 seeded random raw towers and one seeded JSON mutation of each:
+    # the SHA-256 over their raw JSON, their tau and the mutant's tau or
+    # TowerError message pins the raw schema, extraction and validation
+    golden = json.loads((FIXTURES / "raw_tower_sha256.json").read_text())
+    towers, mutations = random.Random("raw-towers"), random.Random("raw-tower-mutations")
+    digest = hashlib.sha256()
+    for _ in range(golden["towers"]):
+        text = raw_to_json(random_raw_tower(towers))
+        doc = json.loads(text)
+        _mutate_raw_doc(mutations, doc)
+        try:
+            outcome = tau(load_tower(json.dumps(doc))).text()
+        except TowerError as exc:
+            outcome = f"TowerError: {exc}"
+        for part in (text, tau(load_tower(text)).text(), outcome):
+            digest.update(part.encode() + b"\n")
+    assert digest.hexdigest() == golden["sha256"]
 
 
 # -------------------------------------------------------------- tau and hat

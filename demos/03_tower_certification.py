@@ -25,12 +25,15 @@ from towertrees.towers import RawDisk, RawPoint, RawTower
 from towertrees.trees import parse_tree
 
 print("== a raw order-2 tower on four surfaces ==")
+# each Whitney disk is named by its rooted tree
+one, two, three, four = map(parse_tree, "1234")
+w12, w34 = parse_tree("(1,2)"), parse_tree("(3,4)")
 raw = RawTower(4, 2,
-               disks=(RawDisk((1, 2)), RawDisk((3, 4))),
+               disks=(RawDisk(w12), RawDisk(w34)),
                points=(
-                   RawPoint(+1, 1, 2, "", (1, 2)), RawPoint(-1, 1, 2, "", (1, 2)),
-                   RawPoint(+1, 3, 4, "", (3, 4)), RawPoint(-1, 3, 4, "", (3, 4)),
-                   RawPoint(+1, (1, 2), (3, 4), ""),
+                   RawPoint(+1, one, two, "", w12), RawPoint(-1, one, two, "", w12),
+                   RawPoint(+1, three, four, "", w34), RawPoint(-1, three, four, "", w34),
+                   RawPoint(+1, w12, w34, ""),
                ))
 model = extract_model(raw)
 print(f"order {model.order}, tau = {tau(model).text()}")

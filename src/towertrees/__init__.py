@@ -38,7 +38,7 @@ from .trees import (
     rooted_product,
     to_text,
 )
-from .sums import TreeSum, nonrepeating_project
+from .sums import TreeSum
 from .intlinalg import IntegerLattice, integer_rank, smith_normal_form
 from .groups import (
     AbelianGroupStructure,
@@ -67,7 +67,6 @@ from .towers import (
     TowerPoint,
     VerificationResult,
     bch_tower,
-    bracket_text,
     cancel_simple_pair,
     certificate_from_json,
     certificate_to_json,
@@ -85,7 +84,6 @@ from .towers import (
     raw_to_json,
     replay_certificate,
     tau,
-    tree_of_bracket,
     verify_certificate,
 )
 from .lie import (

@@ -51,7 +51,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _emit(args, text):
-    if getattr(args, "out", None):
+    if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text if text.endswith("\n") else text + "\n")
     else:
@@ -209,10 +209,9 @@ def build_parser():
                                  "split Whitney tower models")
     sub = parser.add_subparsers(dest="verb", required=True)
 
-    def common(p, out=True):
+    def common(p):
         p.add_argument("--json", action="store_true", help="emit JSON")
-        if out:
-            p.add_argument("--out", metavar="FILE", help="write output to FILE")
+        p.add_argument("--out", metavar="FILE", help="write output to FILE")
         p.add_argument("--max-order", type=_at_least(0), default=4, help="enumeration bound")
         p.add_argument("--max-labels", type=_at_least(1), default=6, help="enumeration bound")
 

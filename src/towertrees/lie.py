@@ -175,11 +175,11 @@ def _standard_bracketing(word):
             return _bracket(_standard_bracketing(word[:i]), _standard_bracketing(suffix))
 
 
-def hall_basis(m, length, max_length=8):
+def hall_basis(m, length):
     """A Hall family (Lyndon basis) of the degree-``length`` part of the
-    free Lie algebra on m generators, expanded."""
-    if length > max_length or length < 1:
-        raise ValueError(f"length {length} out of bounds (1..{max_length})")
+    free Lie algebra on m generators, expanded; ``length`` runs 1..8."""
+    if not 1 <= length <= 8:
+        raise ValueError(f"length {length} out of bounds (1..8)")
     return [LieElement(_standard_bracketing(w)) for w in lyndon_words(m, length)]
 
 

@@ -90,8 +90,3 @@ class TreeSum:
         if not self._terms:
             return "0"
         return " ".join(f"{c:+d}*{t.text()}" for t, c in self.items())
-
-
-def nonrepeating_project(ts: TreeSum) -> TreeSum:
-    """Keep exactly the terms whose leaf labels are pairwise distinct."""
-    return TreeSum({t: c for t, c in ts.items() if t.nonrepeating})

@@ -26,6 +26,14 @@ intersection sum.  The JSON loaders validate their input and name the
 offending record and key in a ``TowerError``; a model point's
 ``puncture`` key, a marked edge that no invariant reads, is accepted
 and ignored, and a ``move_puncture`` certificate record is refused.
+
+A raw tower names each Whitney disk by its rooted tree, its bracket:
+the disk W_(I,J) pairing points of W_I and W_J carries the rooted
+product (I,J) of their trees, an undecorated ``Leaf``/``Node`` as
+``parse_bracket`` returns it, and the order-0 surface i is ``Leaf(i)``.
+``extract_model`` reads each unpaired point of W_I and W_J as the inner
+product of the two trees, with the disks' whiskers and orientations
+folded in.
 """
 
 from __future__ import annotations
@@ -49,6 +57,8 @@ from .trees import (
     interior_edge_paths,
     is_simple,
     is_trivially_decorated,
+    labels_of,
+    order_of,
     parse_tree,
     to_text,
 )
@@ -89,60 +99,27 @@ class PlannerError(Exception):
 
 # ---------------------------------------------------------------- brackets
 
-def parse_bracket(text):
-    """Non-associative bracketing over 1..m, e.g. "((1,2),3)"."""
+def parse_bracket(text) -> RootedTree:
+    """The undecorated rooted tree of a Whitney disk, e.g. "((1,2),3)"."""
     tree = parse_tree(text)
-    return _tree_to_bracket(tree, text)
-
-
-def _tree_to_bracket(t, text):
-    if not isinstance(t, (Leaf, Node)):
+    if not isinstance(tree, (Leaf, Node)):
         raise TowerError(f"{text!r} is not a bracket")
-    if t.word:
+
+    def decorated(t):
+        if isinstance(t, Leaf):
+            return bool(t.word)
+        return decorated(t.left) or decorated(t.right)
+
+    if decorated(tree):
         raise TowerError(f"bracket {text!r} must not carry decorations")
-    if isinstance(t, Leaf):
-        return t.label
-    return (_tree_to_bracket(t.left, text), _tree_to_bracket(t.right, text))
-
-
-def bracket_text(b):
-    if isinstance(b, int):
-        return str(b)
-    return f"({bracket_text(b[0])},{bracket_text(b[1])})"
-
-
-def bracket_order(b):
-    if isinstance(b, int):
-        return 0
-    return 1 + bracket_order(b[0]) + bracket_order(b[1])
-
-
-def bracket_labels(b):
-    if isinstance(b, int):
-        return [b]
-    return bracket_labels(b[0]) + bracket_labels(b[1])
-
-
-def tree_of_bracket(b) -> RootedTree:
-    """Rooted tree of a bracketing; vertex orientations follow the
-    bracket order, so order(tree) = order(bracket)."""
-    if isinstance(b, int):
-        return Leaf(b)
-    return Node(tree_of_bracket(b[0]), tree_of_bracket(b[1]))
-
-
-def sub_brackets(b):
-    yield b
-    if not isinstance(b, int):
-        yield from sub_brackets(b[0])
-        yield from sub_brackets(b[1])
+    return tree
 
 
 # --------------------------------------------------------------- raw towers
 
 @dataclass(frozen=True)
 class RawDisk:
-    bracket: tuple | int
+    bracket: RootedTree
     whisker: str = ""
     orientation: int = 1
 
@@ -150,14 +127,14 @@ class RawDisk:
 @dataclass(frozen=True)
 class RawPoint:
     sign: int
-    left: tuple | int
-    right: tuple | int
+    left: RootedTree
+    right: RootedTree
     word: str = ""
-    paired_by: tuple | int | None = None
+    paired_by: Node | None = None
 
     @property
     def order(self):
-        return bracket_order(self.left) + bracket_order(self.right)
+        return order_of(self.left) + order_of(self.right)
 
 
 @dataclass(frozen=True)
@@ -177,32 +154,31 @@ def validate_raw(raw: RawTower):
     """Check the well-formedness invariants, naming the offender."""
     disk_by_bracket = {}
     for d in raw.disks:
-        for lab in bracket_labels(d.bracket):
+        for lab in labels_of(d.bracket):
             if not 1 <= lab <= raw.m:
-                raise TowerError(f"disk {bracket_text(d.bracket)}: label {lab} out of 1..{raw.m}")
+                raise TowerError(f"disk {to_text(d.bracket)}: label {lab} out of 1..{raw.m}")
         if d.bracket in disk_by_bracket:
-            raise TowerError(f"duplicate disk {bracket_text(d.bracket)}")
+            raise TowerError(f"duplicate disk {to_text(d.bracket)}")
         if d.orientation not in (1, -1):
-            raise TowerError(f"disk {bracket_text(d.bracket)}: orientation must be +-1")
+            raise TowerError(f"disk {to_text(d.bracket)}: orientation must be +-1")
         check_word(d.whisker)
         disk_by_bracket[d.bracket] = d
 
     def require_present(b, what):
-        if isinstance(b, int):
-            if not 1 <= b <= raw.m:
-                raise TowerError(f"{what}: label {b} out of 1..{raw.m}")
+        if isinstance(b, Leaf):
+            if not 1 <= b.label <= raw.m:
+                raise TowerError(f"{what}: label {b.label} out of 1..{raw.m}")
             return
         if b not in disk_by_bracket:
-            raise TowerError(f"{what}: surface {bracket_text(b)} has no disk entry")
+            raise TowerError(f"{what}: surface {to_text(b)} has no disk entry")
 
     for d in raw.disks:
-        if isinstance(d.bracket, int):
+        if isinstance(d.bracket, Leaf):
             continue
-        i_br, j_br = d.bracket
-        require_present(i_br, f"disk {bracket_text(d.bracket)}")
-        require_present(j_br, f"disk {bracket_text(d.bracket)}")
+        require_present(d.bracket.left, f"disk {to_text(d.bracket)}")
+        require_present(d.bracket.right, f"disk {to_text(d.bracket)}")
 
-    pairs: dict = {b: [] for b in disk_by_bracket if not isinstance(b, int)}
+    pairs: dict = {b: [] for b in disk_by_bracket if isinstance(b, Node)}
     unpaired = []
     for k, p in enumerate(raw.points):
         what = f"point #{k}"
@@ -215,20 +191,20 @@ def validate_raw(raw: RawTower):
             unpaired.append(p)
             continue
         if p.paired_by not in pairs:
-            raise TowerError(f"{what}: pairing disk {bracket_text(p.paired_by)} not present")
-        if {p.left, p.right} != set(p.paired_by):
+            raise TowerError(f"{what}: pairing disk {to_text(p.paired_by)} not present")
+        if {p.left, p.right} != {p.paired_by.left, p.paired_by.right}:
             raise TowerError(
-                f"{what}: paired by {bracket_text(p.paired_by)} but lies on "
-                f"{bracket_text(p.left)} and {bracket_text(p.right)}")
+                f"{what}: paired by {to_text(p.paired_by)} but lies on "
+                f"{to_text(p.left)} and {to_text(p.right)}")
         pairs[p.paired_by].append(p)
 
     for b, pts in pairs.items():
         if len(pts) != 2:
-            raise TowerError(f"disk {bracket_text(b)} pairs {len(pts)} points, expected 2")
+            raise TowerError(f"disk {to_text(b)} pairs {len(pts)} points, expected 2")
         if pts[0].sign + pts[1].sign != 0:
-            raise TowerError(f"disk {bracket_text(b)} pairs two points of equal sign")
+            raise TowerError(f"disk {to_text(b)} pairs two points of equal sign")
         if pts[0].order != pts[1].order:
-            raise TowerError(f"disk {bracket_text(b)} pairs points of different order")
+            raise TowerError(f"disk {to_text(b)} pairs points of different order")
 
     for k, p in enumerate(raw.points):
         if p.paired_by is None and p.order < raw.order:
@@ -250,16 +226,16 @@ def extract_model(raw: RawTower):
     whisker = {d.bracket: d.whisker for d in raw.disks}
     orient = {d.bracket: d.orientation for d in raw.disks}
     for i in range(1, raw.m + 1):
-        whisker.setdefault(i, "")
-        orient.setdefault(i, 1)
+        whisker.setdefault(Leaf(i), "")
+        orient.setdefault(Leaf(i), 1)
 
     def build(b, parent):
         word = wmul(winv(whisker[parent]), whisker[b]) if parent is not None else ""
-        if isinstance(b, int):
-            return Leaf(b, word)
-        left = build(b[0], b)
-        right = build(b[1], b)
-        if orient[b] * orient.get(b[0], 1) * orient.get(b[1], 1) == -1:
+        if isinstance(b, Leaf):
+            return Leaf(b.label, word)
+        left = build(b.left, b)
+        right = build(b.right, b)
+        if orient[b] * orient.get(b.left, 1) * orient.get(b.right, 1) == -1:
             left, right = right, left
         return Node(left, right, word)
 
@@ -384,8 +360,6 @@ def ihx_insert(model: TowerModel, tree, edge, sign=1) -> TowerModel:
     if isinstance(tree, DecoratedTree):
         ct, csign = canonicalize(SignedTree(1, tree))
         tree, sign = ct, sign * csign
-    if sign not in (1, -1):
-        raise MoveError("BadSign", "insertion sign must be +-1")
     points = dict(model.points)
     _, next_id = _add_points(points, model.next_id, _ihx_points(model, tree, edge, sign)[2])
     return TowerModel(model.m, model.order, points, next_id)
@@ -436,6 +410,8 @@ def _add_points(points, next_id, added):
 def _ihx_points(model, ct, edge, sign):
     """The layout codes of H and X of a checked insertion at ``edge`` of
     ``ct``, and its points +I, -H, +X scaled by ``sign``."""
+    if sign not in (1, -1):
+        raise MoveError("BadSign", "insertion sign must be +-1")
     if ct.order != model.order:
         raise MoveError(
             "WrongOrder", f"tree has order {ct.order}, tower has order {model.order}")
@@ -702,14 +678,14 @@ def raw_to_json(raw: RawTower) -> str:
         "m": raw.m,
         "order": raw.order,
         "disks": [
-            {"bracket": bracket_text(d.bracket), "whisker": d.whisker,
+            {"bracket": to_text(d.bracket), "whisker": d.whisker,
              "orientation": d.orientation}
             for d in raw.disks
         ],
         "points": [
-            {"sign": p.sign, "left": bracket_text(p.left), "right": bracket_text(p.right),
+            {"sign": p.sign, "left": to_text(p.left), "right": to_text(p.right),
              "g": p.word,
-             "paired_by": bracket_text(p.paired_by) if p.paired_by is not None else None}
+             "paired_by": to_text(p.paired_by) if p.paired_by is not None else None}
             for p in raw.points
         ],
     }
@@ -794,50 +770,57 @@ def certificate_from_json(text: str) -> MoveCertificate:
 
 # ----------------------------------------------------------- random towers
 
-def random_raw_tower(rng, m_range=(2, 4), max_bracket_order=2, unpaired_range=(1, 3),
-                     alphabet="ab"):
-    """A random well-formed raw tower, for randomized suites and demos."""
-    m = rng.randint(*m_range)
+def random_raw_tower(rng):
+    """A random well-formed raw tower on 2 to 4 surfaces, for randomized
+    suites and demos: one to three top brackets of order at most 2, a
+    Whitney disk for every non-leaf bracket under them, and one to three
+    unpaired points."""
+    m = rng.randint(2, 4)
 
     def random_word(maxlen=2):
         letters = []
         for _ in range(rng.randint(0, maxlen)):
-            ch = rng.choice(alphabet)
+            ch = rng.choice("ab")
             letters.append(ch if rng.random() < 0.5 else ch.upper())
         return wmul(*letters)
 
     def random_bracket(max_order):
         if max_order == 0 or rng.random() < 0.4:
-            return rng.randint(1, m)
+            return Leaf(rng.randint(1, m))
         k = rng.randint(0, max_order - 1)
-        return (random_bracket(k), random_bracket(max_order - 1 - k))
+        return Node(random_bracket(k), random_bracket(max_order - 1 - k))
 
-    needed = {}
+    needed = {}  # every Whitney disk under a top one, in preorder
+
+    def add_disks(b):
+        if isinstance(b, Node):
+            needed[b] = True
+            add_disks(b.left)
+            add_disks(b.right)
+
     tops = []
     for _ in range(rng.randint(1, 3)):
-        b = random_bracket(max_bracket_order)
+        b = random_bracket(2)
         tops.append(b)
-        for sb in sub_brackets(b):
-            if not isinstance(sb, int):
-                needed[sb] = True
+        add_disks(b)
 
     disks = [RawDisk(b, random_word(), rng.choice((1, -1))) for b in needed]
     if rng.random() < 0.5:  # optional order-0 surface data
-        disks.append(RawDisk(rng.randint(1, m), random_word(), rng.choice((1, -1))))
+        disks.append(RawDisk(Leaf(rng.randint(1, m)), random_word(), rng.choice((1, -1))))
 
     points = []
     for b in needed:
         s = rng.choice((1, -1))
-        points.append(RawPoint(s, b[0], b[1], random_word(), b))
-        points.append(RawPoint(-s, b[0], b[1], random_word(), b))
+        points.append(RawPoint(s, b.left, b.right, random_word(), b))
+        points.append(RawPoint(-s, b.left, b.right, random_word(), b))
 
-    surfaces = list(range(1, m + 1)) + list(needed)
+    surfaces = [Leaf(i) for i in range(1, m + 1)] + list(needed)
     unpaired = []
-    for _ in range(rng.randint(*unpaired_range)):
+    for _ in range(rng.randint(1, 3)):
         left = rng.choice(tops + surfaces)
         right = rng.choice(surfaces)
         unpaired.append(RawPoint(rng.choice((1, -1)), left, right, random_word()))
     points.extend(unpaired)
 
-    order = min(bracket_order(p.left) + bracket_order(p.right) for p in unpaired)
+    order = min(p.order for p in unpaired)
     return RawTower(m, order, tuple(disks), tuple(points))

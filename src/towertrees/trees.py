@@ -428,23 +428,14 @@ def _decode_rest(c):
     return Node(_decode_rest(c[1]), _decode_rest(c[2]))
 
 
-def _code_words(c, out):
-    if c[0] == 0:
-        out.append(c[2])
-    else:
-        _code_words(c[1], out)
-        _code_words(c[2], out)
-
-
-def decorations_of(ct):
-    """All leaf holonomies of a canonical tree."""
-    out = []
-    _code_words(ct.code[1], out)
-    return out
-
-
 def is_trivially_decorated(ct):
-    return all(w == "" for w in decorations_of(ct))
+    """Whether every leaf holonomy of a canonical tree is trivial."""
+    def trivial(c):
+        if c[0] == 0:
+            return c[2] == ""
+        return trivial(c[1]) and trivial(c[2])
+
+    return trivial(ct.code[1])
 
 
 # -------------------------------------------------------- layout addressing

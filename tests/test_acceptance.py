@@ -38,6 +38,7 @@ from towertrees.towers import (
     verify_certificate,
 )
 from towertrees.trees import (
+    Leaf,
     SignedTree,
     all_trees,
     canonicalize,
@@ -140,7 +141,7 @@ def test_criterion_05_gauge_invariance():
         for _ in range(1000):
             raw = random_raw_tower(rng)
             base = tau(extract_model(raw))
-            whitney = [i for i, d in enumerate(raw.disks) if not isinstance(d.bracket, int)]
+            whitney = [i for i, d in enumerate(raw.disks) if not isinstance(d.bracket, Leaf)]
             if whitney:
                 i = rng.choice(whitney)
                 mutated = replace(raw, disks=tuple(

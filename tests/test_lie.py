@@ -145,6 +145,12 @@ def test_hall_sizes_match_necklace_oracle():
         assert len(hall_basis(m, length)) == lie_dimension_oracle(m, length)
 
 
+def test_hall_basis_refuses_lengths_outside_one_to_eight():
+    for length in (0, 9):
+        with pytest.raises(ValueError, match=r"out of bounds \(1\.\.8\)"):
+            hall_basis(2, length)
+
+
 def test_dimension_oracle_refuses_lengths_below_one():
     for length in (0, -1):
         with pytest.raises(ValueError, match=f"length {length} out of bounds"):

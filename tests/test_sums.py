@@ -1,6 +1,6 @@
 import pytest
 
-from towertrees.sums import TreeSum, nonrepeating_project
+from towertrees.sums import TreeSum
 from towertrees.trees import SignedTree, canonicalize, parse_tree
 
 
@@ -42,18 +42,6 @@ def test_mixed_orders_rejected():
 def test_order_property():
     assert TreeSum().order is None
     assert TreeSum({E12: 5}).order == 0
-
-
-def test_nonrepeating_project():
-    kept = canon("inner((1,2),(3,4),)")
-    dropped = canon("inner((1,1),(2,3),)")
-    ts = TreeSum({kept: 2, dropped: 3})
-    proj = nonrepeating_project(ts)
-    assert proj == TreeSum({kept: 2})
-    assert nonrepeating_project(proj) == proj
-    # linear
-    other = TreeSum({kept: -2})
-    assert nonrepeating_project(ts + other) == proj + nonrepeating_project(other)
 
 
 def test_text():

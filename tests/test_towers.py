@@ -23,7 +23,6 @@ from towertrees.towers import (
     TowerModel,
     apply_move,
     bch_tower,
-    bracket_text,
     cancel_simple_pair,
     certificate_from_json,
     certificate_to_json,
@@ -42,11 +41,11 @@ from towertrees.towers import (
     raw_to_json,
     replay_certificate,
     tau,
-    tree_of_bracket,
     verify_certificate,
 )
 from towertrees.trees import (
     DecoratedTree,
+    Leaf,
     SignedTree,
     canonicalize,
     decode_code,
@@ -69,15 +68,15 @@ def canon(text):
 
 def test_bracket_roundtrip():
     for text in ["3", "(1,2)", "((1,2),3)", "(1,(2,(3,4)))"]:
-        assert bracket_text(parse_bracket(text)) == text
+        assert to_text(parse_bracket(text)) == text
 
 
 def test_tree_of_bracket():
-    assert to_text(tree_of_bracket(parse_bracket("1"))) == "1"
-    t = tree_of_bracket(parse_bracket("((1,2),3)"))
-    assert order_of(t) == 2
+    # the disk W_(I,J) carries the rooted product of the trees of W_I and W_J
+    assert parse_bracket("1") == Leaf(1)
+    assert order_of(parse_bracket("((1,2),3)")) == 2
     i, j = parse_bracket("(1,2)"), parse_bracket("(3,(4,5))")
-    assert tree_of_bracket((i, j)) == rooted_product(tree_of_bracket(i), tree_of_bracket(j))
+    assert parse_bracket("((1,2),(3,(4,5)))") == rooted_product(i, j)
 
 
 def test_bracket_rejects_decorations():
@@ -87,13 +86,17 @@ def test_bracket_rejects_decorations():
 
 # --------------------------------------------------------------- raw towers
 
+L1, L2, L3 = Leaf(1), Leaf(2), Leaf(3)
+W12 = parse_bracket("(1,2)")
+
+
 def _simple_raw():
     return RawTower(3, 1,
-                    disks=(RawDisk((1, 2)),),
+                    disks=(RawDisk(W12),),
                     points=(
-                        RawPoint(+1, 1, 2, "", (1, 2)),
-                        RawPoint(-1, 1, 2, "", (1, 2)),
-                        RawPoint(+1, (1, 2), 3, "a"),
+                        RawPoint(+1, L1, L2, "", W12),
+                        RawPoint(-1, L1, L2, "", W12),
+                        RawPoint(+1, W12, L3, "a"),
                     ))
 
 
@@ -117,8 +120,8 @@ def test_raw_pairing_validation():
     with pytest.raises(TowerError, match="pairs 1 points"):
         extract_model(bad)
     bad = replace(raw, points=(
-        RawPoint(+1, 1, 2, "", (1, 2)),
-        RawPoint(+1, 1, 2, "", (1, 2)),
+        RawPoint(+1, L1, L2, "", W12),
+        RawPoint(+1, L1, L2, "", W12),
         raw.points[2]))
     with pytest.raises(TowerError, match="equal sign"):
         extract_model(bad)
@@ -126,22 +129,22 @@ def test_raw_pairing_validation():
 
 def test_raw_paired_by_mismatch():
     raw = replace(_simple_raw(), points=(
-        RawPoint(+1, 1, 3, "", (1, 2)),
-        RawPoint(-1, 1, 2, "", (1, 2)),
-        RawPoint(+1, (1, 2), 3, ""),
+        RawPoint(+1, L1, L3, "", W12),
+        RawPoint(-1, L1, L2, "", W12),
+        RawPoint(+1, W12, L3, ""),
     ))
     with pytest.raises(TowerError, match="lies on"):
         extract_model(raw)
 
 
 def test_raw_unpaired_below_declared_order():
-    raw = replace(_simple_raw(), points=_simple_raw().points + (RawPoint(+1, 1, 2, ""),))
+    raw = replace(_simple_raw(), points=_simple_raw().points + (RawPoint(+1, L1, L2, ""),))
     with pytest.raises(TowerError, match="unpaired of order 0"):
         extract_model(raw)
 
 
 def test_raw_missing_disk():
-    raw = RawTower(3, 1, disks=(), points=(RawPoint(+1, (1, 2), 3, ""),))
+    raw = RawTower(3, 1, disks=(), points=(RawPoint(+1, W12, L3, ""),))
     with pytest.raises(TowerError, match="no disk entry"):
         extract_model(raw)
 
@@ -151,14 +154,14 @@ def test_order0_orientation_flip_negates_odd_label_terms():
     # number of its labels
     raw = _simple_raw()
     base = tau(extract_model(raw))
-    flipped = replace(raw, disks=raw.disks + (RawDisk(3, "", -1),))
+    flipped = replace(raw, disks=raw.disks + (RawDisk(L3, "", -1),))
     assert tau(extract_model(flipped)) == -base  # one 3-label
-    flipped1 = replace(raw, disks=raw.disks + (RawDisk(1, "", -1),))
+    flipped1 = replace(raw, disks=raw.disks + (RawDisk(L1, "", -1),))
     assert tau(extract_model(flipped1)) == -base  # one 1-label
     # two labels of 1: even count, no sign change
-    raw2 = RawTower(2, 0, disks=(), points=(RawPoint(+1, 1, 1, "a"),))
+    raw2 = RawTower(2, 0, disks=(), points=(RawPoint(+1, L1, L1, "a"),))
     base2 = tau(extract_model(raw2))
-    flipped2 = replace(raw2, disks=(RawDisk(1, "", -1),))
+    flipped2 = replace(raw2, disks=(RawDisk(L1, "", -1),))
     assert tau(extract_model(flipped2)) == base2
 
 
@@ -168,7 +171,7 @@ def test_gauge_invariance_randomized():
         raw = random_raw_tower(rng)
         base = tau(extract_model(raw))
         disks = list(raw.disks)
-        whitney = [i for i, d in enumerate(disks) if not isinstance(d.bracket, int)]
+        whitney = [i for i, d in enumerate(disks) if not isinstance(d.bracket, Leaf)]
         if whitney:
             i = rng.choice(whitney)
             mutated = replace(raw, disks=tuple(
@@ -433,6 +436,20 @@ def test_verify_rejects_bad_certificates():
     assert not res.ok and "points remain" in res.reason
 
     assert verify_certificate(make_model(3, 1, []), MoveCertificate(())).ok
+
+
+@pytest.mark.parametrize("sign", [0, 2])
+def test_verify_refuses_insertion_signs_other_than_one(sign):
+    # a certificate built in Python skips the JSON loader's sign check:
+    # an insertion of sign 0 or 2 and its negation would pair off, so
+    # replay itself must refuse the first one
+    ct, edge = next((c, e) for c, e in ihx_triples(2, 4) if c.nonrepeating)
+    move = make_ihx_insert(ct, edge)
+    cert = MoveCertificate((replace(move, sign=sign), replace(move, sign=-sign),
+                            CancelPair(0, 3), CancelPair(1, 4), CancelPair(2, 5)))
+    res = verify_certificate(make_model(4, 2, []), cert)
+    assert not res.ok
+    assert (res.code, res.move) == ("BadSign", 0)
 
 
 # --------------------------------------------------------------------- glue

@@ -3,16 +3,17 @@
 For trivial decorations and labels in 1..m, the order-n group is
 generated by the canonical order-n trees, which already identify trees
 related by antisymmetry (AS), modulo the IHX rows I - H + X and a
-doubling row 2t for each 2-torsion tree t.  That one presentation
-gives the group structure (Smith normal form of its rows), the exact
-zero test and normal forms (membership in and residues modulo its row
-lattice) and explicit relator combinations (the same lattice, tracked).
+doubling row 2t for each 2-torsion tree t.  That one presentation gives
+the group structure (Smith normal form of its rows).  Each row keeps a
+tree's label multiset, so the exact zero test, normal forms and relator
+combinations use one tracked lattice per multiset, built on first use.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import groupby
 from typing import NamedTuple
 
 from .intlinalg import IntegerLattice, smith_normal_form
@@ -94,17 +95,16 @@ def relator_sum(tree: CanonicalTree, edge: str) -> TreeSum:
 def ihx_triples(order, labels, nonrepeating=False, bounds=None):
     """Every (canonical tree, interior edge) pair in a fixed order."""
     check_bounds(order, labels, bounds)
-    return _ihx_triples(order, labels, nonrepeating)
+    return _triples(_trees(order, labels, nonrepeating))
 
 
-def _ihx_triples(order, labels, nonrepeating=False):
-    out = []
-    for ct in _all_trees_cached(order, labels):
-        if nonrepeating and not ct.nonrepeating:
-            continue
-        for edge in sorted(interior_edge_paths(ct)):
-            out.append((ct, edge))
-    return tuple(out)
+def _trees(order, labels, nonrepeating):
+    trees = _all_trees_cached(order, labels)
+    return tuple(ct for ct in trees if ct.nonrepeating) if nonrepeating else trees
+
+
+def _triples(trees):
+    return tuple((ct, edge) for ct in trees for edge in sorted(interior_edge_paths(ct)))
 
 
 def ihx_relators(order, labels, nonrepeating=False, bounds=None):
@@ -122,12 +122,17 @@ def presentation(order, labels, nonrepeating=False, bounds=None):
 
 
 def _presentation(order, labels, nonrepeating=False):
-    trees = _all_trees_cached(order, labels)
-    if nonrepeating:
-        trees = tuple(ct for ct in trees if ct.nonrepeating)
+    trees = _trees(order, labels, nonrepeating)
+    triples = _triples(trees)
+    return RelationMatrix(trees, _rows(trees, triples), len(triples))
+
+
+def _rows(trees, triples):
+    """The IHX row of each triple, then a row 2t per 2-torsion tree t,
+    as sorted (column, coefficient) pairs, a tree's column its index."""
     index = {ct.code: i for i, ct in enumerate(trees)}
     rows = []
-    for ct, edge in _ihx_triples(order, labels, nonrepeating):
+    for ct, edge in triples:
         row = {}
         for t, c in _relator_terms(ct, *ihx_at(ct, edge)):
             # as in a TreeSum: 2-torsion coefficients mod 2, zeros dropped
@@ -135,9 +140,8 @@ def _presentation(order, labels, nonrepeating=False):
             c += row.get(j, 0)
             row[j] = c % 2 if t.two_torsion else c
         rows.append(tuple(sorted((j, c) for j, c in row.items() if c)))
-    ihx_count = len(rows)
     rows.extend(((i, 2),) for i, ct in enumerate(trees) if ct.two_torsion)
-    return RelationMatrix(trees, tuple(rows), ihx_count)
+    return tuple(rows)
 
 
 @lru_cache(maxsize=None)
@@ -154,66 +158,77 @@ def group_structure(order, labels, nonrepeating=False, bounds=None):
 
 # ---------------------------------------------------------- the zero test
 
-class _Cell(NamedTuple):
-    triples: tuple            # _ihx_triples(order, labels)
-    index: dict               # canonical tree code -> column
-    lattice: IntegerLattice   # tracked; added row k is presentation row k
+class _Block(NamedTuple):
+    trees: tuple              # the block's canonical trees, in tree order
+    index: dict               # canonical tree code -> column of the block
+    triples: tuple            # its (tree, edge) pairs, in ihx_triples order
+    lattice: IntegerLattice   # tracked; added row k < len(triples) is triples[k]'s
 
 
 @lru_cache(maxsize=None)
-def _cell(order, labels):
-    """The relator cell of (order, labels): its lattice adds
-    ``_presentation``'s rows in order, so row k < len(triples) is the IHX
-    row of triples[k] and later rows double 2-torsion trees.  ``reduce``
-    returns the unique residue: the row order changes no normal form."""
-    mat = _presentation(order, labels)
+def _block_trees(order, labels):
+    """The canonical trees of (order, labels) by label multiset, in tree order."""
+    trees = sorted(_all_trees_cached(order, labels), key=lambda ct: ct.labels)
+    return {mu: tuple(g) for mu, g in groupby(trees, key=lambda ct: tuple(ct.labels))}
+
+
+@lru_cache(maxsize=None)
+def _block(order, labels, multiset):
+    """One label multiset's relator block.  ``IntegerLattice.add`` reduces
+    a row only against pivots in its support, so the rows of the other
+    blocks would change none of its basis rows, residues or solutions."""
+    trees = _block_trees(order, labels).get(multiset, ())
+    triples = _triples(trees)
     lattice = IntegerLattice(track=True)
-    for row in mat.row_dicts():
-        lattice.add(row)
-    return _Cell(_ihx_triples(order, labels),
-                 {ct.code: i for i, ct in enumerate(mat.generators)}, lattice)
+    for row in _rows(trees, triples):
+        lattice.add(dict(row))
+    return _Block(trees, {ct.code: i for i, ct in enumerate(trees)}, triples, lattice)
 
 
-def _vector(ts: TreeSum, order, labels, bounds):
-    """The coefficients of a nonempty ts by column of its cell, after
-    checking its order, the bounds and its decorations."""
+def _vectors(ts: TreeSum, order, labels, bounds):
+    """(multiset, block, column vector) for each label multiset of ts's
+    terms, after checking its order, the bounds, its decorations and its
+    labels; none for the empty sum."""
+    if ts.is_empty():
+        return []
     if ts.order != order:
         raise ValueError(f"sum has order {ts.order}, expected {order}")
     check_bounds(order, labels, bounds)
+    blocks, by_block = _block_trees(order, labels), {}
+    for t, c in ts.items():
+        by_block.setdefault(tuple(t.labels), []).append((t.code, c))
+    out = [(mu, block, {block.index.get(code): c for code, c in terms})
+           for mu, terms in by_block.items() if mu in blocks for block in [_block(order, labels, mu)]]
+    if len(out) == len(by_block) and all(None not in vec for _, _, vec in out):
+        return out
+    # a term lies in no block only when decorated or labelled past m
     terms = ts.items()
     if not all(is_trivially_decorated(t) for t, _ in terms):
         raise ValueError("zero test supports the trivial group alphabet only")
-    index = _cell(order, labels).index
-    for t, _ in terms:
-        if t.code not in index:
-            raise ValueError(f"tree {t.text()} is not an order-{order} tree on labels 1..{labels}")
-    return {index[t.code]: c for t, c in terms}
+    bad = next(t for t, _ in terms if tuple(t.labels) not in blocks)
+    raise ValueError(f"tree {bad.text()} is not an order-{order} tree on labels 1..{labels}")
 
 
 def is_zero(ts: TreeSum, order, labels, bounds=None):
     """Exact zero test in the order-n group: true iff the coefficient
-    vector lies in the integer relator lattice."""
-    if ts.is_empty():
-        return True
-    vec = _vector(ts, order, labels, bounds)
-    return _cell(order, labels).lattice.contains(vec)
+    vector lies in the integer relator lattice, block by block."""
+    return all(block.lattice.contains(vec) for _, block, vec in _vectors(ts, order, labels, bounds))
 
 
 def normal_form(ts: TreeSum, order, labels, bounds=None):
     """Canonical coset representative of ts modulo the relator lattice."""
-    if ts.is_empty():
-        return TreeSum()
-    vec = _vector(ts, order, labels, bounds)
-    residue = _cell(order, labels).lattice.reduce(vec)
-    trees = _all_trees_cached(order, labels)
-    return TreeSum([(trees[i], c) for i, c in residue.items()])
+    out = []
+    for _, block, vec in _vectors(ts, order, labels, bounds):
+        out.extend((block.trees[i], c) for i, c in block.lattice.reduce(vec).items())
+    return TreeSum(out)
 
 
-def relator_solver(order, labels):
-    """ihx_triples(order, labels) and the cell's tracked relator lattice,
+def relator_solver(order, labels, multiset):
+    """The (tree, edge) pairs of one label multiset's block, in
+    ``ihx_triples`` order, and the block's tracked relator lattice,
     whose ``solve`` names the IHX row of triples[k] by k."""
-    cell = _cell(order, labels)
-    return cell.triples, cell.lattice
+    block = _block(order, labels, multiset)
+    return block.triples, block.lattice
 
 
 def relator_combination(ts: TreeSum, order, labels, bounds=None):
@@ -221,15 +236,15 @@ def relator_combination(ts: TreeSum, order, labels, bounds=None):
     (tree, edge, coefficient) triples with nonzero coefficient, in
     ``ihx_triples`` order, or None when ts is not zero.  The doubling
     rows are left out, as a sum's 2-torsion coefficients are mod 2."""
-    if ts.is_empty():
-        return []
-    vec = _vector(ts, order, labels, bounds)
-    # by the public name, which the benchmark's tracer wraps for the lattice rank
-    triples, lattice = relator_solver(order, labels)
-    combo = lattice.solve(vec)
-    if combo is None:
-        return None
-    return [(*triples[k], c) for k, c in sorted(combo.items()) if k < len(triples)]
+    out = []
+    for mu, _, vec in _vectors(ts, order, labels, bounds):
+        # by the public name, which the benchmark's tracer wraps for the lattice rank
+        triples, lattice = relator_solver(order, labels, mu)
+        combo = lattice.solve(vec)
+        if combo is None:
+            return None
+        out.extend((*triples[k], c) for k, c in combo.items() if k < len(triples))
+    return sorted(out, key=lambda tec: (tec[0].code, tec[1]))
 
 
 # ------------------------------------------------------- spanning by simple

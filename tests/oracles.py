@@ -9,7 +9,9 @@ it from every leaf, carrying the holonomy edge by edge, and the
 explicit codes and canonical forms here are read off it.
 ``raw_presentation`` is the reference for the library's one
 presentation of the tree groups: it keeps every vertex orientation and
-imposes antisymmetry by explicit rows.  ``layout_ihx_at`` is the
+imposes antisymmetry by explicit rows.  ``cell_lattice`` is the
+reference for the zero test's per-block lattices: one tracked lattice
+of a whole cell's presentation.  ``layout_ihx_at`` is the
 reference for ``trees.ihx_at``: it takes the IHX move on the decoded
 Leaf/Node layout and returns H and X as DecoratedTrees.  ``bracket_eta`` is the
 reference for ``lie.eta``: it expands every bracket of every graph-walk
@@ -19,7 +21,8 @@ view afresh, one ``LieElement`` per bracket, sharing nothing.
 from itertools import combinations, product
 from math import gcd
 
-from towertrees.groups import ihx_triples
+from towertrees.groups import ihx_triples, presentation
+from towertrees.intlinalg import IntegerLattice
 from towertrees.lie import LieElement
 from towertrees.trees import CanonicalTree, DecoratedTree, Leaf, Node, labels_of
 from towertrees.words import winv, wmul
@@ -313,6 +316,19 @@ def raw_presentation(order, labels, nonrepeating=False):
             row[j] = row.get(j, 0) + coeff
         rows.append({j: v for j, v in row.items() if v})
     return gens, rows
+
+
+def cell_lattice(order, labels):
+    """The whole cell's tracked relator lattice, the reference for the
+    library's per-block lattices: ``presentation``'s rows added in
+    order, so added row k < len(triples) is the IHX row of triples[k]
+    and later rows double 2-torsion trees.  Returns (generators,
+    triples, lattice)."""
+    mat = presentation(order, labels)
+    lattice = IntegerLattice(track=True)
+    for row in mat.row_dicts():
+        lattice.add(row)
+    return mat.generators, ihx_triples(order, labels), lattice
 
 
 def is_simple_by_graph(tree):

@@ -2,6 +2,8 @@ import hashlib
 import itertools
 import json
 import random
+from functools import reduce
+from math import factorial, gcd
 from pathlib import Path
 
 import pytest
@@ -31,7 +33,7 @@ from towertrees.trees import (
     parse_tree,
 )
 
-from oracles import raw_generators, raw_presentation
+from oracles import cell_lattice, raw_generators, raw_presentation
 
 
 def canon(text):
@@ -209,6 +211,21 @@ def test_normal_form_rejects_wrong_order_like_is_zero():
             query(ts, 2, 4)
 
 
+def test_zero_test_refuses_decorated_trees_before_labels_past_m():
+    # a decorated tree lies in no block even when its labels fit; the
+    # decoration is named first, then the first tree labelled past m
+    plain = canon("inner((1,2),(3,4),)")
+    decorated = canon("inner((1,2),(3,4),a)")
+    past = canon("inner((1,2),(3,5),)")
+    cases = [([plain, decorated], "^zero test supports the trivial group alphabet only$"),
+             ([past, decorated], "^zero test supports the trivial group alphabet only$"),
+             ([plain, past], r"^tree inner\(1,\(2,\(3,5\)\),\) is not an order-2 tree on labels 1..4$")]
+    for trees, message in cases:
+        for query in (is_zero, normal_form, relator_combination):
+            with pytest.raises(ValueError, match=message):
+                query(TreeSum({t: 1 for t in trees}), 2, 4)
+
+
 def test_normal_form_deterministic_and_reduced():
     t = canon("inner((1,2),(3,4),)")
     nf = normal_form(TreeSum({t: 1}), 2, 4)
@@ -310,51 +327,156 @@ def test_group_structure_matches_closed_form(n, m):
     assert group_structure(n, m, bounds=Bounds(max_order=6)) == _closed_form(n, m)
 
 
-def test_zero_test_and_solver_build_one_presentation(monkeypatch):
-    from towertrees import groups
-
-    built = []
-    original = groups._presentation
-
-    def counting(*args):
-        built.append(args)
-        return original(*args)
-
-    monkeypatch.setattr(groups, "_presentation", counting)
-    groups._cell.cache_clear()
-    t = canon("inner((1,2),(3,4),)")
-    assert not is_zero(TreeSum({t: 1}), 2, 4)
-    triples, solver = groups.relator_solver(2, 4)
-    assert built == [(2, 4)]
-    assert triples == ihx_triples(2, 4)
-    assert solver is groups._cell(2, 4).lattice
-
-
-def test_relator_lattice_adds_ihx_rows_first_then_torsion_rows(monkeypatch):
-    # the solver names a row by the order it entered the lattice, and its
-    # combination depends on that order: the IHX rows come first, in
-    # ihx_triples order, then the doubling rows in ascending column
+@pytest.fixture
+def recording(monkeypatch):
+    """Every (lattice, row) the groups module adds to a lattice; blocks
+    built while patched are dropped after the test."""
     from towertrees import groups
 
     added = []
 
     class Recording(IntegerLattice):
         def add(self, vec):
-            added.append(dict(vec))
+            added.append((self, dict(vec)))
             return super().add(vec)
 
     monkeypatch.setattr(groups, "IntegerLattice", Recording)
-    n, m = 3, 2
-    trees = all_trees(n, m)
+    groups._block.cache_clear()
+    yield added
+    groups._block.cache_clear()
+
+
+def _block_trees(n, m, mu):
+    return [ct for ct in all_trees(n, m, Bounds(max_order=5)) if tuple(ct.labels) == mu]
+
+
+def _block_triples(n, m, mu):
+    return [(ct, edge) for ct, edge in ihx_triples(n, m) if tuple(ct.labels) == mu]
+
+
+def test_first_zero_test_builds_only_the_touched_block(recording):
+    # one Jacobi triple ((1,2),3)-d + ((2,3),1)-d + ((3,1),2)-d at (4,4)
+    # lies in one label-multiset block; its first zero test adds the rows
+    # of that block alone, not the whole cell's
+    d = "(4,(1,2))"
+    jacobi = TreeSum([canonicalize(SignedTree(1, parse_tree(f"inner({j},{d},)")))
+                      for j in ("((1,2),3)", "((2,3),1)", "((3,1),2)")])
+    mu = (1, 1, 2, 2, 3, 4)
+    assert len(jacobi) == 3 and {tuple(t.labels) for t in jacobi.trees()} == {mu}
+    assert is_zero(jacobi, 4, 4)
+    rows = len(_block_triples(4, 4, mu)) + sum(ct.two_torsion for ct in _block_trees(4, 4, mu))
+    assert len({id(lattice) for lattice, _ in recording}) == 1
+    assert len(recording) == rows < len(presentation(4, 4).rows)
+
+
+def test_relator_lattice_adds_ihx_rows_first_then_torsion_rows(recording):
+    # the solver names a row by the order it entered its block's lattice,
+    # and its combination depends on that order: the block's IHX rows
+    # come first, in relative ihx_triples order, then its doubling rows
+    # in ascending column
+    from towertrees import groups
+
+    n, m, mu = 3, 2, (1, 1, 1, 2, 2)
+    trees = _block_trees(n, m, mu)
     index = {ct: i for i, ct in enumerate(trees)}
-    triples = ihx_triples(n, m)
+    triples = _block_triples(n, m, mu)
     torsion = [i for i, ct in enumerate(trees) if ct.two_torsion]
-    assert triples and torsion
-    groups._cell.__wrapped__(n, m)
+    assert triples and torsion and len(triples) < len(ihx_triples(n, m))
+    assert groups.relator_solver(n, m, mu)[0] == tuple(triples)
+    added = [row for _, row in recording]
     assert len(added) == len(triples) + len(torsion)
     for row, (ct, edge) in zip(added, triples):
         assert row == {index[t]: c for t, c in relator_sum(ct, edge).items()}
     assert added[len(triples):] == [{i: 2} for i in torsion]
+
+
+def _seeded_sums(n, m, rng):
+    """Zero sums of relators from three blocks, the same plus one tree
+    or one 2-torsion tree, and random four-term sums."""
+    trees = all_trees(n, m)
+    by_block = {}
+    for ct, edge in ihx_triples(n, m):
+        by_block.setdefault(tuple(ct.labels), []).append((ct, edge))
+    torsion = [ct for ct in trees if ct.two_torsion]
+    sums = []
+    for _ in range(8):
+        zero = TreeSum()
+        for mu in rng.sample(sorted(by_block), 3):
+            zero = zero + relator_sum(*rng.choice(by_block[mu])).scale(rng.choice((1, -1, 2, 3)))
+        sums += [zero, zero + TreeSum({rng.choice(trees): rng.choice((1, -1, 2))}),
+                 zero + TreeSum({rng.choice(torsion): 1}),
+                 TreeSum({t: rng.choice((1, -1, 2)) for t in rng.sample(trees, 4)})]
+    return sums
+
+
+@pytest.mark.parametrize("n, m", [(2, 4), (3, 3), (3, 4), (4, 2), (4, 4)])
+def test_block_queries_match_the_whole_cell_lattice(n, m):
+    # per-block lattices answer as one tracked lattice of the cell's
+    # whole presentation does: the same zero test, residue and relators
+    generators, triples, lattice = cell_lattice(n, m)
+    index = {ct: i for i, ct in enumerate(generators)}
+    seen = set()
+    for ts in _seeded_sums(n, m, random.Random(13 * n + m)):
+        vec = {index[t]: c for t, c in ts.items()}
+        zero = lattice.contains(vec)
+        assert is_zero(ts, n, m) == zero
+        residue = TreeSum([(generators[i], c) for i, c in lattice.reduce(vec).items()])
+        assert normal_form(ts, n, m).text() == residue.text()
+        combo = lattice.solve(vec)
+        assert relator_combination(ts, n, m) == (None if combo is None else [
+            (*triples[k], c) for k, c in sorted(combo.items()) if k < len(triples)])
+        blocks = {tuple(t.labels) for t in ts.trees()}
+        seen.add((zero, len(blocks) >= 3, any(t.two_torsion for t in ts.trees())))
+    assert {(True, True), (False, True)} <= {(z, wide) for z, wide, _ in seen}
+    assert any(torsion for _, _, torsion in seen)
+
+
+def _mobius(n):
+    result, p = 1, 2
+    while p * p <= n:
+        if n % p == 0:
+            n //= p
+            if n % p == 0:
+                return 0
+            result = -result
+        p += 1
+    return -result if n > 1 else result
+
+
+def _witt(nu):
+    """The multigraded Witt dimension L_nu, nu a vector of label
+    multiplicities: (1/|nu|) sum over d | gcd(nu) of
+    mobius(d) (|nu|/d)! / prod (nu_i/d)!."""
+    size, g = sum(nu), reduce(gcd, nu)
+    total = 0
+    for d in range(1, g + 1):
+        if g % d == 0:
+            term = factorial(size // d)
+            for k in nu:
+                term //= factorial(k // d)
+            total += _mobius(d) * term
+    return total // size
+
+
+def _block_free_rank(nu):
+    """Sum over i of L_{nu - e_i}, minus L_nu: the multigraded form of
+    Levine's conjecture (Conant-Schneiderman-Teichner, Tree homology and
+    a conjecture of Levine)."""
+    return sum(_witt(nu[:i] + (k - 1,) + nu[i + 1:]) for i, k in enumerate(nu) if k) - _witt(nu)
+
+
+@pytest.mark.parametrize("n, m", [(n, m) for n in range(5) for m in range(1, 5)] + [(5, 3)])
+def test_block_free_ranks_match_closed_form(n, m):
+    from towertrees import groups
+
+    bounds = Bounds(max_order=5)
+    total = 0
+    for mu in itertools.combinations_with_replacement(range(1, m + 1), n + 2):
+        size = len(_block_trees(n, m, mu))
+        rank = size - groups.relator_solver(n, m, mu)[1].rank if size else 0
+        assert rank == _block_free_rank(tuple(mu.count(i) for i in range(1, m + 1))), mu
+        total += rank
+    assert total == group_structure(n, m, bounds=bounds).free_rank
 
 
 def test_relator_combination_sums_back_to_the_input():

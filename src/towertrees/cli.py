@@ -209,20 +209,23 @@ def build_parser():
                                  "split Whitney tower models")
     sub = parser.add_subparsers(dest="verb", required=True)
 
-    def common(p):
-        p.add_argument("--json", action="store_true", help="emit JSON")
+    def flags(p, json, bounds):
+        """--out, plus --json and the enumeration bounds where the verb reads them."""
+        if json:
+            p.add_argument("--json", action="store_true", help="emit JSON")
         p.add_argument("--out", metavar="FILE", help="write output to FILE")
-        p.add_argument("--max-order", type=_at_least(0), default=4, help="enumeration bound")
-        p.add_argument("--max-labels", type=_at_least(1), default=6, help="enumeration bound")
+        if bounds:
+            p.add_argument("--max-order", type=_at_least(0), default=4, help="enumeration bound")
+            p.add_argument("--max-labels", type=_at_least(1), default=6, help="enumeration bound")
 
     p = sub.add_parser("canon", help="canonical form of a signed tree")
     p.add_argument("tree", nargs="?", help="tree in the grammar (stdin if omitted)")
-    common(p)
+    flags(p, json=True, bounds=False)
     p.set_defaults(fn=cmd_canon)
 
     p = sub.add_parser("reduce", help="rewrite a tree over simple trees")
     p.add_argument("tree", nargs="?")
-    common(p)
+    flags(p, json=True, bounds=False)
     p.set_defaults(fn=cmd_reduce)
 
     p = sub.add_parser("groups", help="structure of the order-n tree group")
@@ -230,42 +233,42 @@ def build_parser():
     p.add_argument("--labels", type=int, required=True)
     p.add_argument("--nonrepeating", action="store_true",
                    help="restrict to pairwise distinct labels")
-    common(p)
+    flags(p, json=True, bounds=True)
     p.set_defaults(fn=cmd_groups)
 
     p = sub.add_parser("tau", help="intersection sum of a tower file")
     p.add_argument("file")
-    common(p)
+    flags(p, json=True, bounds=True)
     p.set_defaults(fn=cmd_tau)
 
     p = sub.add_parser("certify", help="plan an order-raising certificate")
     p.add_argument("file")
-    common(p)
+    flags(p, json=False, bounds=True)
     p.set_defaults(fn=cmd_certify)
 
     p = sub.add_parser("verify", help="replay a certificate against a tower")
     p.add_argument("model")
     p.add_argument("certificate")
-    common(p)
+    flags(p, json=True, bounds=True)
     p.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser("glue", help="glue two towers, reversing the second")
     p.add_argument("a")
     p.add_argument("b")
-    common(p)
+    flags(p, json=False, bounds=False)
     p.set_defaults(fn=cmd_glue)
 
     p = sub.add_parser("bch", help="tower realizing the given signed trees")
     p.add_argument("trees", nargs="+", help="signed trees in the grammar")
     p.add_argument("--order", type=int, required=True)
     p.add_argument("--labels", type=int, required=True)
-    common(p)
+    flags(p, json=False, bounds=False)
     p.set_defaults(fn=cmd_bch)
 
     p = sub.add_parser("rank", help="rank of the Lie images of all order-n trees")
     p.add_argument("--order", type=int, required=True)
     p.add_argument("--labels", type=int, required=True)
-    common(p)
+    flags(p, json=True, bounds=True)
     p.set_defaults(fn=cmd_rank)
     return parser
 

@@ -92,24 +92,19 @@ def relator_sum(tree: CanonicalTree, edge: str) -> TreeSum:
     return TreeSum(_relator_terms(tree, *ihx_at(tree, edge)))
 
 
-def ihx_triples(order, labels, nonrepeating=False, bounds=None):
+def ihx_triples(order, labels, bounds=None):
     """Every (canonical tree, interior edge) pair in a fixed order."""
     check_bounds(order, labels, bounds)
-    return _triples(_trees(order, labels, nonrepeating))
-
-
-def _trees(order, labels, nonrepeating):
-    trees = _all_trees_cached(order, labels)
-    return tuple(ct for ct in trees if ct.nonrepeating) if nonrepeating else trees
+    return _triples(_all_trees_cached(order, labels))
 
 
 def _triples(trees):
     return tuple((ct, edge) for ct in trees for edge in sorted(interior_edge_paths(ct)))
 
 
-def ihx_relators(order, labels, nonrepeating=False, bounds=None):
+def ihx_relators(order, labels, bounds=None):
     """All IHX relator sums for the order-n trees on labels 1..m."""
-    return [relator_sum(ct, e) for ct, e in ihx_triples(order, labels, nonrepeating, bounds)]
+    return [relator_sum(ct, e) for ct, e in ihx_triples(order, labels, bounds)]
 
 
 # ------------------------------------------------------------- presentation
@@ -121,8 +116,10 @@ def presentation(order, labels, nonrepeating=False, bounds=None):
     return _presentation(order, labels, nonrepeating)
 
 
-def _presentation(order, labels, nonrepeating=False):
-    trees = _trees(order, labels, nonrepeating)
+def _presentation(order, labels, nonrepeating):
+    trees = _all_trees_cached(order, labels)
+    if nonrepeating:
+        trees = tuple(ct for ct in trees if ct.nonrepeating)
     triples = _triples(trees)
     return RelationMatrix(trees, _rows(trees, triples), len(triples))
 
@@ -177,7 +174,7 @@ def _block(order, labels, multiset):
     """One label multiset's relator block.  ``IntegerLattice.add`` reduces
     a row only against pivots in its support, so the rows of the other
     blocks would change none of its basis rows, residues or solutions."""
-    trees = _block_trees(order, labels).get(multiset, ())
+    trees = _block_trees(order, labels)[multiset]
     triples = _triples(trees)
     lattice = IntegerLattice(track=True)
     for row in _rows(trees, triples):
@@ -226,7 +223,11 @@ def normal_form(ts: TreeSum, order, labels, bounds=None):
 def relator_solver(order, labels, multiset):
     """The (tree, edge) pairs of one label multiset's block, in
     ``ihx_triples`` order, and the block's tracked relator lattice,
-    whose ``solve`` names the IHX row of triples[k] by k."""
+    whose ``solve`` names the IHX row of triples[k] by k.  A multiset
+    of no block is refused, and nothing is cached for it."""
+    if multiset not in _block_trees(order, labels):
+        raise ValueError(f"no order-{order} tree on labels 1..{labels} "
+                         f"has the label multiset {multiset!r}")
     block = _block(order, labels, multiset)
     return block.triples, block.lattice
 

@@ -39,9 +39,6 @@ class TreeSum:
     def trees(self):
         return [t for t, _ in self.items()]
 
-    def coeff(self, tree):
-        return self._terms.get(tree, 0)
-
     @property
     def order(self):
         """Order of the terms, or None for the empty sum."""

@@ -350,16 +350,12 @@ def make_ihx_insert(tree: CanonicalTree, edge: str, sign: int = 1):
     return IhxInsert(tree, edge, sign, decode_code(h), decode_code(x))
 
 
-def ihx_insert(model: TowerModel, tree, edge, sign=1) -> TowerModel:
-    """Add the three points of the local IHX move at an interior edge:
-    +I, -H, +X, all scaled by ``sign``.  The group-level zero-ness of
-    tau is unchanged; the hat-level sum changes by the relator.  H and
-    X are computed once, by the checked insertion itself."""
-    if isinstance(tree, str):
-        tree = parse_tree(tree)
-    if isinstance(tree, DecoratedTree):
-        ct, csign = canonicalize(SignedTree(1, tree))
-        tree, sign = ct, sign * csign
+def ihx_insert(model: TowerModel, tree: CanonicalTree, edge, sign=1) -> TowerModel:
+    """Add the three points of the local IHX move at an interior edge
+    of a canonical tree: +I, -H, +X, all scaled by ``sign``.  The
+    group-level zero-ness of tau is unchanged; the hat-level sum
+    changes by the relator.  H and X are computed once, by the checked
+    insertion itself."""
     points = dict(model.points)
     _, next_id = _add_points(points, model.next_id, _ihx_points(model, tree, edge, sign)[2])
     return TowerModel(model.m, model.order, points, next_id)
@@ -462,14 +458,12 @@ def certify_raise_order(model: TowerModel, bounds=None) -> MoveCertificate:
     if not model.trivially_decorated():
         raise PlannerError("certification supports the trivial group alphabet only")
     ts = tau(model)
-    if not is_zero(ts, n, m, bounds):
+    combo = relator_combination(ts, n, m, bounds)
+    if combo is None:
         raise ObstructionNonzero(normal_form(ts, n, m, bounds))
 
     moves = []
     points, next_id = dict(model.points), model.next_id
-    combo = relator_combination(ts, n, m, bounds)
-    if combo is None:  # contradicts is_zero; defensive
-        raise PlannerError("relator solve failed on a zero class")
     for ct, edge, coeff in combo:
         sign = -1 if coeff > 0 else 1
         for _ in range(abs(coeff)):

@@ -143,19 +143,19 @@ def _skip_ws(text, i):
     return i
 
 
-def _parse_word(text, i, alphabet):
+def _parse_word(text, i):
     j = i
     while j < len(text) and text[j].isalpha():
         j += 1
     w = text[i:j]
     try:
-        check_word(w, alphabet)
+        check_word(w)
     except ValueError as exc:
         raise ParseError(str(exc), i) from None
     return w, j
 
 
-def _parse_label(text, i, alphabet):
+def _parse_label(text, i):
     j = i
     while j < len(text) and "0" <= text[j] <= "9":
         j += 1
@@ -169,69 +169,69 @@ def _parse_label(text, i, alphabet):
         raise ParseError(f"label {label} out of range (labels start at 1)", i)
     word = ""
     if j < len(text) and text[j] == ":":
-        word, j = _parse_word(text, j + 1, alphabet)
+        word, j = _parse_word(text, j + 1)
     return Leaf(label, word), j
 
 
-def _parse_rooted(text, i, alphabet):
+def _parse_rooted(text, i):
     i = _skip_ws(text, i)
     if i >= len(text):
         raise ParseError("unexpected end of input", i)
     if text[i] == "(":
-        left, i = _parse_rooted(text, i + 1, alphabet)
+        left, i = _parse_rooted(text, i + 1)
         i = _skip_ws(text, i)
         if i >= len(text) or text[i] != ",":
             raise ParseError("expected ','", i)
-        right, i = _parse_rooted(text, i + 1, alphabet)
+        right, i = _parse_rooted(text, i + 1)
         i = _skip_ws(text, i)
         if i >= len(text) or text[i] != ")":
             raise ParseError("expected ')'", i)
         return Node(left, right), i + 1
-    return _parse_label(text, i, alphabet)
+    return _parse_label(text, i)
 
 
-def parse_tree(text, alphabet=None):
+def parse_tree(text):
     """Parse the tree grammar; returns a RootedTree or a DecoratedTree.
 
     rooted   := label | "(" rooted "," rooted ")"
     label    := decimal [":" word]
     unrooted := "inner(" rooted "," rooted "," word ")"
 
-    Words use letters a-z, with uppercase for inverses; `alphabet`
-    optionally restricts the generators.  Whitespace is insignificant.
+    Words use letters a-z, with uppercase for inverses.  Whitespace is
+    insignificant.
     """
     i = _skip_ws(text, 0)
     if text[i:i + 6] == "inner(":
-        left, i = _parse_rooted(text, i + 6, alphabet)
+        left, i = _parse_rooted(text, i + 6)
         i = _skip_ws(text, i)
         if i >= len(text) or text[i] != ",":
             raise ParseError("expected ','", i)
-        right, i = _parse_rooted(text, i + 1, alphabet)
+        right, i = _parse_rooted(text, i + 1)
         i = _skip_ws(text, i)
         if i >= len(text) or text[i] != ",":
             raise ParseError("expected ','", i)
         i = _skip_ws(text, i + 1)
-        word, i = _parse_word(text, i, alphabet)
+        word, i = _parse_word(text, i)
         i = _skip_ws(text, i)
         if i >= len(text) or text[i] != ")":
             raise ParseError("expected ')'", i)
         tree, i = DecoratedTree(left, right, word), i + 1
     else:
-        tree, i = _parse_rooted(text, i, alphabet)
+        tree, i = _parse_rooted(text, i)
     i = _skip_ws(text, i)
     if i != len(text):
         raise ParseError("trailing input", i)
     return tree
 
 
-def parse_signed(text, alphabet=None):
+def parse_signed(text):
     """Parse an optional +/- sign followed by a tree."""
     i = _skip_ws(text, 0)
     sign = 1
     if i < len(text) and text[i] in "+-":
         sign = 1 if text[i] == "+" else -1
         i += 1
-    return sign, parse_tree(text[i:], alphabet)
+    return sign, parse_tree(text[i:])
 
 
 def to_text(tree):
@@ -261,8 +261,6 @@ def order_of(tree):
         return 1 + order_of(tree.left) + order_of(tree.right)
     if isinstance(tree, DecoratedTree):
         return order_of(tree.left) + order_of(tree.right)
-    if isinstance(tree, CanonicalTree):
-        return tree.order
     raise TypeError(f"not a tree: {tree!r}")
 
 
@@ -273,8 +271,6 @@ def labels_of(tree):
         return labels_of(tree.left) + labels_of(tree.right)
     if isinstance(tree, DecoratedTree):
         return labels_of(tree.left) + labels_of(tree.right)
-    if isinstance(tree, CanonicalTree):
-        return tree.labels
     raise TypeError(f"not a tree: {tree!r}")
 
 
@@ -363,9 +359,9 @@ def _canon_rec(view):
 
 
 def canonicalize(signed):
-    """Canonical form of a signed decorated tree (a bare DecoratedTree
-    counts as signed +1); the signed tree may also be a CanonicalTree
-    or a layout code (root label, rest), such as ``ihx_at`` returns.
+    """Canonical form of a signed decorated tree; the signed tree may
+    also be a CanonicalTree or a layout code (root label, rest), such
+    as ``ihx_at`` returns.
 
     Returns (CanonicalTree, sign).  Gauge-equivalent inputs map to equal
     canonical trees with the AS-predicted sign relation; for 2-torsion
@@ -373,8 +369,6 @@ def canonicalize(signed):
     the rootings at the least-label leaves: a code starts with its root
     label, so no other root can give the minimal code.
     """
-    if isinstance(signed, DecoratedTree):
-        signed = SignedTree(1, signed)
     views = leaf_views(signed.tree)
     labels = sorted(label for label, _ in views)
     low = labels[0]

@@ -2,8 +2,7 @@
 
 A word is a plain string: lowercase letters are generators, uppercase
 letters their inverses, and the empty string is the identity.  All
-functions return freely reduced words.  An empty alphabet encodes the
-trivial group.
+functions return freely reduced words.
 """
 
 from __future__ import annotations
@@ -37,17 +36,11 @@ def wmul(*ws: str) -> str:
     return wreduce("".join(ws))
 
 
-def check_word(w: str, alphabet: str | None = None) -> str:
-    """Validate a word: letters only, freely reduced, within `alphabet`.
-
-    `alphabet` is a string of allowed lowercase generators; None allows
-    any letter, "" allows only the empty word (trivial group).
-    """
+def check_word(w: str) -> str:
+    """Validate a word: letters only, freely reduced."""
     for ch in w:
         if ch not in LETTERS:
             raise ValueError(f"bad group letter {ch!r} in word {w!r}")
-        if alphabet is not None and ch.lower() not in alphabet:
-            raise ValueError(f"unknown group letter {ch!r} in word {w!r}")
     if not is_reduced(w):
         raise ValueError(f"word {w!r} is not freely reduced")
     return w

@@ -308,7 +308,9 @@ def raw_presentation(order, labels, nonrepeating=False):
             j = index[graph_explicit_code(flip_at(g, path))]
             row[j] = row.get(j, 0) + 1
             rows.append(row)
-    for ct, edge in ihx_triples(order, labels, nonrepeating):
+    for ct, edge in ihx_triples(order, labels):
+        if nonrepeating and not ct.nonrepeating:
+            continue
         h, x = layout_ihx_at(ct, edge)
         row = {}
         for t, coeff in ((ct.decode(), 1), (h, -1), (x, 1)):

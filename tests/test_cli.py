@@ -383,7 +383,7 @@ def test_negative_tree_literal_still_parses(capsys):
      "argument --max-labels: must be at least 1, not 0"),
     (["rank", "--order", "1", "--labels", "2", "--max-labels", "-3"],
      "argument --max-labels: must be at least 1, not -3"),
-    (["canon", "inner(1,2,)", "--max-order", "-2"],
+    (["tau", str(FIXTURES / "order2_tower.json"), "--max-order", "-2"],
      "argument --max-order: must be at least 0, not -2"),
 ])
 def test_impossible_bounds_exit_one_naming_the_flag(argv, message, capsys):
@@ -429,3 +429,51 @@ def test_model_output_has_no_puncture_key(tmp_path, capsys):
     assert len(points) == 12 and all(list(p) == ["sign", "tree"] for p in points)
     code, out, _ = invoke(capsys, "bch", "+inner(1,2,)", "--order", "0", "--labels", "2")
     assert code == 0 and json.loads(out)["points"] == [{"sign": 1, "tree": "inner(1,2,)"}]
+
+
+def test_each_verb_declares_exactly_the_flags_it_reads():
+    import argparse
+
+    from towertrees.cli import build_parser
+
+    out, json_out, bounds = ["--out"], ["--json", "--out"], ["--max-order", "--max-labels"]
+    cell = ["--order", "--labels"]
+    expected = {
+        "canon": json_out,
+        "reduce": json_out,
+        "groups": cell + ["--nonrepeating"] + json_out + bounds,
+        "tau": json_out + bounds,
+        "certify": out + bounds,
+        "verify": json_out + bounds,
+        "glue": out,
+        "bch": cell + out,
+        "rank": cell + json_out + bounds,
+    }
+    verbs = next(a for a in build_parser()._actions
+                 if isinstance(a, argparse._SubParsersAction)).choices
+    flags = {verb: [s for a in p._actions for s in a.option_strings if s not in ("-h", "--help")]
+             for verb, p in verbs.items()}
+    assert flags == expected
+    assert sum(map(len, flags.values())) == 32
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["canon", "inner(1,2,)"], ["--max-order", "4"]),
+    (["canon", "inner(1,2,)"], ["--max-labels", "6"]),
+    (["reduce", "inner(1,2,)"], ["--max-order", "4"]),
+    (["reduce", "inner(1,2,)"], ["--max-labels", "6"]),
+    (["certify", str(FIXTURES / "certify_4_3.json")], ["--json"]),
+    (["glue", str(FIXTURES / "order2_tower.json"), str(FIXTURES / "order2_tower.json")],
+     ["--json"]),
+    (["glue", str(FIXTURES / "order2_tower.json"), str(FIXTURES / "order2_tower.json")],
+     ["--max-order", "4"]),
+    (["glue", str(FIXTURES / "order2_tower.json"), str(FIXTURES / "order2_tower.json")],
+     ["--max-labels", "6"]),
+    (["bch", "+inner(1,2,)", "--order", "0", "--labels", "2"], ["--json"]),
+    (["bch", "+inner(1,2,)", "--order", "0", "--labels", "2"], ["--max-order", "4"]),
+    (["bch", "+inner(1,2,)", "--order", "0", "--labels", "2"], ["--max-labels", "6"]),
+])
+def test_flags_a_verb_does_not_read_are_refused(argv, flag, capsys):
+    code, out, err = invoke(capsys, *argv, *flag)
+    assert (code, out) == (1, "")
+    assert err.splitlines()[-1] == f"towertrees: error: unrecognized arguments: {' '.join(flag)}"

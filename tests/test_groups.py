@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import json
 import random
+import re
 from functools import reduce
 from math import factorial, gcd
 from pathlib import Path
@@ -18,6 +19,7 @@ from towertrees.groups import (
     presentation,
     reduce_to_simple,
     relator_combination,
+    relator_solver,
     relator_sum,
 )
 from towertrees.intlinalg import IntegerLattice, smith_normal_form
@@ -117,7 +119,8 @@ def test_presentation_row_counts():
     # nonrepeating keeps the trees with distinct labels, none of them 2-torsion
     mat = presentation(2, 4, nonrepeating=True)
     assert mat.generators == tuple(t for t in all_trees(2, 4) if t.nonrepeating)
-    assert mat.ihx_count == len(mat.rows) == len(ihx_triples(2, 4, nonrepeating=True))
+    assert mat.ihx_count == len(mat.rows) == len(
+        [(ct, edge) for ct, edge in ihx_triples(2, 4) if ct.nonrepeating])
 
 
 def test_raw_generators_are_orientation_explicit():
@@ -388,6 +391,20 @@ def test_relator_lattice_adds_ihx_rows_first_then_torsion_rows(recording):
     for row, (ct, edge) in zip(added, triples):
         assert row == {index[t]: c for t, c in relator_sum(ct, edge).items()}
     assert added[len(triples):] == [{i: 2} for i in torsion]
+
+
+@pytest.mark.parametrize("mu", [(9, 9, 9, 9), (9, 9, 9, 12), (1, 2), (1, 2, 3, 4, 4)])
+def test_relator_solver_refuses_a_multiset_of_no_block(mu):
+    # labels past m, or too few or too many leaves for order 2: a
+    # ValueError naming the multiset, and no empty block cached for it
+    from towertrees import groups
+
+    relator_solver(2, 4, (1, 2, 3, 4))
+    before = groups._block.cache_info().currsize
+    with pytest.raises(ValueError, match=rf"^no order-2 tree on labels 1\.\.4 "
+                                         rf"has the label multiset {re.escape(repr(mu))}$"):
+        relator_solver(2, 4, mu)
+    assert groups._block.cache_info().currsize == before
 
 
 def _seeded_sums(n, m, rng):

@@ -93,8 +93,6 @@ def test_parse_errors():
         parse_tree("inner(1,2)")  # missing word slot
     with pytest.raises(ParseError):
         parse_tree("(1:aA,2)")  # unreduced word
-    with pytest.raises(ParseError):
-        parse_tree("(1:c,2)", alphabet="ab")  # unknown letter
 
 
 def test_parse_labels_are_ascii_digits_of_bounded_length():

@@ -14,7 +14,6 @@ The library is organized along its objects:
 """
 
 from .trees import (
-    Bounds,
     BoundsError,
     CanonicalTree,
     DecoratedTree,

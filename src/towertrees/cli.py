@@ -1,9 +1,10 @@
 """Batch command line over the library.
 
-Every verb is a thin adapter: parse arguments, call the library, format
-the result.  Exit codes: 0 success, 1 input or usage errors, 2 when
-certification finds a nonzero obstruction (a result, not an error, so
-pipelines can branch on it).
+Every verb is a thin adapter: parse arguments, hold its order and label
+count to --max-order/--max-labels (the library itself has no cap), call
+the library, format the result.  Exit codes: 0 success, 1 input or
+usage errors, 2 when certification finds a nonzero obstruction (a
+result, not an error, so pipelines can branch on it).
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ import sys
 from . import lie
 from .groups import is_zero, presentation, reduce_to_simple
 from .trees import (
-    Bounds,
     BoundsError,
     DecoratedTree,
     ParseError,
@@ -63,8 +63,14 @@ def _read_tree_arg(args):
     return parse_signed(text.strip())
 
 
-def _bounds(args):
-    return Bounds(args.max_order, args.max_labels)
+def _check_bounds(args, order, labels):
+    """Refuse an order outside 0..--max-order, then labels outside 1..--max-labels."""
+    for what, value, least, bound in (("order", order, 0, args.max_order),
+                                      ("label count", labels, 1, args.max_labels)):
+        if value < least:
+            raise BoundsError(f"{what} must be at least {least}, not {value}")
+        if value > bound:
+            raise BoundsError(f"{what} {value} exceeds bound {bound}")
 
 
 def _at_least(least):
@@ -108,7 +114,8 @@ def cmd_reduce(args):
 
 
 def cmd_groups(args):
-    mat = presentation(args.order, args.labels, args.nonrepeating, _bounds(args))
+    _check_bounds(args, args.order, args.labels)
+    mat = presentation(args.order, args.labels, args.nonrepeating)
     gs = mat.cokernel()
     if args.json:
         _emit(args, json.dumps({
@@ -131,9 +138,11 @@ def cmd_tau(args):
     zero = None
     if model.trivially_decorated():
         try:
-            zero = is_zero(ts, model.order, model.m, _bounds(args))
+            if not ts.is_empty():  # the empty sum is zero whatever the bounds
+                _check_bounds(args, model.order, model.m)
+            zero = is_zero(ts, model.order, model.m)
         except BoundsError:
-            zero = None
+            pass
     if args.json:
         _emit(args, json.dumps({
             "m": model.m,
@@ -152,8 +161,9 @@ def cmd_tau(args):
 def cmd_certify(args):
     with open(args.file, encoding="utf-8") as fh:
         model = load_tower(fh.read())
+    _check_bounds(args, model.order, model.m)
     try:
-        cert = certify_raise_order(model, _bounds(args))
+        cert = certify_raise_order(model)
     except ObstructionNonzero as exc:
         print(f"obstruction nonzero: {exc.normal_form.text()}")
         return 2
@@ -166,7 +176,8 @@ def cmd_verify(args):
         model = load_tower(fh.read())
     with open(args.certificate, encoding="utf-8") as fh:
         cert = certificate_from_json(fh.read())
-    res = verify_certificate(model, cert, _bounds(args))
+    _check_bounds(args, model.order, model.m)
+    res = verify_certificate(model, cert)
     if args.json:
         _emit(args, json.dumps({"ok": res.ok, "reason": res.reason, "move": res.move,
                                 "code": res.code}, indent=2))
@@ -195,7 +206,8 @@ def cmd_bch(args):
 
 
 def cmd_rank(args):
-    rk = lie.rational_rank_bound(args.order, args.labels, _bounds(args))
+    _check_bounds(args, args.order, args.labels)
+    rk = lie.rational_rank_bound(args.order, args.labels)
     if args.json:
         _emit(args, json.dumps({"order": args.order, "labels": args.labels, "rank": rk}))
     else:

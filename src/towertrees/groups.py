@@ -7,6 +7,10 @@ doubling row 2t for each 2-torsion tree t.  That one presentation gives
 the group structure (Smith normal form of its rows).  Each row keeps a
 tree's label multiset, so the exact zero test, normal forms and relator
 combinations use one tracked lattice per multiset, built on first use.
+
+Every function here computes whatever cell it is asked for: an order
+below 0 or a label count below 1 is a ``BoundsError`` from
+``all_trees``, and there is no upper cap.
 """
 
 from __future__ import annotations
@@ -24,9 +28,8 @@ from .trees import (
     Leaf,
     Node,
     SignedTree,
-    _all_trees_cached,
+    all_trees,
     canonicalize,
-    check_bounds,
     ihx_at,
     interior_edge_paths,
     is_simple,
@@ -92,32 +95,26 @@ def relator_sum(tree: CanonicalTree, edge: str) -> TreeSum:
     return TreeSum(_relator_terms(tree, *ihx_at(tree, edge)))
 
 
-def ihx_triples(order, labels, bounds=None):
+def ihx_triples(order, labels):
     """Every (canonical tree, interior edge) pair in a fixed order."""
-    check_bounds(order, labels, bounds)
-    return _triples(_all_trees_cached(order, labels))
+    return _triples(all_trees(order, labels))
 
 
 def _triples(trees):
     return tuple((ct, edge) for ct in trees for edge in sorted(interior_edge_paths(ct)))
 
 
-def ihx_relators(order, labels, bounds=None):
+def ihx_relators(order, labels):
     """All IHX relator sums for the order-n trees on labels 1..m."""
-    return [relator_sum(ct, e) for ct, e in ihx_triples(order, labels, bounds)]
+    return [relator_sum(ct, e) for ct, e in ihx_triples(order, labels)]
 
 
 # ------------------------------------------------------------- presentation
 
-def presentation(order, labels, nonrepeating=False, bounds=None):
+def presentation(order, labels, nonrepeating=False):
     """The presentation of the order-n group on labels 1..m, restricted
     to trees with pairwise distinct labels when ``nonrepeating``."""
-    check_bounds(order, labels, bounds)
-    return _presentation(order, labels, nonrepeating)
-
-
-def _presentation(order, labels, nonrepeating):
-    trees = _all_trees_cached(order, labels)
+    trees = all_trees(order, labels)
     if nonrepeating:
         trees = tuple(ct for ct in trees if ct.nonrepeating)
     triples = _triples(trees)
@@ -142,15 +139,10 @@ def _rows(trees, triples):
 
 
 @lru_cache(maxsize=None)
-def _group_structure_cached(order, labels, nonrepeating):
-    return _presentation(order, labels, nonrepeating).cokernel()
-
-
-def group_structure(order, labels, nonrepeating=False, bounds=None):
+def group_structure(order, labels, nonrepeating=False):
     """Free rank and invariant factors of the order-n group: the
     cokernel of ``presentation``'s rows, via Smith normal form."""
-    check_bounds(order, labels, bounds)
-    return _group_structure_cached(order, labels, nonrepeating)
+    return presentation(order, labels, nonrepeating).cokernel()
 
 
 # ---------------------------------------------------------- the zero test
@@ -165,7 +157,7 @@ class _Block(NamedTuple):
 @lru_cache(maxsize=None)
 def _block_trees(order, labels):
     """The canonical trees of (order, labels) by label multiset, in tree order."""
-    trees = sorted(_all_trees_cached(order, labels), key=lambda ct: ct.labels)
+    trees = sorted(all_trees(order, labels), key=lambda ct: ct.labels)
     return {mu: tuple(g) for mu, g in groupby(trees, key=lambda ct: tuple(ct.labels))}
 
 
@@ -182,15 +174,14 @@ def _block(order, labels, multiset):
     return _Block(trees, {ct.code: i for i, ct in enumerate(trees)}, triples, lattice)
 
 
-def _vectors(ts: TreeSum, order, labels, bounds):
+def _vectors(ts: TreeSum, order, labels):
     """(multiset, block, column vector) for each label multiset of ts's
-    terms, after checking its order, the bounds, its decorations and its
-    labels; none for the empty sum."""
+    terms, after checking its order, its decorations and its labels;
+    none for the empty sum."""
     if ts.is_empty():
         return []
     if ts.order != order:
         raise ValueError(f"sum has order {ts.order}, expected {order}")
-    check_bounds(order, labels, bounds)
     blocks, by_block = _block_trees(order, labels), {}
     for t, c in ts.items():
         by_block.setdefault(tuple(t.labels), []).append((t.code, c))
@@ -206,16 +197,16 @@ def _vectors(ts: TreeSum, order, labels, bounds):
     raise ValueError(f"tree {bad.text()} is not an order-{order} tree on labels 1..{labels}")
 
 
-def is_zero(ts: TreeSum, order, labels, bounds=None):
+def is_zero(ts: TreeSum, order, labels):
     """Exact zero test in the order-n group: true iff the coefficient
     vector lies in the integer relator lattice, block by block."""
-    return all(block.lattice.contains(vec) for _, block, vec in _vectors(ts, order, labels, bounds))
+    return all(block.lattice.contains(vec) for _, block, vec in _vectors(ts, order, labels))
 
 
-def normal_form(ts: TreeSum, order, labels, bounds=None):
+def normal_form(ts: TreeSum, order, labels):
     """Canonical coset representative of ts modulo the relator lattice."""
     out = []
-    for _, block, vec in _vectors(ts, order, labels, bounds):
+    for _, block, vec in _vectors(ts, order, labels):
         out.extend((block.trees[i], c) for i, c in block.lattice.reduce(vec).items())
     return TreeSum(out)
 
@@ -232,13 +223,13 @@ def relator_solver(order, labels, multiset):
     return block.triples, block.lattice
 
 
-def relator_combination(ts: TreeSum, order, labels, bounds=None):
+def relator_combination(ts: TreeSum, order, labels):
     """ts as an integer combination of IHX relators I - H + X: the
     (tree, edge, coefficient) triples with nonzero coefficient, in
     ``ihx_triples`` order, or None when ts is not zero.  The doubling
     rows are left out, as a sum's 2-torsion coefficients are mod 2."""
     out = []
-    for mu, _, vec in _vectors(ts, order, labels, bounds):
+    for mu, _, vec in _vectors(ts, order, labels):
         # by the public name, which the benchmark's tracer wraps for the lattice rank
         triples, lattice = relator_solver(order, labels, mu)
         combo = lattice.solve(vec)

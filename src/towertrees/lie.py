@@ -202,7 +202,7 @@ def lie_dimension_oracle(m, length):
                for d in range(1, length + 1) if length % d == 0) // length
 
 
-def rational_rank_bound(order, labels, bounds=None):
+def rational_rank_bound(order, labels):
     """Rank of the eta images of all canonical order-n trees.
 
     Since eta kills every AS and IHX relator, this rank is a lower
@@ -210,4 +210,4 @@ def rational_rank_bound(order, labels, bounds=None):
     tree group.
     """
     memo: dict = {}
-    return integer_rank([_eta_terms([(ct, 1)], memo) for ct in all_trees(order, labels, bounds)])
+    return integer_rank([_eta_terms([(ct, 1)], memo) for ct in all_trees(order, labels)])

@@ -26,6 +26,8 @@ intersection sum.  The JSON loaders validate their input and name the
 offending record and key in a ``TowerError``; a model point's
 ``puncture`` key, a marked edge that no invariant reads, is accepted
 and ignored, and a ``move_puncture`` certificate record is refused.
+Planning and replay take a model of any order and label count; capping
+them is the command line's ``--max-order``/``--max-labels`` policy.
 
 A raw tower names each Whitney disk by its rooted tree, its bracket:
 the disk W_(I,J) pairing points of W_I and W_J carries the rooted
@@ -51,7 +53,6 @@ from .trees import (
     RootedTree,
     SignedTree,
     canonicalize,
-    check_bounds,
     decode_code,
     ihx_at,
     interior_edge_paths,
@@ -345,11 +346,6 @@ class MoveCertificate:
     moves: tuple
 
 
-def make_ihx_insert(tree: CanonicalTree, edge: str, sign: int = 1):
-    h, x = ihx_at(tree, edge)
-    return IhxInsert(tree, edge, sign, decode_code(h), decode_code(x))
-
-
 def ihx_insert(model: TowerModel, tree: CanonicalTree, edge, sign=1) -> TowerModel:
     """Add the three points of the local IHX move at an interior edge
     of a canonical tree: +I, -H, +X, all scaled by ``sign``.  The
@@ -443,24 +439,22 @@ def _cancelling_pair(model, points, p, q):
 
 # ------------------------------------------------------ certify and verify
 
-def certify_raise_order(model: TowerModel, bounds=None) -> MoveCertificate:
+def certify_raise_order(model: TowerModel) -> MoveCertificate:
     """Plan a certificate emptying the order-n layer.
 
     Requires the trivial group alphabet and a vanishing obstruction;
     raises ObstructionNonzero (with the normal form) otherwise.
-    ``bounds`` limits the model's order and labels, as in ``is_zero``.
     The plan expresses tau as an integer combination of IHX relators,
     inserts the negated combination so that the points pair off
     algebraically, then cancels the pairs.
     """
     n, m = model.order, model.m
-    check_bounds(n, m, bounds)
     if not model.trivially_decorated():
         raise PlannerError("certification supports the trivial group alphabet only")
     ts = tau(model)
-    combo = relator_combination(ts, n, m, bounds)
+    combo = relator_combination(ts, n, m)
     if combo is None:
-        raise ObstructionNonzero(normal_form(ts, n, m, bounds))
+        raise ObstructionNonzero(normal_form(ts, n, m))
 
     moves = []
     points, next_id = dict(model.points), model.next_id
@@ -499,7 +493,7 @@ def certify_raise_order(model: TowerModel, bounds=None) -> MoveCertificate:
     return MoveCertificate(tuple(moves))
 
 
-def replay_certificate(model: TowerModel, cert: MoveCertificate, bounds=None) -> TowerModel:
+def replay_certificate(model: TowerModel, cert: MoveCertificate) -> TowerModel:
     """Apply every move, checking its preconditions and that it keeps
     the zero-ness of tau; returns the final model with the order raised.
 
@@ -509,12 +503,10 @@ def replay_certificate(model: TowerModel, cert: MoveCertificate, bounds=None) ->
     The moves' own preconditions already imply this (an insertion
     checks H and X against the local move, a cancellation the equal
     trees and opposite signs), so ``ZeronessChanged`` is a defensive
-    re-check of them, at the cost of one small ``is_zero``.  ``bounds``
-    limits the model's order and labels, checked once before any move.
+    re-check of them, at the cost of one small ``is_zero``.
     Raises MoveError on the first violation, carrying the move's index.
     """
     n, m = model.order, model.m
-    check_bounds(n, m, bounds)
     if not model.trivially_decorated():
         raise MoveError("Decorated", "replay supports the trivial group alphabet only")
     points, next_id = dict(model.points), model.next_id
@@ -524,7 +516,7 @@ def replay_certificate(model: TowerModel, cert: MoveCertificate, bounds=None) ->
         except MoveError as exc:
             exc.move = k
             raise
-        if not is_zero(TreeSum(delta), n, m, bounds):
+        if not is_zero(TreeSum(delta), n, m):
             raise MoveError("ZeronessChanged", f"move #{k} changed the vanishing of tau", k)
     leftover = [pid for pid, pt in points.items() if pt.tree.order == n]
     if leftover:
@@ -547,12 +539,11 @@ class VerificationResult:
         return self.ok
 
 
-def verify_certificate(model: TowerModel, cert: MoveCertificate,
-                       bounds=None) -> VerificationResult:
+def verify_certificate(model: TowerModel, cert: MoveCertificate) -> VerificationResult:
     """Replay a certificate; failures come back as a result, not an
-    exception.  ``bounds`` limits the zero tests, as in ``is_zero``."""
+    exception."""
     try:
-        replay_certificate(model, cert, bounds)
+        replay_certificate(model, cert)
     except MoveError as exc:
         return VerificationResult(False, str(exc), exc.move, exc.reason)
     except TowerError as exc:

@@ -55,16 +55,8 @@ class ParseError(ValueError):
 
 
 class BoundsError(ValueError):
-    """Requested enumeration exceeds the configured bounds."""
-
-
-@dataclass(frozen=True, slots=True)
-class Bounds:
-    max_order: int = 4
-    max_labels: int = 6
-
-
-DEFAULT_BOUNDS = Bounds()
+    """An order below 0 or a label count below 1, which ``all_trees``
+    refuses, or one past the command line's --max-order/--max-labels."""
 
 
 @dataclass(frozen=True, slots=True)
@@ -533,18 +525,6 @@ def _code_is_simple(c, room):
 
 # ------------------------------------------------------------- enumeration
 
-def check_bounds(order, labels, bounds=None):
-    bounds = bounds or DEFAULT_BOUNDS
-    if order < 0:
-        raise BoundsError(f"order must be at least 0, not {order}")
-    if order > bounds.max_order:
-        raise BoundsError(f"order {order} exceeds bound {bounds.max_order}")
-    if labels < 1:
-        raise BoundsError(f"label count must be at least 1, not {labels}")
-    if labels > bounds.max_labels:
-        raise BoundsError(f"label count {labels} exceeds bound {bounds.max_labels}")
-
-
 def _sorted_rests(order, low, high):
     """Trivially decorated rooted codes with ``order`` vertices, leaf
     labels in low..high and the children of every vertex in code order:
@@ -557,11 +537,19 @@ def _sorted_rests(order, low, high):
 
 
 @lru_cache(maxsize=None)
-def _all_trees_cached(order, labels):
-    """Canonical augmentation: a canonical code (r, rest) has least label
+def all_trees(order, labels):
+    """All canonical order-n trees over labels 1..m with trivial
+    decorations, sorted by code and free of duplicates.  Any order from
+    0 and label count from 1 is enumerated; there is no upper cap.
+
+    Canonical augmentation: a canonical code (r, rest) has least label
     r and a rest with sorted children, so every such candidate is
     canonicalized once and kept iff no other rooting at a leaf labelled
     r gives a smaller code, i.e. iff canonicalization returns it."""
+    if order < 0:
+        raise BoundsError(f"order must be at least 0, not {order}")
+    if labels < 1:
+        raise BoundsError(f"label count must be at least 1, not {labels}")
     out = []
     for root in range(1, labels + 1):
         for rest in _sorted_rests(order, root, labels):
@@ -569,10 +557,3 @@ def _all_trees_cached(order, labels):
             if ct.code == (root, rest):
                 out.append(ct)
     return tuple(sorted(out, key=lambda ct: ct.code))
-
-
-def all_trees(order, labels, bounds=None):
-    """All canonical order-n trees over labels 1..m with trivial
-    decorations, sorted by code and free of duplicates."""
-    check_bounds(order, labels, bounds)
-    return _all_trees_cached(order, labels)

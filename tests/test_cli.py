@@ -223,6 +223,15 @@ def test_tau_beyond_bounds_omits_zero_test(tmp_path, capsys):
     assert code == 0 and "tau = +1*" in out and "zero in" not in out
 
 
+def test_tau_of_an_empty_model_is_zero_whatever_the_bounds(tmp_path, capsys):
+    f = tmp_path / "empty.json"
+    f.write_text(json.dumps({"m": 2, "order": 5, "points": []}))
+    code, out, _ = invoke(capsys, "tau", str(f), "--json")
+    assert code == 0 and json.loads(out)["is_zero"] is True
+    code, out, _ = invoke(capsys, "tau", str(f))
+    assert code == 0 and out.splitlines()[-1] == "zero in the order-5 group: true"
+
+
 def test_cli_is_a_thin_adapter(capsys):
     # outputs agree with direct library calls
     from towertrees import SignedTree, canonicalize, group_structure, parse_tree
@@ -363,12 +372,21 @@ def test_seed_flag_is_gone(capsys):
     (["groups", "--order", "1", "--labels", "0"], "label count must be at least 1, not 0"),
     (["groups", "--order", "1", "--labels", "-2"], "label count must be at least 1, not -2"),
     (["rank", "--ord", "-1", "--labels", "2"], "order must be at least 0, not -1"),
+    (["groups", "--order", "-1", "--labels", "9"], "order must be at least 0, not -1"),
 ])
 def test_negative_integer_options_exit_one(argv, message, capsys):
     # a negative integer value is an option value, not a signed tree
     code, out, err = invoke(capsys, *argv)
     assert code == 1 and out == ""
     assert err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("verb", ["groups", "rank"])
+def test_label_count_above_max_labels_exits_one(verb, capsys):
+    code, out, err = invoke(capsys, verb, "--order", "2", "--labels", "7")
+    assert (code, out, err) == (1, "", "error: label count 7 exceeds bound 6\n")
+    code, _, _ = invoke(capsys, verb, "--order", "2", "--labels", "7", "--max-labels", "7")
+    assert code == 0
 
 
 def test_negative_tree_literal_still_parses(capsys):

@@ -26,7 +26,7 @@ from towertrees.intlinalg import IntegerLattice, smith_normal_form
 from towertrees.lie import lie_dimension_oracle
 from towertrees.sums import TreeSum
 from towertrees.trees import (
-    Bounds,
+    BoundsError,
     SignedTree,
     all_trees,
     canonicalize,
@@ -96,7 +96,7 @@ def test_presentation_matches_golden_hashes():
     assert len(golden) == 8
     for cell, want in golden.items():
         n, m = map(int, cell.split(","))
-        mat = presentation(n, m, bounds=Bounds(max_order=5))
+        mat = presentation(n, m)
         codes = tuple(ct.code for ct in mat.generators)
         assert hashlib.sha256(repr(mat.rows).encode()).hexdigest() == want["rows"], cell
         assert hashlib.sha256(repr(codes).encode()).hexdigest() == want["generators"], cell
@@ -327,7 +327,7 @@ def _closed_form(n, m):
 @pytest.mark.parametrize("n, m", [(n, m) for n in range(5) for m in range(1, 5)]
                          + [(5, 2), (5, 3), (5, 4), (6, 3)])
 def test_group_structure_matches_closed_form(n, m):
-    assert group_structure(n, m, bounds=Bounds(max_order=6)) == _closed_form(n, m)
+    assert group_structure(n, m) == _closed_form(n, m)
 
 
 @pytest.fixture
@@ -350,11 +350,26 @@ def recording(monkeypatch):
 
 
 def _block_trees(n, m, mu):
-    return [ct for ct in all_trees(n, m, Bounds(max_order=5)) if tuple(ct.labels) == mu]
+    return [ct for ct in all_trees(n, m) if tuple(ct.labels) == mu]
 
 
 def _block_triples(n, m, mu):
     return [(ct, edge) for ct, edge in ihx_triples(n, m) if tuple(ct.labels) == mu]
+
+
+def test_negative_order_is_refused_and_caches_nothing():
+    from towertrees import groups
+
+    trees_cached = all_trees.cache_info().currsize
+    blocks_cached = groups._block.cache_info().currsize
+    with pytest.raises(BoundsError, match=r"^order must be at least 0, not -1$"):
+        relator_solver(-1, 4, (1, 2))
+    with pytest.raises(BoundsError, match=r"^order must be at least 0, not -1$"):
+        all_trees(-1, 3)
+    with pytest.raises(BoundsError, match=r"^label count must be at least 1, not 0$"):
+        all_trees(2, 0)
+    assert all_trees.cache_info().currsize == trees_cached
+    assert groups._block.cache_info().currsize == blocks_cached
 
 
 def test_first_zero_test_builds_only_the_touched_block(recording):
@@ -486,14 +501,13 @@ def _block_free_rank(nu):
 def test_block_free_ranks_match_closed_form(n, m):
     from towertrees import groups
 
-    bounds = Bounds(max_order=5)
     total = 0
     for mu in itertools.combinations_with_replacement(range(1, m + 1), n + 2):
         size = len(_block_trees(n, m, mu))
         rank = size - groups.relator_solver(n, m, mu)[1].rank if size else 0
         assert rank == _block_free_rank(tuple(mu.count(i) for i in range(1, m + 1))), mu
         total += rank
-    assert total == group_structure(n, m, bounds=bounds).free_rank
+    assert total == group_structure(n, m).free_rank
 
 
 def test_relator_combination_sums_back_to_the_input():

@@ -18,7 +18,6 @@ from towertrees.lie import (
     rooted_tree_to_lie,
 )
 from towertrees.trees import (
-    Bounds,
     DecoratedTree,
     Leaf,
     Node,
@@ -194,7 +193,7 @@ def test_rank_matches_closed_form(n, m):
     # the rank of eta's image is the free rank m L_{n+1} - L_{n+2} of the
     # order-n group, the rank of D_n(m) (Conant-Schneiderman-Teichner)
     L = lie_dimension_oracle
-    assert rational_rank_bound(n, m, Bounds(max_order=6)) == m * L(m, n + 1) - L(m, n + 2)
+    assert rational_rank_bound(n, m) == m * L(m, n + 1) - L(m, n + 2)
 
 
 # ------------------------------------------- the bracket-by-bracket oracle

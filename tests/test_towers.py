@@ -31,7 +31,6 @@ from towertrees.towers import (
     glue,
     ihx_insert,
     load_tower,
-    make_ihx_insert,
     make_model,
     model_from_json,
     model_to_json,
@@ -444,7 +443,7 @@ def test_verify_refuses_insertion_signs_other_than_one(sign):
     # an insertion of sign 0 or 2 and its negation would pair off, so
     # replay itself must refuse the first one
     ct, edge = next((c, e) for c, e in ihx_triples(2, 4) if c.nonrepeating)
-    move = make_ihx_insert(ct, edge)
+    move = IhxInsert(ct, edge, 1, *map(decode_code, ihx_at(ct, edge)))
     cert = MoveCertificate((replace(move, sign=sign), replace(move, sign=-sign),
                             CancelPair(0, 3), CancelPair(1, 4), CancelPair(2, 5)))
     res = verify_certificate(make_model(4, 2, []), cert)
@@ -578,7 +577,7 @@ def _x_is_i(moves):
 
 def _insert_at_wrong_order(moves):
     ct, edge = ihx_triples(3, 4)[0]
-    return (make_ihx_insert(ct, edge),) + moves[1:], 0
+    return (IhxInsert(ct, edge, 1, *map(decode_code, ihx_at(ct, edge))),) + moves[1:], 0
 
 
 def _cancel_unknown_point(moves):
@@ -646,9 +645,9 @@ def test_replay_checks_each_move_on_its_delta(monkeypatch):
     sizes = []
     real_is_zero = towers.is_zero
 
-    def counting_is_zero(ts, n, m, bounds=None):
+    def counting_is_zero(ts, n, m):
         sizes.append(len(ts))
-        return real_is_zero(ts, n, m, bounds)
+        return real_is_zero(ts, n, m)
 
     def no_tau(model):
         raise AssertionError("replay rebuilt tau")

@@ -4,10 +4,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from towertrees import lie, trees
+from towertrees.cli import run
 from towertrees.lie import LieElement, eta
 from towertrees.trees import (
     BoundsError,
-    Bounds,
     CanonicalTree,
     DecoratedTree,
     Leaf,
@@ -422,12 +422,12 @@ def test_order_and_simplicity_read_off_the_code():
     cells = [(n, m) for n in range(5) for m in range(1, 4)] + [(5, 2)]
     simple = 0
     for n, m in cells:
-        for ct in all_trees(n, m, Bounds(max_order=5)):
+        for ct in all_trees(n, m):
             layout = ct.decode()
             assert ct.order == order_of(layout) == n
             assert is_simple(ct) == is_simple_by_graph(layout) == is_simple(layout)
             simple += is_simple(ct)
-    assert 0 < simple < sum(len(all_trees(n, m, Bounds(max_order=5))) for n, m in cells)
+    assert 0 < simple < sum(len(all_trees(n, m)) for n, m in cells)
 
 
 def test_order_takes_no_part_in_equality_hash_or_repr():
@@ -475,7 +475,7 @@ def test_all_trees_canonicalizes_few_candidates(monkeypatch):
         return original(signed)
 
     monkeypatch.setattr(trees, "canonicalize", counting)
-    found = trees._all_trees_cached.__wrapped__(4, 4)
+    found = trees.all_trees.__wrapped__(4, 4)
     assert len(found) == 1040
     assert len(calls) <= 2 * len(found)
 
@@ -487,12 +487,16 @@ def test_all_trees_sorted_unique():
     assert len(set(codes)) == len(codes)
 
 
-def test_bounds():
-    with pytest.raises(BoundsError):
-        all_trees(5, 2)
-    with pytest.raises(BoundsError):
-        all_trees(2, 7)
-    assert all_trees(2, 7, bounds=Bounds(4, 8))
+def test_bounds(capsys):
+    # the caps are the CLI's policy: the library enumerates an order above
+    # 4 and a label count above 6 like any other, and the CLI refuses them
+    # until --max-order / --max-labels are raised
+    assert len(all_trees(5, 2)) == 78
+    assert len(all_trees(2, 7)) == 406
+    assert run(["groups", "--order", "5", "--labels", "2"]) == 1
+    assert run(["groups", "--order", "2", "--labels", "7"]) == 1
+    assert run(["groups", "--order", "2", "--labels", "7", "--max-labels", "8"]) == 0
+    capsys.readouterr()
 
 
 @pytest.mark.parametrize("order, labels, message", [
@@ -501,9 +505,14 @@ def test_bounds():
     (2, 0, "label count must be at least 1, not 0"),
     (2, 7, "label count 7 exceeds bound 6"),
 ])
-def test_bounds_name_the_problem(order, labels, message):
-    with pytest.raises(BoundsError, match=f"^{message}$"):
-        all_trees(order, labels)
+def test_bounds_name_the_problem(order, labels, message, capsys):
+    # the CLI names every bound it refuses; the library refuses only the
+    # lower ones, with the same message
+    assert run(["groups", "--order", str(order), "--labels", str(labels)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    if order < 0 or labels < 1:
+        with pytest.raises(BoundsError, match=f"^{message}$"):
+            all_trees(order, labels)
 
 
 def test_two_torsion_flags_match_brute_force():

@@ -15,7 +15,7 @@ import re
 import sys
 
 from . import lie
-from .groups import is_zero, presentation, reduce_to_simple
+from .groups import group_table, is_zero, reduce_to_simple
 from .trees import (
     BoundsError,
     DecoratedTree,
@@ -115,16 +115,15 @@ def cmd_reduce(args):
 
 def cmd_groups(args):
     _check_bounds(args, args.order, args.labels)
-    mat = presentation(args.order, args.labels, args.nonrepeating)
-    gs = mat.cokernel()
+    gs, generators, relators = group_table(args.order, args.labels, args.nonrepeating)
     if args.json:
         _emit(args, json.dumps({
             "order": args.order,
             "labels": args.labels,
             "free_rank": gs.free_rank,
             "torsion": list(gs.torsion),
-            "generator_count": mat.ncols,
-            "relator_count": len(mat.rows),
+            "generator_count": generators,
+            "relator_count": relators,
         }, indent=2))
     else:
         _emit(args, gs.text())

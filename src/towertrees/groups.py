@@ -3,10 +3,17 @@
 For trivial decorations and labels in 1..m, the order-n group is
 generated by the canonical order-n trees, which already identify trees
 related by antisymmetry (AS), modulo the IHX rows I - H + X and a
-doubling row 2t for each 2-torsion tree t.  That one presentation gives
-the group structure (Smith normal form of its rows).  Each row keeps a
-tree's label multiset, so the exact zero test, normal forms and relator
-combinations use one tracked lattice per multiset, built on first use.
+doubling row 2t for each 2-torsion tree t.  Each row keeps a tree's
+label multiset, so the group is the direct sum of its label-multiset
+blocks, and a label permutation carries one block onto another.  The
+group structure (``group_structure``, and ``group_table`` with the
+presentation's sizes) is therefore summed over the representative
+blocks of ``trees.representative_blocks``, each counted once per
+arrangement of its multiplicities: one Smith normal form per block,
+then one of the diagonal of their invariant factors.  ``presentation`` keeps
+the whole cell's rows, in one matrix.  The exact zero test, normal
+forms and relator combinations use one tracked lattice per multiset,
+built on first use.
 
 Every function here computes whatever cell it is asked for: an order
 below 0 or a label count below 1 is a ``BoundsError`` from
@@ -17,7 +24,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import groupby
 from typing import NamedTuple
 
 from .intlinalg import IntegerLattice, smith_normal_form
@@ -34,6 +40,8 @@ from .trees import (
     interior_edge_paths,
     is_simple,
     is_trivially_decorated,
+    representative_blocks,
+    trees_by_multiset,
 )
 
 
@@ -117,6 +125,11 @@ def presentation(order, labels, nonrepeating=False):
     trees = all_trees(order, labels)
     if nonrepeating:
         trees = tuple(ct for ct in trees if ct.nonrepeating)
+    return _matrix(trees)
+
+
+def _matrix(trees):
+    """The presentation on the given trees, closed under IHX: a cell or one block."""
     triples = _triples(trees)
     return RelationMatrix(trees, _rows(trees, triples), len(triples))
 
@@ -138,11 +151,44 @@ def _rows(trees, triples):
     return tuple(rows)
 
 
-@lru_cache(maxsize=None)
+class GroupTable(NamedTuple):
+    structure: AbelianGroupStructure
+    generator_count: int      # the columns of ``presentation``
+    relator_count: int        # the rows of ``presentation``
+
+
 def group_structure(order, labels, nonrepeating=False):
-    """Free rank and invariant factors of the order-n group: the
-    cokernel of ``presentation``'s rows, via Smith normal form."""
-    return presentation(order, labels, nonrepeating).cokernel()
+    """Free rank and invariant factors of the order-n group, which
+    equal those of ``presentation(...).cokernel()``."""
+    return _group_table(order, labels, nonrepeating).structure
+
+
+def group_table(order, labels, nonrepeating=False):
+    """The order-n group and the size of its presentation, restricted to
+    trees with pairwise distinct labels when ``nonrepeating``."""
+    return _group_table(order, labels, nonrepeating)
+
+
+@lru_cache(maxsize=None)
+def _group_table(order, labels, nonrepeating, /):
+    """Sum over the representative blocks, each block's presentation
+    built, reduced and dropped; positional, so one entry per cell."""
+    free = generators = relators = 0
+    torsion = []
+    for count, trees in representative_blocks(order, labels):
+        if nonrepeating and not trees[0].nonrepeating:
+            continue
+        mat = _matrix(trees)
+        gs = mat.cokernel()
+        free += count * gs.free_rank
+        torsion += gs.torsion * count
+        generators += count * mat.ncols
+        relators += count * len(mat.rows)
+    # the invariant factors of a direct sum of cyclic groups: the Smith
+    # form of their diagonal, whose gcd/lcm sweep merges prime powers
+    factors, _ = smith_normal_form([{i: d} for i, d in enumerate(torsion)])
+    return GroupTable(AbelianGroupStructure(free, tuple(d for d in factors if d > 1)),
+                      generators, relators)
 
 
 # ---------------------------------------------------------- the zero test
@@ -155,18 +201,11 @@ class _Block(NamedTuple):
 
 
 @lru_cache(maxsize=None)
-def _block_trees(order, labels):
-    """The canonical trees of (order, labels) by label multiset, in tree order."""
-    trees = sorted(all_trees(order, labels), key=lambda ct: ct.labels)
-    return {mu: tuple(g) for mu, g in groupby(trees, key=lambda ct: tuple(ct.labels))}
-
-
-@lru_cache(maxsize=None)
 def _block(order, labels, multiset):
     """One label multiset's relator block.  ``IntegerLattice.add`` reduces
     a row only against pivots in its support, so the rows of the other
     blocks would change none of its basis rows, residues or solutions."""
-    trees = _block_trees(order, labels)[multiset]
+    trees = trees_by_multiset(order, labels)[multiset]
     triples = _triples(trees)
     lattice = IntegerLattice(track=True)
     for row in _rows(trees, triples):
@@ -182,7 +221,7 @@ def _vectors(ts: TreeSum, order, labels):
         return []
     if ts.order != order:
         raise ValueError(f"sum has order {ts.order}, expected {order}")
-    blocks, by_block = _block_trees(order, labels), {}
+    blocks, by_block = trees_by_multiset(order, labels), {}
     for t, c in ts.items():
         by_block.setdefault(tuple(t.labels), []).append((t.code, c))
     out = [(mu, block, {block.index.get(code): c for code, c in terms})
@@ -216,7 +255,7 @@ def relator_solver(order, labels, multiset):
     ``ihx_triples`` order, and the block's tracked relator lattice,
     whose ``solve`` names the IHX row of triples[k] by k.  A multiset
     of no block is refused, and nothing is cached for it."""
-    if multiset not in _block_trees(order, labels):
+    if multiset not in trees_by_multiset(order, labels):
         raise ValueError(f"no order-{order} tree on labels 1..{labels} "
                          f"has the label multiset {multiset!r}")
     block = _block(order, labels, multiset)

@@ -14,16 +14,23 @@ identity kills IHX relators, which is checked, not assumed.
 
 Brackets are expanded by one kernel on plain dicts word -> coefficient;
 ``LieElement`` wraps only finished results.  Within one call of
-``eta``, ``eta_sum`` or ``rational_rank_bound`` each distinct sub-view
-is expanded once, since the views of a tree, and the trees of a cell,
-share subtrees.  ``tests/oracles.py`` keeps the bracket-by-bracket
-expansion as the reference.
+``eta`` or ``eta_sum``, and within one block of ``rational_rank_bound``,
+each distinct sub-view is expanded once, since the views of a tree, and
+the trees of a block, share subtrees.  ``tests/oracles.py`` keeps the
+bracket-by-bracket expansion as the reference.
+
+eta keeps a tree's label multiset (the letters of each word with its
+label), so the images of distinct label-multiset blocks are supported on
+disjoint words, and a label permutation carries one block's image onto
+another's.  ``rational_rank_bound`` therefore sums the ranks of the
+representative blocks of ``trees.representative_blocks``, each counted
+once per arrangement of its multiplicities.
 """
 
 from __future__ import annotations
 
 from .intlinalg import integer_rank
-from .trees import CanonicalTree, DecoratedTree, Leaf, all_trees, leaf_views
+from .trees import CanonicalTree, DecoratedTree, Leaf, leaf_views, representative_blocks
 
 
 class LieElement:
@@ -207,7 +214,11 @@ def rational_rank_bound(order, labels):
 
     Since eta kills every AS and IHX relator, this rank is a lower
     bound certificate: it never exceeds the free rank of the order-n
-    tree group.
+    tree group.  Summed over the representative blocks, with one memo
+    per block.
     """
-    memo: dict = {}
-    return integer_rank([_eta_terms([(ct, 1)], memo) for ct in all_trees(order, labels)])
+    total = 0
+    for count, trees in representative_blocks(order, labels):
+        memo: dict = {}
+        total += count * integer_rank([_eta_terms([(ct, 1)], memo) for ct in trees])
+    return total

@@ -40,8 +40,11 @@ label, rest) as well: ``ihx_at`` returns H and X as such codes, and
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import groupby
+from math import factorial
 
 from .words import check_word, winv, wmul, wreduce
 
@@ -557,3 +560,33 @@ def all_trees(order, labels):
             if ct.code == (root, rest):
                 out.append(ct)
     return tuple(sorted(out, key=lambda ct: ct.code))
+
+
+@lru_cache(maxsize=None)
+def trees_by_multiset(order, labels):
+    """The canonical trees of (order, labels) by label multiset (the
+    sorted leaf labels), each block in tree order."""
+    trees = sorted(all_trees(order, labels), key=lambda ct: ct.labels)
+    return {mu: tuple(g) for mu, g in groupby(trees, key=lambda ct: tuple(ct.labels))}
+
+
+@lru_cache(maxsize=None)
+def representative_blocks(order, labels):
+    """(count, trees) for each block whose label multiplicities do not
+    increase from label 1 to m, in multiset order.
+
+    A permutation of the labels carries the block of a multiset onto the
+    block of the permuted multiset, AS and IHX included, so every block
+    is a copy of exactly one representative.  ``count`` is the number of
+    arrangements of its multiplicity vector into the m labels: m! over
+    the product, for each multiplicity value, of the factorial of how
+    often it occurs."""
+    out = []
+    for mu, trees in trees_by_multiset(order, labels).items():
+        mult = [mu.count(i) for i in range(1, labels + 1)]
+        if all(a >= b for a, b in zip(mult, mult[1:])):
+            count = factorial(labels)
+            for k in Counter(mult).values():
+                count //= factorial(k)
+            out.append((count, trees))
+    return tuple(out)

@@ -39,6 +39,23 @@ def test_groups_json_fields(capsys):
     assert doc["generator_count"] == 21 and doc["relator_count"] == 36
 
 
+@pytest.mark.parametrize("n, m", [(n, m) for n in range(5) for m in range(1, 5)] + [(5, 3)])
+def test_groups_json_matches_the_whole_cell_presentation(capsys, n, m):
+    # the verb sums label-multiset blocks; its structure and counts are
+    # those of the whole cell's presentation
+    from towertrees.groups import presentation
+
+    for flags in ([], ["--nonrepeating"]):
+        code, out, err = invoke(capsys, "groups", "--order", str(n), "--labels", str(m),
+                                "--max-order", "5", "--json", *flags)
+        assert code == 0, err
+        mat = presentation(n, m, bool(flags))
+        gs = mat.cokernel()
+        assert json.loads(out) == {"order": n, "labels": m, "free_rank": gs.free_rank,
+                                   "torsion": list(gs.torsion), "generator_count": mat.ncols,
+                                   "relator_count": len(mat.rows)}, flags
+
+
 def test_deeply_nested_tree_exits_one(capsys):
     # an order-1200 caterpillar nests past the interpreter's recursion limit
     text = "inner(1," + "(1," * 1199 + "2" + ")" * 1199 + ",)"

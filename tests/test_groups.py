@@ -12,6 +12,7 @@ import pytest
 from towertrees.groups import (
     AbelianGroupStructure,
     group_structure,
+    group_table,
     ihx_relators,
     ihx_triples,
     is_zero,
@@ -33,6 +34,7 @@ from towertrees.trees import (
     explicit_code,
     is_simple,
     parse_tree,
+    trees_by_multiset,
 )
 
 from oracles import cell_lattice, raw_generators, raw_presentation
@@ -497,17 +499,71 @@ def _block_free_rank(nu):
     return sum(_witt(nu[:i] + (k - 1,) + nu[i + 1:]) for i, k in enumerate(nu) if k) - _witt(nu)
 
 
-@pytest.mark.parametrize("n, m", [(n, m) for n in range(5) for m in range(1, 5)] + [(5, 3)])
+def _block_torsion_count(nu):
+    """k with block nu's torsion (Z/2)^k, observed on every block below:
+    the sum of L_{(nu - e_i)/2} over the i where nu - e_i is all even,
+    so 0 at even order, where |nu - e_i| is odd."""
+    return sum(_witt(tuple(j // 2 for j in nu[:i] + (k - 1,) + nu[i + 1:]))
+               for i, k in enumerate(nu)
+               if k and all(j % 2 == 0 for j in nu[:i] + (k - 1,) + nu[i + 1:]))
+
+
+@pytest.mark.parametrize("n, m", [(n, m) for n in range(5) for m in range(1, 5)]
+                         + [(5, 1), (5, 2), (5, 3)])
 def test_block_free_ranks_match_closed_form(n, m):
     from towertrees import groups
 
-    total = 0
-    for mu in itertools.combinations_with_replacement(range(1, m + 1), n + 2):
-        size = len(_block_trees(n, m, mu))
-        rank = size - groups.relator_solver(n, m, mu)[1].rank if size else 0
-        assert rank == _block_free_rank(tuple(mu.count(i) for i in range(1, m + 1))), mu
+    blocks = trees_by_multiset(n, m)
+    assert list(blocks) == list(itertools.combinations_with_replacement(range(1, m + 1), n + 2))
+    total = torsion = 0
+    for mu, trees in blocks.items():
+        nu = tuple(mu.count(i) for i in range(1, m + 1))
+        rank = len(trees) - groups.relator_solver(n, m, mu)[1].rank
+        assert rank == _block_free_rank(nu), mu
+        expected = AbelianGroupStructure(rank, (2,) * _block_torsion_count(nu))
+        assert groups._matrix(trees).cokernel() == expected, mu
         total += rank
-    assert total == group_structure(n, m).free_rank
+        torsion += len(expected.torsion)
+    assert group_structure(n, m) == AbelianGroupStructure(total, (2,) * torsion)
+
+
+@pytest.mark.parametrize("n, m", [(n, m) for n in range(5) for m in range(1, 5)] + [(5, 3)])
+def test_group_structure_matches_the_whole_cell_presentation(n, m):
+    # the sum over representative blocks against one Smith normal form
+    # of the whole cell's rows
+    for nonrepeating in (False, True):
+        assert group_structure(n, m, nonrepeating) == presentation(n, m, nonrepeating).cokernel()
+
+
+def test_group_structure_caches_one_entry_per_cell():
+    # positional, keyword and default forms of one call share an entry
+    from towertrees import groups
+
+    groups._group_table.cache_clear()
+    first = group_structure(3, 3)
+    assert group_structure(3, 3, False) is first
+    assert group_structure(3, 3, nonrepeating=False) is first
+    assert group_table(3, 3).structure is first
+    info = groups._group_table.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (1, 3, 1)
+    group_structure(3, 3, nonrepeating=True)
+    assert groups._group_table.cache_info().currsize == 2
+
+
+def test_block_torsion_merges_into_invariant_factors(monkeypatch):
+    # only Z/2 occurs in the cells, but the sum must not assume it: at
+    # (0,2) the block (1,1) counts twice and (1,2) once, so blocks read
+    # as Z/2 and Z/3 + Z/12 sum to Z/2 + Z/6 + Z/12
+    from towertrees import groups
+
+    fake = {(1, 1): AbelianGroupStructure(0, (2,)), (1, 2): AbelianGroupStructure(1, (3, 12))}
+    monkeypatch.setattr(groups.RelationMatrix, "cokernel",
+                        lambda mat: fake[tuple(mat.generators[0].labels)])
+    groups._group_table.cache_clear()
+    try:
+        assert group_structure(0, 2) == AbelianGroupStructure(1, (2, 6, 12))
+    finally:
+        groups._group_table.cache_clear()
 
 
 def test_relator_combination_sums_back_to_the_input():

@@ -27,8 +27,10 @@ from towertrees.trees import (
     order_of,
     parse_signed,
     parse_tree,
+    representative_blocks,
     rooted_product,
     to_text,
+    trees_by_multiset,
 )
 
 from oracles import (
@@ -485,6 +487,26 @@ def test_all_trees_sorted_unique():
     codes = [ct.code for ct in trees]
     assert codes == sorted(codes)
     assert len(set(codes)) == len(codes)
+
+
+@pytest.mark.parametrize("n, m", [(n, m) for n in range(5) for m in range(1, 5)] + [(5, 3)])
+def test_representative_blocks_cover_the_cell(n, m):
+    # every label-multiset block is as large as the block of its sorted
+    # multiplicity vector, a representative counts the blocks it stands
+    # for, and the counted blocks hold every tree of the cell
+    blocks = trees_by_multiset(n, m)
+    assert [ct for mu in sorted(blocks) for ct in blocks[mu]] == sorted(
+        all_trees(n, m), key=lambda ct: ct.labels)
+    copies = {}
+    for mu, block in blocks.items():
+        assert all(tuple(ct.labels) == mu for ct in block)
+        mult = sorted((mu.count(i) for i in range(1, m + 1)), reverse=True)
+        rep = tuple(i + 1 for i, k in enumerate(mult) for _ in range(k))
+        assert len(block) == len(blocks[rep]), (mu, rep)
+        copies[rep] = copies.get(rep, 0) + 1
+    reps = representative_blocks(n, m)
+    assert [(tuple(trees[0].labels), count) for count, trees in reps] == sorted(copies.items())
+    assert sum(count * len(trees) for count, trees in reps) == len(all_trees(n, m))
 
 
 def test_bounds(capsys):

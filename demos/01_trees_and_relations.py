@@ -7,6 +7,7 @@ forms absorb.
 """
 
 from towertrees import (
+    Node,
     SignedTree,
     all_trees,
     canonicalize,
@@ -15,7 +16,6 @@ from towertrees import (
     is_simple,
     order_of,
     parse_tree,
-    rooted_product,
     to_text,
 )
 
@@ -24,7 +24,7 @@ a = parse_tree("(1,2)")
 b = parse_tree("(3,(4,5))")
 print(f"a = {to_text(a)}   order {order_of(a)}")
 print(f"b = {to_text(b)}   order {order_of(b)}")
-ab = rooted_product(a, b)
+ab = Node(a, b)
 print(f"rooted product a*b = {to_text(ab)}   order {order_of(ab)}")
 
 fused = inner_product(a, parse_tree("(3,4)"), "g")

@@ -16,7 +16,7 @@ from towertrees import (
     rational_rank_bound,
     rooted_tree_to_lie,
 )
-from towertrees.groups import ihx_relators
+from towertrees.groups import ihx_triples, relator_sum
 from towertrees.trees import parse_tree
 
 print("== brackets from rooted trees ==")
@@ -30,9 +30,10 @@ for lab, el in sorted(eta(parse_tree("inner(1,2,)")).items()):
 
 print()
 print("== every IHX relator dies ==")
-count = sum(len(ihx_relators(n, m)) for n in range(4) for m in range(1, 5))
-killed = all(eta_sum(r) == {} for n in range(4) for m in range(1, 5)
-             for r in ihx_relators(n, m))
+relators = [relator_sum(ct, e) for n in range(4) for m in range(1, 5)
+            for ct, e in ihx_triples(n, m)]
+killed = all(eta_sum(r) == {} for r in relators)
+count = len(relators)
 print(f"{count} relators, all annihilated: {killed}")
 
 print()

@@ -34,7 +34,6 @@ from .trees import (
     order_of,
     parse_signed,
     parse_tree,
-    rooted_product,
     to_text,
 )
 from .sums import TreeSum
@@ -43,7 +42,6 @@ from .groups import (
     AbelianGroupStructure,
     RelationMatrix,
     group_structure,
-    ihx_relators,
     ihx_triples,
     is_zero,
     normal_form,

@@ -5,15 +5,15 @@ generated by the canonical order-n trees, which already identify trees
 related by antisymmetry (AS), modulo the IHX rows I - H + X and a
 doubling row 2t for each 2-torsion tree t.  Each row keeps a tree's
 label multiset, so the group is the direct sum of its label-multiset
-blocks, and a label permutation carries one block onto another.  The
-group structure (``group_structure``, and ``group_table`` with the
-presentation's sizes) is therefore summed over the representative
-blocks of ``trees.representative_blocks``, each counted once per
-arrangement of its multiplicities: one Smith normal form per block,
-then one of the diagonal of their invariant factors.  ``presentation`` keeps
-the whole cell's rows, in one matrix.  The exact zero test, normal
-forms and relator combinations use one tracked lattice per multiset,
-built on first use.
+blocks, and a label permutation carries one block onto another.
+``group_table`` (the structure and the presentation's sizes) sums over
+the representative blocks of ``trees.representative_blocks``, each
+counted once per arrangement of its multiplicities: one Smith normal
+form per block, then one of their invariant factors' diagonal.  It
+keeps no answer cache.  ``presentation`` is the whole cell's rows, in
+one matrix.  The exact zero test, normal forms and relator combinations
+use one tracked lattice per multiset, built on first use and cached.
+``reduce_to_simple`` rewrites the canonical code itself.
 
 Every function here computes whatever cell it is asked for: an order
 below 0 or a label count below 1 is a ``BoundsError`` from
@@ -30,9 +30,6 @@ from .intlinalg import IntegerLattice, smith_normal_form
 from .sums import TreeSum
 from .trees import (
     CanonicalTree,
-    DecoratedTree,
-    Leaf,
-    Node,
     SignedTree,
     all_trees,
     canonicalize,
@@ -112,20 +109,11 @@ def _triples(trees):
     return tuple((ct, edge) for ct in trees for edge in sorted(interior_edge_paths(ct)))
 
 
-def ihx_relators(order, labels):
-    """All IHX relator sums for the order-n trees on labels 1..m."""
-    return [relator_sum(ct, e) for ct, e in ihx_triples(order, labels)]
-
-
 # ------------------------------------------------------------- presentation
 
-def presentation(order, labels, nonrepeating=False):
-    """The presentation of the order-n group on labels 1..m, restricted
-    to trees with pairwise distinct labels when ``nonrepeating``."""
-    trees = all_trees(order, labels)
-    if nonrepeating:
-        trees = tuple(ct for ct in trees if ct.nonrepeating)
-    return _matrix(trees)
+def presentation(order, labels):
+    """The presentation of the order-n group on labels 1..m, whole cell."""
+    return _matrix(all_trees(order, labels))
 
 
 def _matrix(trees):
@@ -153,26 +141,15 @@ def _rows(trees, triples):
 
 class GroupTable(NamedTuple):
     structure: AbelianGroupStructure
-    generator_count: int      # the columns of ``presentation``
-    relator_count: int        # the rows of ``presentation``
-
-
-def group_structure(order, labels, nonrepeating=False):
-    """Free rank and invariant factors of the order-n group, which
-    equal those of ``presentation(...).cokernel()``."""
-    return _group_table(order, labels, nonrepeating).structure
+    generator_count: int      # the columns of its presentation
+    relator_count: int        # the rows of its presentation
 
 
 def group_table(order, labels, nonrepeating=False):
     """The order-n group and the size of its presentation, restricted to
-    trees with pairwise distinct labels when ``nonrepeating``."""
-    return _group_table(order, labels, nonrepeating)
-
-
-@lru_cache(maxsize=None)
-def _group_table(order, labels, nonrepeating, /):
-    """Sum over the representative blocks, each block's presentation
-    built, reduced and dropped; positional, so one entry per cell."""
+    trees with pairwise distinct labels when ``nonrepeating``: a sum over
+    the representative blocks, each block's presentation built, reduced
+    and dropped."""
     free = generators = relators = 0
     torsion = []
     for count, trees in representative_blocks(order, labels):
@@ -191,6 +168,12 @@ def _group_table(order, labels, nonrepeating, /):
                       generators, relators)
 
 
+def group_structure(order, labels, nonrepeating=False):
+    """Free rank and invariant factors of the order-n group; for the
+    whole cell, those of ``presentation(order, labels).cokernel()``."""
+    return group_table(order, labels, nonrepeating).structure
+
+
 # ---------------------------------------------------------- the zero test
 
 class _Block(NamedTuple):
@@ -201,7 +184,7 @@ class _Block(NamedTuple):
 
 
 @lru_cache(maxsize=None)
-def _block(order, labels, multiset):
+def _block(order, labels, multiset, /):
     """One label multiset's relator block.  ``IntegerLattice.add`` reduces
     a row only against pivots in its support, so the rows of the other
     blocks would change none of its basis rows, residues or solutions."""
@@ -223,7 +206,7 @@ def _vectors(ts: TreeSum, order, labels):
         raise ValueError(f"sum has order {ts.order}, expected {order}")
     blocks, by_block = trees_by_multiset(order, labels), {}
     for t, c in ts.items():
-        by_block.setdefault(tuple(t.labels), []).append((t.code, c))
+        by_block.setdefault(t.labels, []).append((t.code, c))
     out = [(mu, block, {block.index.get(code): c for code, c in terms})
            for mu, terms in by_block.items() if mu in blocks for block in [_block(order, labels, mu)]]
     if len(out) == len(by_block) and all(None not in vec for _, _, vec in out):
@@ -232,7 +215,7 @@ def _vectors(ts: TreeSum, order, labels):
     terms = ts.items()
     if not all(is_trivially_decorated(t) for t, _ in terms):
         raise ValueError("zero test supports the trivial group alphabet only")
-    bad = next(t for t, _ in terms if tuple(t.labels) not in blocks)
+    bad = next(t for t, _ in terms if t.labels not in blocks)
     raise ValueError(f"tree {bad.text()} is not an order-{order} tree on labels 1..{labels}")
 
 
@@ -283,38 +266,38 @@ def relator_combination(ts: TreeSum, order, labels):
 def reduce_to_simple(tree: CanonicalTree) -> TreeSum:
     """Rewrite a canonical tree as a combination of simple trees.
 
-    Simple trees are returned unchanged.  Otherwise the layout bracket
-    is right-normed by the classical rewrite
+    Simple trees are returned unchanged.  Otherwise the rest of the
+    code (root, rest), a rooted code, is right-normed by the classical
+    rewrite
 
         ((U1, U2), V)  ->  (U1, (U2, V)) - (U2, (U1, V))
 
     each step one IHX move at an interior edge, so the difference from
     the input lies in the relator lattice.  Terminates because the left
     argument shrinks at the top and the rewrite recurses into smaller
-    subtrees.
+    subtrees.  Each comb (root, comb) is canonicalized as a code.
     """
     if is_simple(tree):
         return TreeSum({tree: 1})
     if not is_trivially_decorated(tree):
         raise ValueError("reduction supports the trivial group alphabet only")
-    layout = tree.decode()
+    root, rest = tree.code
     out = []
-    for comb, coeff in _right_norm(layout.right).items():
-        ct, sign = canonicalize(SignedTree(1, DecoratedTree(layout.left, comb, "")))
+    for comb, coeff in _right_norm(rest).items():
+        ct, sign = canonicalize(SignedTree(1, (root, comb)))
         out.append((ct, coeff * sign))
     return TreeSum(out)
 
 
-def _right_norm(b) -> dict:
-    if isinstance(b, Leaf):
-        return {b: 1}
-    if isinstance(b.left, Leaf):
-        return {Node(b.left, m): c for m, c in _right_norm(b.right).items()}
-    u1, u2 = b.left.left, b.left.right
-    v = b.right
-    acc: dict = {}
-    for term, c in _right_norm(Node(u1, Node(u2, v))).items():
-        acc[term] = acc.get(term, 0) + c
-    for term, c in _right_norm(Node(u2, Node(u1, v))).items():
-        acc[term] = acc.get(term, 0) - c
-    return {t: c for t, c in acc.items() if c}
+def _right_norm(c) -> dict:
+    """A rooted code as a combination of right-normed codes."""
+    if c[0] == 0:
+        return {c: 1}
+    _, a, v = c
+    if a[0] == 0:
+        return {(1, a, comb): k for comb, k in _right_norm(v).items()}
+    _, u1, u2 = a
+    acc = _right_norm((1, u1, (1, u2, v)))
+    for comb, k in _right_norm((1, u2, (1, u1, v))).items():
+        acc[comb] = acc.get(comb, 0) - k
+    return {comb: k for comb, k in acc.items() if k}

@@ -12,12 +12,12 @@ cancellations:
 * ``cancel_simple_pair`` removes two points carrying the same simple
                         tree with opposite signs.
 
-A model keys its points by id.  One in-place step applies every move
-and returns its change of tau: the planner and replay copy the points
-once, and each public move is a copy, one step and a new model.  Each
-move does only its own work: an insertion canonicalizes its H and X
-companions once each, and a cancellation reads simplicity off the
-canonical code.
+A model keys its points by id.  Replay and ``apply_move`` check and
+apply each move in one in-place step, which also checks a replayed
+insertion's own H and X; ``ihx_insert`` and the planner make H and X
+themselves and add the points directly, without that check.  Planner
+and replay copy the points once.  An insertion canonicalizes its H and
+X once each, and a cancellation reads simplicity off the code.
 ``certify_raise_order`` plans a replayable certificate that empties the
 order-n layer whenever the intersection sum vanishes in the order-n
 group, and ``verify_certificate`` replays one, checking every move on

@@ -45,6 +45,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import groupby
 from math import factorial
+from types import MappingProxyType
 
 from .words import check_word, winv, wmul, wreduce
 
@@ -105,14 +106,14 @@ class CanonicalTree:
     ``two_torsion`` is set when some self-isomorphism of the tree
     reverses an odd number of vertex orientations, so that t = -t.
     ``order`` (the number of trivalent vertices) and ``labels`` (the
-    sorted leaf labels) are computed once, when the tree is
+    sorted leaf labels, a tuple) are computed once, when the tree is
     canonicalized; they take no part in equality or hashing.
     """
 
     code: tuple
     two_torsion: bool
     order: int = field(compare=False, repr=False)
-    labels: list = field(compare=False, repr=False)
+    labels: tuple = field(compare=False, repr=False)
 
     @property
     def nonrepeating(self):
@@ -269,15 +270,6 @@ def labels_of(tree):
     raise TypeError(f"not a tree: {tree!r}")
 
 
-def rooted_product(a, b):
-    """Fuse the roots of a and b under a new root vertex.
-
-    The cyclic order at the new vertex is (a, b, root), so the order of
-    the result is order(a) + order(b) + 1.
-    """
-    return Node(a, b)
-
-
 def inner_product(a, b, g=""):
     """Fuse the roots of a and b into a single edge decorated by g."""
     return DecoratedTree(a, b, wreduce(g))
@@ -365,7 +357,7 @@ def canonicalize(signed):
     label, so no other root can give the minimal code.
     """
     views = leaf_views(signed.tree)
-    labels = sorted(label for label, _ in views)
+    labels = tuple(sorted(label for label, _ in views))
     low = labels[0]
     best = None
     signs = set()
@@ -540,7 +532,7 @@ def _sorted_rests(order, low, high):
 
 
 @lru_cache(maxsize=None)
-def all_trees(order, labels):
+def all_trees(order, labels, /):
     """All canonical order-n trees over labels 1..m with trivial
     decorations, sorted by code and free of duplicates.  Any order from
     0 and label count from 1 is enumerated; there is no upper cap.
@@ -563,15 +555,15 @@ def all_trees(order, labels):
 
 
 @lru_cache(maxsize=None)
-def trees_by_multiset(order, labels):
+def trees_by_multiset(order, labels, /):
     """The canonical trees of (order, labels) by label multiset (the
-    sorted leaf labels), each block in tree order."""
+    sorted leaf labels), each block in tree order, read-only."""
     trees = sorted(all_trees(order, labels), key=lambda ct: ct.labels)
-    return {mu: tuple(g) for mu, g in groupby(trees, key=lambda ct: tuple(ct.labels))}
+    return MappingProxyType({mu: tuple(g) for mu, g in groupby(trees, key=lambda ct: ct.labels)})
 
 
 @lru_cache(maxsize=None)
-def representative_blocks(order, labels):
+def representative_blocks(order, labels, /):
     """(count, trees) for each block whose label multiplicities do not
     increase from label 1 to m, in multiset order.
 

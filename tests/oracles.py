@@ -11,7 +11,9 @@ explicit codes and canonical forms here are read off it.
 presentation of the tree groups: it keeps every vertex orientation and
 imposes antisymmetry by explicit rows.  ``cell_lattice`` is the
 reference for the zero test's per-block lattices: one tracked lattice
-of a whole cell's presentation.  ``layout_ihx_at`` is the
+of a whole cell's presentation; ``nonrepeating_presentation`` is the
+reference for the nonrepeating groups: that presentation restricted to
+the trees with distinct labels.  ``layout_ihx_at`` is the
 reference for ``trees.ihx_at``: it takes the IHX move on the decoded
 Leaf/Node layout and returns H and X as DecoratedTrees.  ``bracket_eta`` is the
 reference for ``lie.eta``: it expands every bracket of every graph-walk
@@ -21,7 +23,7 @@ view afresh, one ``LieElement`` per bracket, sharing nothing.
 from itertools import combinations, product
 from math import gcd
 
-from towertrees.groups import ihx_triples, presentation
+from towertrees.groups import RelationMatrix, ihx_triples, presentation
 from towertrees.intlinalg import IntegerLattice
 from towertrees.lie import LieElement
 from towertrees.trees import CanonicalTree, DecoratedTree, Leaf, Node, labels_of
@@ -331,6 +333,21 @@ def cell_lattice(order, labels):
     for row in mat.row_dicts():
         lattice.add(row)
     return mat.generators, ihx_triples(order, labels), lattice
+
+
+def nonrepeating_presentation(order, labels):
+    """The whole cell's ``presentation`` restricted to its trees with
+    pairwise distinct labels and to the nonempty rows supported on
+    them, columns renumbered: the reference for ``group_table``'s
+    nonrepeating block filter.  Those trees fill whole label-multiset
+    blocks, and every row keeps a tree's multiset."""
+    mat = presentation(order, labels)
+    keep = [i for i, ct in enumerate(mat.generators) if ct.nonrepeating]
+    column = {i: j for j, i in enumerate(keep)}
+    kept = [k for k, row in enumerate(mat.rows) if row and all(i in column for i, _ in row)]
+    return RelationMatrix(tuple(mat.generators[i] for i in keep),
+                          tuple(tuple((column[i], c) for i, c in mat.rows[k]) for k in kept),
+                          sum(k < mat.ihx_count for k in kept))
 
 
 def is_simple_by_graph(tree):

@@ -1,4 +1,5 @@
 import hashlib
+import inspect
 import itertools
 import json
 import random
@@ -13,7 +14,6 @@ from towertrees.groups import (
     AbelianGroupStructure,
     group_structure,
     group_table,
-    ihx_relators,
     ihx_triples,
     is_zero,
     normal_form,
@@ -37,7 +37,7 @@ from towertrees.trees import (
     trees_by_multiset,
 )
 
-from oracles import cell_lattice, raw_generators, raw_presentation
+from oracles import cell_lattice, nonrepeating_presentation, raw_generators, raw_presentation
 
 
 def canon(text):
@@ -47,15 +47,15 @@ def canon(text):
 # ------------------------------------------------------------ IHX relators
 
 def test_no_interior_edges_at_order_one():
-    assert ihx_relators(1, 4) == []
+    assert [relator_sum(ct, e) for ct, e in ihx_triples(1, 4)] == []
 
 
 def test_distinct_label_relator_has_three_terms():
     # among the order-2 relators on 4 distinct labels there is one whose
     # three terms are the I, H, X trees
-    rels = ihx_relators(2, 4)
+    rels = [relator_sum(ct, e) for ct, e in ihx_triples(2, 4)]
     distinct = [r for r in rels
-                if len(r) == 3 and all(t.labels == [1, 2, 3, 4] for t in r.trees())]
+                if len(r) == 3 and all(t.labels == (1, 2, 3, 4) for t in r.trees())]
     assert distinct
     r = distinct[0]
     coeffs = sorted(c for _, c in r.items())
@@ -66,13 +66,13 @@ def test_relator_count_matches_direct_enumeration():
     # an order-n tree has 2n+1 edges of which exactly n-1 are interior,
     # so the relator count is (n-1) * (number of canonical trees)
     for n, m in [(2, 2), (2, 3), (3, 2), (3, 3)]:
-        assert len(ihx_relators(n, m)) == (n - 1) * len(all_trees(n, m)), (n, m)
+        assert len(ihx_triples(n, m)) == (n - 1) * len(all_trees(n, m)), (n, m)
 
 
 def test_relators_vanish():
     for n in range(4):
         for m in range(1, 5):
-            for r in ihx_relators(n, m):
+            for r in [relator_sum(ct, e) for ct, e in ihx_triples(n, m)]:
                 assert is_zero(r, n, m), (n, m, r.text())
 
 
@@ -119,7 +119,7 @@ def test_presentation_row_counts():
     assert list(mat.rows) == ihx + torsion
     assert (mat.ncols, len(mat.rows)) == (21, 36)
     # nonrepeating keeps the trees with distinct labels, none of them 2-torsion
-    mat = presentation(2, 4, nonrepeating=True)
+    mat = nonrepeating_presentation(2, 4)
     assert mat.generators == tuple(t for t in all_trees(2, 4) if t.nonrepeating)
     assert mat.ihx_count == len(mat.rows) == len(
         [(ct, edge) for ct, edge in ihx_triples(2, 4) if ct.nonrepeating])
@@ -231,6 +231,39 @@ def test_zero_test_refuses_decorated_trees_before_labels_past_m():
                 query(TreeSum({t: 1 for t in trees}), 2, 4)
 
 
+def test_cached_tree_labels_cannot_be_changed():
+    # a tree's labels are shared by every caller of the cached cell, and
+    # the zero test finds a term's block by them
+    t = next(ct for ct in all_trees(2, 3) if ct.text() == "inner(1,(2,(1,2)),)")
+    with pytest.raises(AttributeError):
+        t.labels.reverse()
+    assert t.labels == (1, 1, 2, 2)
+    assert not is_zero(TreeSum({t: 1}), 2, 3)
+
+
+def test_cached_blocks_cannot_be_changed():
+    # the cell's blocks are shared by every caller, group_structure too
+    with pytest.raises(AttributeError):
+        trees_by_multiset(2, 3).clear()
+    with pytest.raises(TypeError):
+        trees_by_multiset(2, 3)[(1, 1, 1, 1)] = ()
+    assert group_structure(2, 3).text() == "Z^6"
+
+
+def test_cached_functions_refuse_keywords():
+    # a keyword call would key a second cache entry for the same cell
+    from towertrees import groups, trees
+
+    for fn, args in [(trees.all_trees, (3, 3)), (trees.trees_by_multiset, (3, 3)),
+                     (trees.representative_blocks, (3, 3)),
+                     (groups._block, (3, 3, (1, 1, 2, 2, 3)))]:
+        fn(*args)
+        before = fn.cache_info().currsize
+        with pytest.raises(TypeError):
+            fn(**dict(zip(inspect.signature(fn).parameters, args)))
+        assert fn.cache_info().currsize == before, fn.__name__
+
+
 def test_normal_form_deterministic_and_reduced():
     t = canon("inner((1,2),(3,4),)")
     nf = normal_form(TreeSum({t: 1}), 2, 4)
@@ -260,6 +293,19 @@ def test_reduce_star():
 def test_reduce_identity_on_order5_caterpillar():
     cat = canon("inner(1,(2,(3,(4,(5,(6,7))))),)")
     assert reduce_to_simple(cat) == TreeSum({cat: 1})
+
+
+def test_reduce_matches_golden_hashes():
+    # SHA-256 of the texts of reduce_to_simple(t), one line per tree of
+    # the cell in all_trees order, recorded when the rewrite still ran
+    # on decoded Leaf/Node layouts
+    golden = json.loads((Path(__file__).parent / "fixtures" / "reduce_sha256.json").read_text())
+    assert sorted(golden) == ["4,4", "5,3", "6,2"]
+    for cell, want in golden.items():
+        trees = all_trees(*map(int, cell.split(",")))
+        text = "\n".join(reduce_to_simple(t).text() for t in trees)
+        assert len(trees) == want["trees"], cell
+        assert hashlib.sha256(text.encode()).hexdigest() == want["sha256"], cell
 
 
 # ------------------------------------------------- raw-route cross checks
@@ -300,7 +346,7 @@ def test_zero_test_agrees_with_raw_presentation():
             else:
                 agree_nonzero += 1
         assert agree_nonzero  # the sample is not degenerate
-        for r in ihx_relators(n, m):
+        for r in [relator_sum(ct, e) for ct, e in ihx_triples(n, m)]:
             assert _raw_zero_test(r, n, m)
 
 
@@ -530,24 +576,10 @@ def test_block_free_ranks_match_closed_form(n, m):
 @pytest.mark.parametrize("n, m", [(n, m) for n in range(5) for m in range(1, 5)] + [(5, 3)])
 def test_group_structure_matches_the_whole_cell_presentation(n, m):
     # the sum over representative blocks against one Smith normal form
-    # of the whole cell's rows
-    for nonrepeating in (False, True):
-        assert group_structure(n, m, nonrepeating) == presentation(n, m, nonrepeating).cokernel()
-
-
-def test_group_structure_caches_one_entry_per_cell():
-    # positional, keyword and default forms of one call share an entry
-    from towertrees import groups
-
-    groups._group_table.cache_clear()
-    first = group_structure(3, 3)
-    assert group_structure(3, 3, False) is first
-    assert group_structure(3, 3, nonrepeating=False) is first
-    assert group_table(3, 3).structure is first
-    info = groups._group_table.cache_info()
-    assert (info.misses, info.hits, info.currsize) == (1, 3, 1)
-    group_structure(3, 3, nonrepeating=True)
-    assert groups._group_table.cache_info().currsize == 2
+    # of the whole cell's rows, or of those on its nonrepeating trees
+    for nonrepeating, mat in ((False, presentation(n, m)), (True, nonrepeating_presentation(n, m))):
+        assert group_table(n, m, nonrepeating) == (mat.cokernel(), mat.ncols, len(mat.rows))
+        assert group_structure(n, m, nonrepeating) == mat.cokernel()
 
 
 def test_block_torsion_merges_into_invariant_factors(monkeypatch):
@@ -559,11 +591,7 @@ def test_block_torsion_merges_into_invariant_factors(monkeypatch):
     fake = {(1, 1): AbelianGroupStructure(0, (2,)), (1, 2): AbelianGroupStructure(1, (3, 12))}
     monkeypatch.setattr(groups.RelationMatrix, "cokernel",
                         lambda mat: fake[tuple(mat.generators[0].labels)])
-    groups._group_table.cache_clear()
-    try:
-        assert group_structure(0, 2) == AbelianGroupStructure(1, (2, 6, 12))
-    finally:
-        groups._group_table.cache_clear()
+    assert group_structure(0, 2) == AbelianGroupStructure(1, (2, 6, 12))
 
 
 def test_relator_combination_sums_back_to_the_input():

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from towertrees import lie
-from towertrees.groups import group_structure, ihx_relators
+from towertrees.groups import group_structure, ihx_triples, relator_sum
 from towertrees.intlinalg import integer_rank
 from towertrees.lie import (
     LieElement,
@@ -26,7 +26,6 @@ from towertrees.trees import (
     canonicalize,
     leaf_views,
     parse_tree,
-    rooted_product,
     to_text,
 )
 from towertrees.words import wreduce
@@ -77,7 +76,7 @@ def test_rooted_tree_images():
 
 def test_rooted_product_is_bracket():
     a, b = parse_tree("(1,2)"), parse_tree("(3,(4,5))")
-    assert rooted_tree_to_lie(rooted_product(a, b)) == \
+    assert rooted_tree_to_lie(Node(a, b)) == \
         lie_bracket(rooted_tree_to_lie(a), rooted_tree_to_lie(b))
 
 
@@ -103,7 +102,8 @@ def test_eta_edge():
 def test_eta_kills_relators_small():
     for n in range(1, 4):
         for m in range(1, 5):
-            for r in ihx_relators(n, m):
+            for ct, e in ihx_triples(n, m):
+                r = relator_sum(ct, e)
                 assert eta_sum(r) == {}, (n, m, r.text())
 
 

@@ -45,13 +45,13 @@ from towertrees.towers import (
 from towertrees.trees import (
     DecoratedTree,
     Leaf,
+    Node,
     SignedTree,
     canonicalize,
     decode_code,
     ihx_at,
     order_of,
     parse_tree,
-    rooted_product,
     to_text,
 )
 from towertrees.words import winv
@@ -75,7 +75,7 @@ def test_tree_of_bracket():
     assert parse_bracket("1") == Leaf(1)
     assert order_of(parse_bracket("((1,2),3)")) == 2
     i, j = parse_bracket("(1,2)"), parse_bracket("(3,(4,5))")
-    assert parse_bracket("((1,2),(3,(4,5)))") == rooted_product(i, j)
+    assert parse_bracket("((1,2),(3,(4,5)))") == Node(i, j)
 
 
 def test_bracket_rejects_decorations():

@@ -28,7 +28,6 @@ from towertrees.trees import (
     parse_signed,
     parse_tree,
     representative_blocks,
-    rooted_product,
     to_text,
     trees_by_multiset,
 )
@@ -119,10 +118,10 @@ def test_whitespace_insignificant():
 
 def test_rooted_product():
     t1, t2 = Leaf(1), Leaf(2)
-    assert to_text(rooted_product(t1, t2)) == "(1,2)"
+    assert to_text(Node(t1, t2)) == "(1,2)"
     a, b = parse_tree("(1,2)"), parse_tree("(3,(4,5))")
-    assert to_text(rooted_product(a, b)) == "((1,2),(3,(4,5)))"
-    assert order_of(rooted_product(parse_tree("(1,2)"), Leaf(3))) == 2
+    assert to_text(Node(a, b)) == "((1,2),(3,(4,5)))"
+    assert order_of(Node(parse_tree("(1,2)"), Leaf(3))) == 2
 
 
 def test_inner_product_orders():
@@ -434,8 +433,8 @@ def test_order_and_simplicity_read_off_the_code():
 
 def test_order_takes_no_part_in_equality_hash_or_repr():
     ct = canonicalize(SignedTree(1, parse_tree("inner((1,2),(3,4),)")))[0]
-    assert ct.labels == [1, 2, 3, 4]
-    other = CanonicalTree(ct.code, ct.two_torsion, ct.order + 1, [9])
+    assert ct.labels == (1, 2, 3, 4)
+    other = CanonicalTree(ct.code, ct.two_torsion, ct.order + 1, (9,))
     assert other == ct and hash(other) == hash(ct) and repr(other) == repr(ct)
     assert repr(ct) == "CanonicalTree('inner(1,(2,(3,4)),)')"
 

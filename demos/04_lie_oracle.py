@@ -1,10 +1,10 @@
 """The free Lie algebra as an independent witness.
 
 Rooting a tree at each leaf reads off an iterated bracket; summing over
-rootings gives a label-indexed family of Lie elements.  Antisymmetry of
-the bracket absorbs orientation swaps and the Jacobi identity absorbs
-IHX, so the map factors through the tree groups and its rank bounds
-their free rank from below.
+rootings gives a label-indexed family of Lie polynomials, each a dict
+word -> coefficient.  Antisymmetry of the bracket absorbs orientation
+swaps and the Jacobi identity absorbs IHX, so the map factors through
+the tree groups and its rank bounds their free rank from below.
 """
 
 from towertrees import (
@@ -19,14 +19,20 @@ from towertrees import (
 from towertrees.groups import ihx_triples, relator_sum
 from towertrees.trees import parse_tree
 
+
+def show(poly):
+    """A polynomial as its sorted terms, +1*X12 for the word (1, 2)."""
+    return " ".join(f"{c:+d}*X{''.join(map(str, w))}" for w, c in sorted(poly.items())) or "0"
+
+
 print("== brackets from rooted trees ==")
 for text in ["(1,2)", "((1,2),3)", "(1,(2,3))"]:
-    print(f"{text:12s} -> {rooted_tree_to_lie(parse_tree(text))}")
+    print(f"{text:12s} -> {show(rooted_tree_to_lie(parse_tree(text)))}")
 
 print()
 print("== eta on the order-0 edge ==")
 for lab, el in sorted(eta(parse_tree("inner(1,2,)")).items()):
-    print(f"component {lab}: {el}")
+    print(f"component {lab}: {show(el)}")
 
 print()
 print("== every IHX relator dies ==")

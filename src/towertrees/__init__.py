@@ -64,7 +64,6 @@ from .towers import (
     TowerPoint,
     VerificationResult,
     bch_tower,
-    cancel_simple_pair,
     certificate_from_json,
     certificate_to_json,
     certify_raise_order,
@@ -73,7 +72,6 @@ from .towers import (
     ihx_insert,
     load_tower,
     make_model,
-    model_from_json,
     model_to_json,
     parse_bracket,
     random_raw_tower,
@@ -84,7 +82,6 @@ from .towers import (
     verify_certificate,
 )
 from .lie import (
-    LieElement,
     eta,
     eta_sum,
     hall_basis,

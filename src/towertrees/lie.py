@@ -6,18 +6,22 @@ rewriting: this module exists to cross-check the tree groups, so it
 shares with them only the tree types, ``trees.leaf_views`` (a tree
 read from each of its leaves) and ``intlinalg.integer_rank``.
 
-The bridge map ``eta`` sends a trivially decorated tree to a tuple of
-Lie elements, one per label: rooting the tree at each leaf in turn
-reads off a bracket, which is added to the component of that leaf's
-label.  Antisymmetry of the bracket kills AS relators and the Jacobi
-identity kills IHX relators, which is checked, not assumed.
+A Lie polynomial is a plain dict, a word (tuple of labels) mapped to a
+nonzero integer coefficient; zero is the empty dict, so two polynomials
+are equal exactly when their dicts are.  Every bracket goes through one
+kernel, ``lie_bracket``, which drops the terms that cancel.
 
-Brackets are expanded by one kernel on plain dicts word -> coefficient;
-``LieElement`` wraps only finished results.  Within one call of
-``eta`` or ``eta_sum``, and within one block of ``rational_rank_bound``,
-each distinct sub-view is expanded once, since the views of a tree, and
-the trees of a block, share subtrees.  ``tests/oracles.py`` keeps the
-bracket-by-bracket expansion as the reference.
+The bridge map ``eta`` sends a trivially decorated tree to one
+polynomial per label: rooting the tree at each leaf in turn reads off a
+bracket, which is added to the component of that leaf's label.
+Antisymmetry of the bracket kills AS relators and the Jacobi identity
+kills IHX relators, which is checked, not assumed.
+
+Within one call of ``eta`` or ``eta_sum``, and within one block of
+``rational_rank_bound``, each distinct sub-view is expanded once, since
+the views of a tree, and the trees of a block, share subtrees.
+``tests/oracles.py`` keeps the bracket-by-bracket expansion as the
+reference.
 
 eta keeps a tree's label multiset (the letters of each word with its
 label), so the images of distinct label-multiset blocks are supported on
@@ -33,52 +37,9 @@ from .intlinalg import integer_rank
 from .trees import CanonicalTree, DecoratedTree, Leaf, leaf_views, representative_blocks
 
 
-class LieElement:
-    """Integer combination of noncommutative words, stored expanded."""
-
-    __slots__ = ("terms",)
-
-    def __init__(self, terms=()):
-        acc: dict[tuple, int] = {}
-        for word, coeff in terms.items() if isinstance(terms, dict) else terms:
-            acc[word] = acc.get(word, 0) + coeff
-        self.terms = {w: c for w, c in acc.items() if c}
-
-    @classmethod
-    def generator(cls, i):
-        return cls({(i,): 1})
-
-    def is_zero(self):
-        return not self.terms
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def __eq__(self, other):
-        return isinstance(other, LieElement) and self.terms == other.terms
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
-
-    def __add__(self, other):
-        return LieElement(list(self.terms.items()) + list(other.terms.items()))
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __neg__(self):
-        return LieElement({w: -c for w, c in self.terms.items()})
-
-    def __repr__(self):
-        if not self.terms:
-            return "LieElement(0)"
-        bits = [f"{c:+d}*X{''.join(map(str, w))}" for w, c in sorted(self.terms.items())]
-        return "LieElement(" + " ".join(bits) + ")"
-
-
-def _bracket(a, b):
-    """ab - ba of two expanded polynomials (dicts word -> coefficient),
-    zero terms dropped: the one bracket kernel of this module."""
+def lie_bracket(a, b):
+    """ab - ba of two polynomials (dicts word -> coefficient), zero
+    terms dropped: the one bracket kernel of this module."""
     out: dict[tuple, int] = {}
     for wa, ca in a.items():
         for wb, cb in b.items():
@@ -90,20 +51,13 @@ def _bracket(a, b):
     return {w: c for w, c in out.items() if c}
 
 
-def lie_bracket(a: LieElement, b: LieElement) -> LieElement:
-    """ab - ba in the associative expansion."""
-    return LieElement(_bracket(a.terms, b.terms))
-
-
-def rooted_tree_to_lie(t) -> LieElement:
+def rooted_tree_to_lie(t):
     """Leaf i -> X_i, node -> bracket of the children's images."""
-    def poly(t):
-        if t.word:
-            raise ValueError("decorated trees have no Lie image")
-        if isinstance(t, Leaf):
-            return {(t.label,): 1}
-        return _bracket(poly(t.left), poly(t.right))
-    return LieElement(poly(t))
+    if t.word:
+        raise ValueError("decorated trees have no Lie image")
+    if isinstance(t, Leaf):
+        return {(t.label,): 1}
+    return lie_bracket(rooted_tree_to_lie(t.left), rooted_tree_to_lie(t.right))
 
 
 def _view_poly(view, memo):
@@ -116,7 +70,7 @@ def _view_poly(view, memo):
                 raise ValueError("decorated trees have no Lie image")
             poly = {(view[1],): 1}
         else:
-            poly = _bracket(_view_poly(view[1], memo), _view_poly(view[2], memo))
+            poly = lie_bracket(_view_poly(view[1], memo), _view_poly(view[2], memo))
         memo[view] = poly
     return poly
 
@@ -139,15 +93,16 @@ def _by_label(terms):
     out: dict[int, dict] = {}
     for key, c in terms.items():
         out.setdefault(key[0], {})[key[1:]] = c
-    return {lab: LieElement(poly) for lab, poly in out.items()}
+    return out
 
 
 def eta(tree):
-    """Label-indexed Lie images of a tree, summed over its rootings."""
+    """Label -> Lie polynomial of a tree, summed over its rootings;
+    labels whose component is zero are left out."""
     return _by_label(_eta_terms([(tree, 1)], {}))
 
 
-def eta_sum(ts) -> dict[int, LieElement]:
+def eta_sum(ts):
     """Linear extension of eta to tree sums."""
     return _by_label(_eta_terms(ts.items(), {}))
 
@@ -179,15 +134,15 @@ def _standard_bracketing(word):
     for i in range(1, len(word)):
         suffix = word[i:]
         if all(suffix < suffix[j:] + suffix[:j] for j in range(1, len(suffix))):
-            return _bracket(_standard_bracketing(word[:i]), _standard_bracketing(suffix))
+            return lie_bracket(_standard_bracketing(word[:i]), _standard_bracketing(suffix))
 
 
 def hall_basis(m, length):
     """A Hall family (Lyndon basis) of the degree-``length`` part of the
-    free Lie algebra on m generators, expanded; ``length`` runs 1..8."""
-    if not 1 <= length <= 8:
-        raise ValueError(f"length {length} out of bounds (1..8)")
-    return [LieElement(_standard_bracketing(w)) for w in lyndon_words(m, length)]
+    free Lie algebra on m generators, expanded; ``length`` is at least 1."""
+    if length < 1:
+        raise ValueError(f"length {length} out of bounds (at least 1)")
+    return [_standard_bracketing(w) for w in lyndon_words(m, length)]
 
 
 def lie_dimension_oracle(m, length):

@@ -9,8 +9,8 @@ cancellations:
 * ``ihx_insert``        adds the three points +I, -H, +X of a local
                         IHX move (any sign), changing the hat-level sum
                         by a relator and the group-level class not at all,
-* ``cancel_simple_pair`` removes two points carrying the same simple
-                        tree with opposite signs.
+* ``CancelPair``        removes two points carrying the same simple
+                        tree with opposite signs (``apply_move``).
 
 A model keys its points by id.  Replay and ``apply_move`` check and
 apply each move in one in-place step, which also checks a replayed
@@ -357,14 +357,11 @@ def ihx_insert(model: TowerModel, tree: CanonicalTree, edge, sign=1) -> TowerMod
     return TowerModel(model.m, model.order, points, next_id)
 
 
-def cancel_simple_pair(model: TowerModel, p, q) -> TowerModel:
-    """Remove an algebraically cancelling pair of simple points: same
-    canonical tree, opposite signs (a 2-torsion tree admits either
-    sign), both at the tower's own order."""
-    return apply_move(model, CancelPair(p, q))
-
-
 def apply_move(model, move) -> TowerModel:
+    """The model after one checked move; a ``CancelPair(p, q)`` removes
+    an algebraically cancelling pair of simple points: same canonical
+    tree, opposite signs (a 2-torsion tree admits either sign), both at
+    the tower's own order."""
     points = dict(model.points)
     _, next_id = _step(model, points, model.next_id, move)
     return TowerModel(model.m, model.order, points, next_id)
@@ -389,9 +386,11 @@ def _step(model, points, next_id, move):
 
 def _same_class(t, code):
     """A move's own H or X needs canonicalizing only when it is not the
-    layout tree of the code recomputed here."""
+    layout tree of the code recomputed here; a rooted tree never
+    matches."""
     return (t == decode_code(code)
-            or canonicalize(SignedTree(1, t)) == canonicalize(SignedTree(1, code)))
+            or isinstance(t, DecoratedTree)
+            and canonicalize(SignedTree(1, t)) == canonicalize(SignedTree(1, code)))
 
 
 def _add_points(points, next_id, added):
@@ -637,10 +636,6 @@ def model_to_json(model: TowerModel) -> str:
         ],
     }
     return json.dumps(doc, indent=2)
-
-
-def model_from_json(text: str) -> TowerModel:
-    return _model_from_doc(_json_object(_parse_json(text, "model"), "model"))
 
 
 def _model_from_doc(doc) -> TowerModel:

@@ -315,14 +315,18 @@ def leaf_views(tree):
     trivalent vertex entered from its parent, the children in cyclic
     order.  A code, bare or a CanonicalTree's, is read straight off:
     the root leaf (0, r, "") against the rest, as its decoded layout
-    would be.
+    would be.  A rooted ``Leaf`` or ``Node`` is refused with a
+    ``TypeError``: it has no leaf at its root to be read from.
     """
     if isinstance(tree, (CanonicalTree, tuple)):
         root, rest = tree.code if isinstance(tree, CanonicalTree) else tree
         left, right = (0, root, ""), rest
-    else:
+    elif isinstance(tree, DecoratedTree):
         left = _side_code(tree.left, "")
         right = _side_code(tree.right, wmul(winv(tree.left.word), tree.word, tree.right.word))
+    else:
+        raise TypeError("expected an unrooted tree (DecoratedTree, CanonicalTree or "
+                        f"layout code), not {type(tree).__name__}")
     out = []
     _collect_views(left, right, out)
     _collect_views(right, left, out)

@@ -17,7 +17,8 @@ the trees with distinct labels.  ``layout_ihx_at`` is the
 reference for ``trees.ihx_at``: it takes the IHX move on the decoded
 Leaf/Node layout and returns H and X as DecoratedTrees.  ``bracket_eta`` is the
 reference for ``lie.eta``: it expands every bracket of every graph-walk
-view afresh, one ``LieElement`` per bracket, sharing nothing.
+view afresh, one dict word -> coefficient per bracket, summed by its
+own helper here, sharing nothing with ``lie``.
 """
 
 from itertools import combinations, product
@@ -25,7 +26,6 @@ from math import gcd
 
 from towertrees.groups import RelationMatrix, ihx_triples, presentation
 from towertrees.intlinalg import IntegerLattice
-from towertrees.lie import LieElement
 from towertrees.trees import CanonicalTree, DecoratedTree, Leaf, Node, labels_of
 from towertrees.words import winv, wmul
 
@@ -106,18 +106,29 @@ def graph_leaf_views(tree):
     return out
 
 
+def _accumulate(poly, word, c):
+    """poly[word] += c on a dict word -> coefficient, the entry dropped
+    when it reaches zero."""
+    c += poly.pop(word, 0)
+    if c:
+        poly[word] = c
+
+
 def _element_bracket(a, b):
-    """ab - ba of two LieElements, accumulated term by term."""
-    pairs = [(wa, ca, wb, cb) for wa, ca in a.terms.items() for wb, cb in b.terms.items()]
-    return LieElement([(wa + wb, ca * cb) for wa, ca, wb, cb in pairs]
-                      + [(wb + wa, -ca * cb) for wa, ca, wb, cb in pairs])
+    """ab - ba of two polynomials, accumulated term by term."""
+    out = {}
+    for wa, ca in a.items():
+        for wb, cb in b.items():
+            _accumulate(out, wa + wb, ca * cb)
+            _accumulate(out, wb + wa, -ca * cb)
+    return out
 
 
 def _view_element(view):
     if view[0] == 0:
         if view[2]:
             raise ValueError("decorated trees have no Lie image")
-        return LieElement.generator(view[1])
+        return {(view[1],): 1}
     return _element_bracket(_view_element(view[1]), _view_element(view[2]))
 
 
@@ -128,8 +139,10 @@ def bracket_eta(tree):
         tree = tree.decode()
     out = {}
     for label, view in graph_leaf_views(tree):
-        out[label] = out.get(label, LieElement()) + _view_element(view)
-    return {label: el for label, el in out.items() if el}
+        poly = out.setdefault(label, {})
+        for w, c in _view_element(view).items():
+            _accumulate(poly, w, c)
+    return {label: poly for label, poly in out.items() if poly}
 
 
 def bracket_eta_sum(pairs):
@@ -137,16 +150,17 @@ def bracket_eta_sum(pairs):
     out = {}
     for tree, coeff in pairs:
         for label, el in bracket_eta(tree).items():
-            scaled = LieElement({w: coeff * c for w, c in el.terms.items()})
-            out[label] = out.get(label, LieElement()) + scaled
-    return {label: el for label, el in out.items() if el}
+            poly = out.setdefault(label, {})
+            for w, c in el.items():
+                _accumulate(poly, w, coeff * c)
+    return {label: poly for label, poly in out.items() if poly}
 
 
 def bracket_eta_vector(tree):
     """eta of a tree as one dict (label, *word) -> coefficient: a row of
     the rank computation."""
     return {(label,) + w: c for label, el in bracket_eta(tree).items()
-            for w, c in el.terms.items()}
+            for w, c in el.items()}
 
 
 def _min_orientation(view):

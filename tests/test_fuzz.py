@@ -3,10 +3,11 @@
 Inputs mix well-formed trees of the grammar with truncated and spliced
 ones, stray characters and small (also negative) integers; tower and
 certificate files mix well-formed documents with mutated, truncated and
-deeply nested ones.  The parser returns a tree or raises ParseError;
-the CLI ends with exit code 0, 1 or 2, an exit 1 comes with an
-``error:`` line (or a ``FAIL:`` verdict from ``verify``), and no
-exception escapes.
+deeply nested ones.  The parser returns a tree or raises ParseError; a
+parsed unrooted tree canonicalizes to a fixed point of
+``canonicalize`` and a rooted one is refused with a TypeError.  The CLI
+ends with exit code 0, 1 or 2, an exit 1 comes with an ``error:`` line
+(or a ``FAIL:`` verdict from ``verify``), and no exception escapes.
 """
 
 import io
@@ -15,10 +16,12 @@ import sys
 from contextlib import redirect_stderr, redirect_stdout
 from unittest import mock
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from towertrees.cli import run
-from towertrees.trees import DecoratedTree, Leaf, Node, ParseError, parse_tree, to_text
+from towertrees.trees import (CanonicalTree, DecoratedTree, Leaf, Node, ParseError, SignedTree,
+                              canonicalize, parse_tree, to_text)
 
 labels = st.integers(min_value=0, max_value=5).map(str)
 words = st.text(alphabet="abAB", max_size=3)
@@ -56,6 +59,22 @@ def test_parse_tree_returns_a_tree_or_raises_parse_error(text):
         return
     assert isinstance(tree, (Leaf, Node, DecoratedTree))
     assert parse_tree(to_text(tree)) == tree
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(well_formed, mangled()))
+def test_parsed_trees_canonicalize_to_a_fixed_point_or_are_refused(text):
+    try:
+        tree = parse_tree(text)
+    except ParseError:
+        return
+    if isinstance(tree, DecoratedTree):
+        ct, _ = canonicalize(SignedTree(1, tree))
+        assert isinstance(ct, CanonicalTree)
+        assert canonicalize(SignedTree(1, ct)) == (ct, 1)
+    else:
+        with pytest.raises(TypeError, match=type(tree).__name__):
+            canonicalize(SignedTree(1, tree))
 
 
 small_ints = st.integers(min_value=-3, max_value=3).map(str)

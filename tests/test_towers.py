@@ -23,7 +23,6 @@ from towertrees.towers import (
     TowerModel,
     apply_move,
     bch_tower,
-    cancel_simple_pair,
     certificate_from_json,
     certificate_to_json,
     certify_raise_order,
@@ -32,7 +31,6 @@ from towertrees.towers import (
     ihx_insert,
     load_tower,
     make_model,
-    model_from_json,
     model_to_json,
     parse_bracket,
     random_raw_tower,
@@ -299,11 +297,11 @@ def test_cancel_simple_pair():
     y = canon("inner(1,(2,3),)")
     s = canon("inner(1,(2,2),)")
     model = make_model(3, 1, [(1, y), (-1, y), (1, s)])
-    out = cancel_simple_pair(model, 0, 1)
+    out = apply_move(model, CancelPair(0, 1))
     assert list(out.points) == [2]
     # the pair cancelled algebraically, so the hat-level sum is untouched
     assert tau(out) == tau(model)
-    empty = cancel_simple_pair(make_model(3, 1, [(1, y), (-1, y)]), 0, 1)
+    empty = apply_move(make_model(3, 1, [(1, y), (-1, y)]), CancelPair(0, 1))
     assert not empty.points
 
 
@@ -312,22 +310,22 @@ def test_cancel_pair_errors():
     other = canon("inner(1,(2,2),)")
     model = make_model(3, 1, [(1, y), (1, y), (1, other)])
     with pytest.raises(MoveError) as exc:
-        cancel_simple_pair(model, 0, 1)
+        apply_move(model, CancelPair(0, 1))
     assert exc.value.reason == "SameSign"
     with pytest.raises(MoveError) as exc:
-        cancel_simple_pair(model, 0, 2)
+        apply_move(model, CancelPair(0, 2))
     assert exc.value.reason == "TreesDiffer"
     star = canon("inner((1,2),((3,1),(2,3)),)")
     model4 = make_model(3, 4, [(1, star), (-1, star)])
     with pytest.raises(MoveError) as exc:
-        cancel_simple_pair(model4, 0, 1)
+        apply_move(model4, CancelPair(0, 1))
     assert exc.value.reason == "NotSimple"
 
 
 def test_cancel_torsion_pair_same_stored_sign():
     y = canon("inner(1,(1,1),)")
     model = make_model(1, 1, [(1, y), (1, y)])
-    out = cancel_simple_pair(model, 0, 1)
+    out = apply_move(model, CancelPair(0, 1))
     assert not out.points
 
 
@@ -400,7 +398,7 @@ def _jacobi_model(rng, order, m, triples):
         points += [{"sign": sign, "tree": f"inner((({x},{y}),{z}),{d},)"}
                    for x, y, z in ((a, b, c), (b, c, a), (c, a, b))]
     rng.shuffle(points)
-    return model_from_json(json.dumps({"m": m, "order": order, "points": points}))
+    return load_tower(json.dumps({"m": m, "order": order, "points": points}))
 
 
 def test_certificates_of_seeded_zero_models_match_golden_digests():
@@ -486,7 +484,7 @@ def test_model_json_roundtrip():
     model = bch_tower([SignedTree(1, parse_tree("inner((1,2),(3,4),)")),
                        SignedTree(-1, parse_tree("inner((1,3),(2,4),)"))], 2, 4)
     text = model_to_json(model)
-    again = model_from_json(text)
+    again = load_tower(text)
     assert model_to_json(again) == text
     assert tau(again) == tau(model)
 
@@ -753,6 +751,15 @@ def test_ihx_insert_accepts_equivalent_h_and_x():
     model = make_model(4, 2, [])
     plain = apply_move(model, IhxInsert(ct, edge, 1, h, x))
     assert apply_move(model, IhxInsert(ct, edge, 1, swapped_h, x)) == plain
+
+
+def test_replay_refuses_a_rooted_h():
+    # Node(H.left, H.right) closes up to H, but a rooted tree is no H
+    ct, edge = next((c, e) for c, e in ihx_triples(2, 4) if c.nonrepeating)
+    h, x = map(decode_code, ihx_at(ct, edge))
+    cert = MoveCertificate((IhxInsert(ct, edge, 1, Node(h.left, h.right), x),))
+    res = verify_certificate(make_model(4, 2, []), cert)
+    assert (res.ok, res.code, res.move) == (False, "BadTriple", 0)
 
 
 # ----------------------------------------------------------- JSON loaders

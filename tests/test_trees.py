@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from towertrees import lie, trees
 from towertrees.cli import run
-from towertrees.lie import LieElement, eta
+from towertrees.lie import eta
 from towertrees.trees import (
     BoundsError,
     CanonicalTree,
@@ -297,11 +297,21 @@ def _view_is_trivial(view):
     return _view_is_trivial(view[1]) and _view_is_trivial(view[2])
 
 
+def _combine(*pairs):
+    """The sum of k * poly over (k, poly) pairs, zero terms dropped."""
+    out = {}
+    for k, poly in pairs:
+        for w, c in poly.items():
+            out[w] = out.get(w, 0) + k * c
+    return {w: c for w, c in out.items() if c}
+
+
 def _graph_eta(views):
     out = {}
     for label, view in views:
-        out[label] = out.get(label, LieElement()) + LieElement(lie._view_poly(view, {}))
-    return {label: el for label, el in out.items() if el}
+        out.setdefault(label, []).append((1, lie._view_poly(view, {})))
+    out = {label: _combine(*pairs) for label, pairs in out.items()}
+    return {label: poly for label, poly in out.items() if poly}
 
 
 def test_leaf_views_match_graph_oracle():
@@ -415,6 +425,17 @@ def test_is_simple_refuses_rooted_trees():
     for text in ["(((1,2),(3,4)),5)", "1"]:
         with pytest.raises(TypeError, match="is_simple expects an unrooted tree"):
             is_simple(parse_tree(text))
+
+
+def test_rooted_trees_are_not_read_as_unrooted_ones():
+    # ((1,2),(3,4)) has no leaf at its root: read as an unrooted tree it
+    # would be inner(1,(2,(3,4)),), a different order-2 tree
+    for tree in [parse_tree("((1,2),(3,4))"), Leaf(1)]:
+        name = type(tree).__name__
+        for read in (trees.leaf_views, trees.explicit_code, hol_normalize,
+                     lambda t: canonicalize(SignedTree(1, t))):
+            with pytest.raises(TypeError, match=f"not {name}$"):
+                read(tree)
 
 
 def test_order_and_simplicity_read_off_the_code():

@@ -51,7 +51,7 @@ print("== doubling kills the obstruction ==")
 doubled = glue(model, model)
 print(f"tau(glue(W, W)) = {tau(doubled).text()}")
 cert = certify_raise_order(doubled)
-print(f"certificate ({len(cert.moves)} moves):")
+print(f"certificate ({len(cert)} moves):")
 print(certificate_to_json(cert))
 final = replay_certificate(doubled, cert)
 print(f"replayed: order {final.order}, {len(final.points)} points, "
@@ -65,7 +65,7 @@ print(f"one inserted IHX triple: tau vanishes in the group: "
       f"{is_zero(tau(triple), 2, 4)}")
 print(f"but the hat-level sum is {tau(triple).text()}")
 cert = certify_raise_order(triple)
-kinds = [type(m).__name__ for m in cert.moves]
+kinds = [type(m).__name__ for m in cert]
 print(f"certificate inserts the inverse relator, then cancels: {kinds}")
 print(f"verifies: {verify_certificate(triple, cert).ok}")
 

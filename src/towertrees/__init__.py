@@ -52,7 +52,6 @@ from .groups import (
 from .towers import (
     CancelPair,
     IhxInsert,
-    MoveCertificate,
     MoveError,
     ObstructionNonzero,
     PlannerError,

@@ -19,7 +19,6 @@ from .groups import group_table, is_zero, reduce_to_simple
 from .trees import (
     BoundsError,
     DecoratedTree,
-    ParseError,
     SignedTree,
     canonicalize,
     canonicalize_rooted,
@@ -27,7 +26,6 @@ from .trees import (
     to_text,
 )
 from .towers import (
-    MoveError,
     ObstructionNonzero,
     PlannerError,
     TowerError,
@@ -56,6 +54,11 @@ def _emit(args, text):
             fh.write(text if text.endswith("\n") else text + "\n")
     else:
         print(text)
+
+
+def _read(path):
+    with open(path, encoding="utf-8") as fh:
+        return fh.read()
 
 
 def _read_tree_arg(args):
@@ -131,8 +134,7 @@ def cmd_groups(args):
 
 
 def cmd_tau(args):
-    with open(args.file, encoding="utf-8") as fh:
-        model = load_tower(fh.read())
+    model = load_tower(_read(args.file))
     ts = tau(model)
     zero = None
     if model.trivially_decorated():
@@ -158,8 +160,7 @@ def cmd_tau(args):
 
 
 def cmd_certify(args):
-    with open(args.file, encoding="utf-8") as fh:
-        model = load_tower(fh.read())
+    model = load_tower(_read(args.file))
     _check_bounds(args, model.order, model.m)
     try:
         cert = certify_raise_order(model)
@@ -171,10 +172,8 @@ def cmd_certify(args):
 
 
 def cmd_verify(args):
-    with open(args.model, encoding="utf-8") as fh:
-        model = load_tower(fh.read())
-    with open(args.certificate, encoding="utf-8") as fh:
-        cert = certificate_from_json(fh.read())
+    model = load_tower(_read(args.model))
+    cert = certificate_from_json(_read(args.certificate))
     _check_bounds(args, model.order, model.m)
     res = verify_certificate(model, cert)
     if args.json:
@@ -186,10 +185,8 @@ def cmd_verify(args):
 
 
 def cmd_glue(args):
-    with open(args.a, encoding="utf-8") as fh:
-        a = load_tower(fh.read())
-    with open(args.b, encoding="utf-8") as fh:
-        b = load_tower(fh.read())
+    a = load_tower(_read(args.a))
+    b = load_tower(_read(args.b))
     _emit(args, model_to_json(glue(a, b)))
     return 0
 
@@ -322,8 +319,7 @@ def run(argv=None):
         return args.fn(args)
     except SystemExit as exc:
         return exc.code or 0
-    except (ParseError, BoundsError, TowerError, MoveError, PlannerError,
-            ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, PlannerError, OSError) as exc:  # every library input error is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except RecursionError:

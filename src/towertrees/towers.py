@@ -2,9 +2,11 @@
 
 A tower model is a multiset of signed trees over m order-0 surfaces:
 one point per unpaired intersection, each stored as a sign and a
-canonical tree.  The moves never touch geometry, only its combinatorial
-shadow; the geometric calculus needs only IHX insertions and pair
-cancellations:
+canonical tree.  A sign is +1 or -1, and a point on a 2-torsion tree
+(t = -t) has sign +1; ``TowerModel`` refuses any other sign, and
+``make_model`` is the one constructor of a numbered model.  The moves
+never touch geometry, only its combinatorial shadow; the geometric
+calculus needs only IHX insertions and pair cancellations:
 
 * ``ihx_insert``        adds the three points +I, -H, +X of a local
                         IHX move (any sign), changing the hat-level sum
@@ -17,11 +19,11 @@ apply each move in one in-place step, which also checks a replayed
 insertion's own H and X; ``ihx_insert`` and the planner make H and X
 themselves and add the points directly, without that check.  Planner
 and replay copy the points once.  An insertion canonicalizes its H and
-X once each, and a cancellation reads simplicity off the code.
-``certify_raise_order`` plans a replayable certificate that empties the
-order-n layer whenever the intersection sum vanishes in the order-n
-group, and ``verify_certificate`` replays one, checking every move on
-its delta (the points it adds or removes), never on the whole
+X once each, and a cancellation reads simplicity off the code.  A
+certificate is a tuple of moves: ``certify_raise_order`` plans one that
+empties the order-n layer whenever the intersection sum vanishes in the
+order-n group, and ``verify_certificate`` replays one, checking every
+move on its delta (the points it adds or removes), never on the whole
 intersection sum.  The JSON loaders validate their input and name the
 offending record and key in a ``TowerError``; a model point's
 ``puncture`` key, a marked edge that no invariant reads, is accepted
@@ -240,15 +242,13 @@ def extract_model(raw: RawTower):
             left, right = right, left
         return Node(left, right, word)
 
-    points = []
+    pairs = []
     for p in unpaired:
         fused = wmul(winv(whisker[p.left]), p.word, whisker[p.right])
         tree = DecoratedTree(build(p.left, None), build(p.right, None), fused)
-        sign = p.sign * orient[p.left] * orient[p.right]
-        ct, csign = canonicalize(SignedTree(sign, tree))
-        points.append(TowerPoint(csign, ct))
-    order = min(pt.tree.order for pt in points) if points else raw.order
-    return _numbered(raw.m, order, points)
+        pairs.append(canonicalize(SignedTree(p.sign * orient[p.left] * orient[p.right], tree)))
+    order = min(ct.order for ct, _ in pairs) if pairs else raw.order
+    return make_model(raw.m, order, [(sign, ct) for ct, sign in pairs])
 
 
 # --------------------------------------------------------------- the model
@@ -273,6 +273,8 @@ class TowerModel:
 
     def __post_init__(self):
         for pid, pt in self.points.items():
+            if pt.sign not in (1, -1):
+                raise TowerError(f"point {pid} has sign {pt.sign}, not +1 or -1")
             if pt.tree.order < self.order:
                 raise TowerError(
                     f"point {pid} has order {pt.tree.order} below the tower order {self.order}")
@@ -281,30 +283,30 @@ class TowerModel:
         return all(is_trivially_decorated(pt.tree) for pt in self.points.values())
 
 
-def _numbered(m, order, points):
-    """Model whose k-th point gets the id k."""
-    points = dict(enumerate(points))
-    return TowerModel(m, order, points, len(points))
+def _point(sign, ct):
+    """A point on a 2-torsion tree (t = -t) has sign +1; a sign other
+    than +-1 stays as it is, for ``TowerModel`` to refuse."""
+    return TowerPoint(abs(sign) if ct.two_torsion else sign, ct)
 
 
 def make_model(m, order, signed_trees):
-    """Model from (sign, CanonicalTree) pairs; the k-th pair becomes
-    point k."""
-    return _numbered(m, order, [TowerPoint(1 if ct.two_torsion else sign, ct)
-                                for sign, ct in signed_trees])
+    """The one constructor of a numbered model: pair k, (sign, CanonicalTree), is point k."""
+    points = {k: _point(sign, ct) for k, (sign, ct) in enumerate(signed_trees)}
+    return TowerModel(m, order, points, len(points))
 
 
 def bch_tower(sigma, order, m):
     """Model realizing a list of signed trees as its intersection sum."""
-    pts = []
+    pairs = []
     for st in sigma:
-        ct, sign = canonicalize(st if isinstance(st, SignedTree) else SignedTree(*st))
+        st = st if isinstance(st, SignedTree) else SignedTree(*st)
+        ct, sign = canonicalize(SignedTree(1, st.tree))  # a 2-torsion tree resets the sign
         if ct.order != order:
             raise TowerError(f"tree {ct.text()} has order {ct.order}, expected {order}")
         if ct.labels[0] < 1 or ct.labels[-1] > m:
             raise TowerError(f"tree {ct.text()} uses labels outside 1..{m}")
-        pts.append(TowerPoint(sign, ct))
-    return _numbered(m, order, pts)
+        pairs.append((sign * st.sign, ct))
+    return make_model(m, order, pairs)
 
 
 def tau(model: TowerModel) -> TreeSum:
@@ -319,9 +321,8 @@ def glue(a: TowerModel, b: TowerModel) -> TowerModel:
     if a.m != b.m or a.order != b.order:
         raise TowerError(
             f"cannot glue ({a.m}, order {a.order}) with ({b.m}, order {b.order})")
-    flipped = [TowerPoint(1 if pt.tree.two_torsion else -pt.sign, pt.tree)
-               for pt in b.points.values()]
-    return _numbered(a.m, a.order, [*a.points.values(), *flipped])
+    return make_model(a.m, a.order, [(s * pt.sign, pt.tree) for s, model in ((1, a), (-1, b))
+                                     for pt in model.points.values()])
 
 
 # -------------------------------------------------------------------- moves
@@ -339,11 +340,6 @@ class IhxInsert:
 class CancelPair:
     p: int
     q: int
-
-
-@dataclass(frozen=True)
-class MoveCertificate:
-    moves: tuple
 
 
 def ihx_insert(model: TowerModel, tree: CanonicalTree, edge, sign=1) -> TowerModel:
@@ -411,8 +407,7 @@ def _ihx_points(model, ct, edge, sign):
     if edge not in interior_edge_paths(ct):
         raise MoveError("NotInterior", f"{edge!r} is not an interior edge of {ct.text()}")
     h, x = ihx_at(ct, edge)
-    return h, x, [TowerPoint(1 if t.two_torsion else c * sign, t)
-                  for t, c in _relator_terms(ct, h, x)]
+    return h, x, [_point(c * sign, t) for t, c in _relator_terms(ct, h, x)]
 
 
 def _cancelling_pair(model, points, p, q):
@@ -438,7 +433,7 @@ def _cancelling_pair(model, points, p, q):
 
 # ------------------------------------------------------ certify and verify
 
-def certify_raise_order(model: TowerModel) -> MoveCertificate:
+def certify_raise_order(model: TowerModel) -> tuple:
     """Plan a certificate emptying the order-n layer.
 
     Requires the trivial group alphabet and a vanishing obstruction;
@@ -489,10 +484,10 @@ def certify_raise_order(model: TowerModel) -> MoveCertificate:
             move = CancelPair(p, q)
             _step(model, points, next_id, move)
             moves.append(move)
-    return MoveCertificate(tuple(moves))
+    return tuple(moves)
 
 
-def replay_certificate(model: TowerModel, cert: MoveCertificate) -> TowerModel:
+def replay_certificate(model: TowerModel, cert: tuple) -> TowerModel:
     """Apply every move, checking its preconditions and that it keeps
     the zero-ness of tau; returns the final model with the order raised.
 
@@ -509,7 +504,7 @@ def replay_certificate(model: TowerModel, cert: MoveCertificate) -> TowerModel:
     if not model.trivially_decorated():
         raise MoveError("Decorated", "replay supports the trivial group alphabet only")
     points, next_id = dict(model.points), model.next_id
-    for k, move in enumerate(cert.moves):
+    for k, move in enumerate(cert):
         try:
             delta, next_id = _step(model, points, next_id, move)
         except MoveError as exc:
@@ -538,7 +533,7 @@ class VerificationResult:
         return self.ok
 
 
-def verify_certificate(model: TowerModel, cert: MoveCertificate) -> VerificationResult:
+def verify_certificate(model: TowerModel, cert: tuple) -> VerificationResult:
     """Replay a certificate; failures come back as a result, not an
     exception."""
     try:
@@ -604,7 +599,7 @@ def _get_parsed(record, key, where, parse, default=_REQUIRED):
         return None
     try:
         return parse(text)
-    except ValueError as exc:  # ParseError, or TowerError from parse_bracket
+    except ValueError as exc:  # ParseError, TowerError from parse_bracket, or a bad word
         raise TowerError(f"{where}: {key!r}: {exc}") from None
 
 
@@ -684,7 +679,7 @@ def _raw_from_doc(doc) -> RawTower:
         where = f"raw tower disk {k}"
         d = _json_object(d, where)
         disks.append(RawDisk(_get_parsed(d, "bracket", where, parse_bracket),
-                             _get(d, "whisker", where, str, ""),
+                             _get_parsed(d, "whisker", where, check_word, ""),
                              _get(d, "orientation", where, int, 1)))
     points = []
     for k, p in enumerate(_get(doc, "points", "raw tower", list, [])):
@@ -693,7 +688,7 @@ def _raw_from_doc(doc) -> RawTower:
         points.append(RawPoint(_get(p, "sign", where, int),
                                _get_parsed(p, "left", where, parse_bracket),
                                _get_parsed(p, "right", where, parse_bracket),
-                               _get(p, "g", where, str, ""),
+                               _get_parsed(p, "g", where, check_word, ""),
                                _get_parsed(p, "paired_by", where, parse_bracket, None)))
     return RawTower(m, order, tuple(disks), tuple(points))
 
@@ -706,9 +701,9 @@ def load_tower(text: str):
     return _model_from_doc(doc)
 
 
-def certificate_to_json(cert: MoveCertificate) -> str:
+def certificate_to_json(cert: tuple) -> str:
     out = []
-    for move in cert.moves:
+    for move in cert:
         if isinstance(move, IhxInsert):
             out.append({"move": "ihx_insert", "i": move.tree.text(), "h": to_text(move.h),
                         "x": to_text(move.x), "edge": move.edge, "sign": move.sign})
@@ -719,7 +714,7 @@ def certificate_to_json(cert: MoveCertificate) -> str:
     return json.dumps(out, indent=2)
 
 
-def certificate_from_json(text: str) -> MoveCertificate:
+def certificate_from_json(text: str) -> tuple:
     doc = _parse_json(text, "certificate")
     if type(doc) is not list:
         raise TowerError(f"certificate must be a JSON array of moves, not {_JSON_KINDS[type(doc)]}")
@@ -745,7 +740,7 @@ def certificate_from_json(text: str) -> MoveCertificate:
             moves.append(CancelPair(_get(entry, "p", where, int), _get(entry, "q", where, int)))
         else:
             raise TowerError(f"{where}: unknown move kind {kind!r}")
-    return MoveCertificate(tuple(moves))
+    return tuple(moves)
 
 
 # ----------------------------------------------------------- random towers

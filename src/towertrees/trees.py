@@ -139,6 +139,14 @@ def _skip_ws(text, i):
     return i
 
 
+def _expect(text, i, ch):
+    """Skip whitespace, then read ``ch``; returns the index after it."""
+    i = _skip_ws(text, i)
+    if i >= len(text) or text[i] != ch:
+        raise ParseError(f"expected {ch!r}", i)
+    return i + 1
+
+
 def _parse_word(text, i):
     j = i
     while j < len(text) and text[j].isalpha():
@@ -175,14 +183,8 @@ def _parse_rooted(text, i):
         raise ParseError("unexpected end of input", i)
     if text[i] == "(":
         left, i = _parse_rooted(text, i + 1)
-        i = _skip_ws(text, i)
-        if i >= len(text) or text[i] != ",":
-            raise ParseError("expected ','", i)
-        right, i = _parse_rooted(text, i + 1)
-        i = _skip_ws(text, i)
-        if i >= len(text) or text[i] != ")":
-            raise ParseError("expected ')'", i)
-        return Node(left, right), i + 1
+        right, i = _parse_rooted(text, _expect(text, i, ","))
+        return Node(left, right), _expect(text, i, ")")
     return _parse_label(text, i)
 
 
@@ -199,19 +201,9 @@ def parse_tree(text):
     i = _skip_ws(text, 0)
     if text[i:i + 6] == "inner(":
         left, i = _parse_rooted(text, i + 6)
-        i = _skip_ws(text, i)
-        if i >= len(text) or text[i] != ",":
-            raise ParseError("expected ','", i)
-        right, i = _parse_rooted(text, i + 1)
-        i = _skip_ws(text, i)
-        if i >= len(text) or text[i] != ",":
-            raise ParseError("expected ','", i)
-        i = _skip_ws(text, i + 1)
-        word, i = _parse_word(text, i)
-        i = _skip_ws(text, i)
-        if i >= len(text) or text[i] != ")":
-            raise ParseError("expected ')'", i)
-        tree, i = DecoratedTree(left, right, word), i + 1
+        right, i = _parse_rooted(text, _expect(text, i, ","))
+        word, i = _parse_word(text, _skip_ws(text, _expect(text, i, ",")))
+        tree, i = DecoratedTree(left, right, word), _expect(text, i, ")")
     else:
         tree, i = _parse_rooted(text, i)
     i = _skip_ws(text, i)

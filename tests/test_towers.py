@@ -12,7 +12,6 @@ from towertrees.sums import TreeSum
 from towertrees.towers import (
     CancelPair,
     IhxInsert,
-    MoveCertificate,
     MoveError,
     ObstructionNonzero,
     PlannerError,
@@ -21,6 +20,7 @@ from towertrees.towers import (
     RawTower,
     TowerError,
     TowerModel,
+    TowerPoint,
     apply_move,
     bch_tower,
     certificate_from_json,
@@ -260,6 +260,39 @@ def test_bch_rejects_wrong_order():
         bch_tower([SignedTree(1, parse_tree("inner(1,2,)"))], 2, 4)
 
 
+@pytest.mark.parametrize("sign", [0, 2])
+def test_models_refuse_point_signs_other_than_one(sign):
+    # tau sums one sign of +-1 per point; the 2-torsion rule (sign +1)
+    # must not turn a 0 or a 2 on a tree with t = -t into a point
+    y = canon("inner(1,(2,3),)")
+    torsion = canon("inner(1,(1,1),)")
+    assert torsion.two_torsion and not y.two_torsion
+    refused = pytest.raises(TowerError, match=rf"^point 1 has sign {sign}, not \+1 or -1$")
+    with refused:
+        TowerModel(3, 1, {0: TowerPoint(1, y), 1: TowerPoint(sign, y)}, 2)
+    for tree in (y, torsion):
+        with refused:
+            make_model(3, 1, [(1, y), (sign, tree)])
+        with refused:
+            bch_tower([SignedTree(1, y.decode()), SignedTree(sign, tree.decode())], 1, 3)
+    # glue rebuilds its model, so a point changed in place is caught there
+    a, b = make_model(3, 1, [(1, y)]), make_model(3, 1, [(1, y)])
+    b.points[0] = TowerPoint(-sign, y)
+    with refused:
+        glue(a, b)
+
+
+def test_models_whose_certificates_would_fail_are_refused():
+    # a point of sign 0 leaves tau empty, so the planner certified the
+    # model with no moves and replay found the point still there; a
+    # point of sign 2 balanced two of sign -1 but could not be paired
+    with pytest.raises(TowerError, match="^point 0 has sign 0, not"):
+        bch_tower([(0, parse_tree("inner((1,2),(3,4),)"))], 2, 4)
+    t = canon("inner((1,2),(3,4),)")
+    with pytest.raises(TowerError, match="^point 0 has sign 2, not"):
+        make_model(4, 2, [(2, t), (-1, t), (-1, t)])
+
+
 # -------------------------------------------------------------------- moves
 
 def test_ihx_insert_counts_and_conservation():
@@ -285,11 +318,11 @@ def test_replay_rejects_swapped_h_and_x():
     model = ihx_insert(make_model(4, 2, []), ct, edge)
     cert = certify_raise_order(model)
     swapped = []
-    for mv in cert.moves:
+    for mv in cert:
         if isinstance(mv, IhxInsert):
             mv = IhxInsert(mv.tree, mv.edge, mv.sign, mv.x, mv.h)
         swapped.append(mv)
-    res = verify_certificate(model, MoveCertificate(tuple(swapped)))
+    res = verify_certificate(model, tuple(swapped))
     assert not res.ok and "do not match" in res.reason
 
 
@@ -335,7 +368,7 @@ def test_certify_simple_pair():
     y = canon("inner(1,(2,3),)")
     model = make_model(3, 1, [(1, y), (-1, y)])
     cert = certify_raise_order(model)
-    assert len(cert.moves) == 1 and isinstance(cert.moves[0], CancelPair)
+    assert len(cert) == 1 and isinstance(cert[0], CancelPair)
     final = replay_certificate(model, cert)
     assert final.order == 2 and not final.points
     assert verify_certificate(model, cert).ok
@@ -423,16 +456,16 @@ def test_verify_rejects_bad_certificates():
     y = canon("inner(1,(2,3),)")
     s = canon("inner(1,(2,2),)")
     model = make_model(3, 1, [(1, y), (-1, s)])
-    bad = MoveCertificate((CancelPair(0, 1),))
+    bad = (CancelPair(0, 1),)
     res = verify_certificate(model, bad)
     assert not res.ok and "different trees" in res.reason
 
     ok_model = make_model(3, 1, [(1, y), (-1, y)])
-    incomplete = MoveCertificate(())
+    incomplete = ()
     res = verify_certificate(ok_model, incomplete)
     assert not res.ok and "points remain" in res.reason
 
-    assert verify_certificate(make_model(3, 1, []), MoveCertificate(())).ok
+    assert verify_certificate(make_model(3, 1, []), ()).ok
 
 
 @pytest.mark.parametrize("sign", [0, 2])
@@ -442,8 +475,8 @@ def test_verify_refuses_insertion_signs_other_than_one(sign):
     # replay itself must refuse the first one
     ct, edge = next((c, e) for c, e in ihx_triples(2, 4) if c.nonrepeating)
     move = IhxInsert(ct, edge, 1, *map(decode_code, ihx_at(ct, edge)))
-    cert = MoveCertificate((replace(move, sign=sign), replace(move, sign=-sign),
-                            CancelPair(0, 3), CancelPair(1, 4), CancelPair(2, 5)))
+    cert = (replace(move, sign=sign), replace(move, sign=-sign),
+            CancelPair(0, 3), CancelPair(1, 4), CancelPair(2, 5))
     res = verify_certificate(make_model(4, 2, []), cert)
     assert not res.ok
     assert (res.code, res.move) == ("BadSign", 0)
@@ -512,11 +545,11 @@ def test_certificate_json_keeps_negative_sign_on_torsion_insert():
     ct, edge = next((c, e) for c, e in ihx_triples(2, 4) if c.two_torsion)
     model = ihx_insert(make_model(4, 2, []), ct, edge, -1)
     cert = certify_raise_order(model)
-    inserts = [mv for mv in cert.moves if isinstance(mv, IhxInsert)]
+    inserts = [mv for mv in cert if isinstance(mv, IhxInsert)]
     assert inserts
     again = certificate_from_json(certificate_to_json(cert))
-    assert [getattr(mv, "sign", None) for mv in again.moves] == \
-        [getattr(mv, "sign", None) for mv in cert.moves]
+    assert [getattr(mv, "sign", None) for mv in again] == \
+        [getattr(mv, "sign", None) for mv in cert]
     assert verify_certificate(model, again).ok
 
 
@@ -555,7 +588,7 @@ def test_move_puncture_record_is_retired():
 def _ihx_model():
     ct, edge = next((c, e) for c, e in ihx_triples(2, 4) if c.nonrepeating)
     model = ihx_insert(make_model(4, 2, []), ct, edge)
-    return model, certify_raise_order(model).moves
+    return model, certify_raise_order(model)
 
 
 def _swap_h_and_x(moves):
@@ -619,20 +652,20 @@ def _insert_at_leaf_edge(moves):
 ])
 def test_doctored_certificate_fails_with_its_reason(doctor, code):
     model, moves = _ihx_model()
-    assert verify_certificate(model, MoveCertificate(moves)).ok
+    assert verify_certificate(model, moves).ok
     doctored, index = doctor(moves)
-    res = verify_certificate(model, MoveCertificate(doctored))
+    res = verify_certificate(model, doctored)
     assert not res.ok
     assert (res.code, res.move) == (code, index)
     # the same failure after a JSON round trip of the certificate
-    again = certificate_from_json(certificate_to_json(MoveCertificate(doctored)))
+    again = certificate_from_json(certificate_to_json(doctored))
     assert verify_certificate(model, again) == res
 
 
 def test_non_simple_pair_fails_with_its_reason():
     star = canon("inner((1,2),((3,4),(1,2)),)")
     model = make_model(4, 4, [(1, star), (-1, star)])
-    res = verify_certificate(model, MoveCertificate((CancelPair(0, 1),)))
+    res = verify_certificate(model, (CancelPair(0, 1),))
     assert (res.ok, res.code, res.move) == (False, "NotSimple", 0)
 
 
@@ -653,7 +686,7 @@ def test_replay_checks_each_move_on_its_delta(monkeypatch):
     model, moves = _ihx_model()
     monkeypatch.setattr(towers, "is_zero", counting_is_zero)
     monkeypatch.setattr(towers, "tau", no_tau)
-    final = replay_certificate(model, MoveCertificate(moves))
+    final = replay_certificate(model, moves)
     assert final.order == 3 and not final.points
     assert len(sizes) == len(moves) and max(sizes) == 3
     assert sizes.count(0) == len(moves) - 1  # a cancelled pair adds nothing
@@ -678,7 +711,7 @@ def test_certify_and_replay_build_a_constant_number_of_models(monkeypatch):
 
     monkeypatch.setattr(TowerModel, "__post_init__", counting_post_init)
     cert = certify_raise_order(model)
-    assert len(cert.moves) >= 40 and built == []
+    assert len(cert) >= 40 and built == []
     final = replay_certificate(model, cert)
     assert built == [final] and final.order == 4 and not final.points
 
@@ -703,7 +736,7 @@ def test_certify_computes_each_insertion_once(monkeypatch):
 
     monkeypatch.setattr(towers, "ihx_at", counting_ihx_at)
     cert = certify_raise_order(model)
-    inserts = [(mv.tree, mv.edge) for mv in cert.moves if isinstance(mv, IhxInsert)]
+    inserts = [(mv.tree, mv.edge) for mv in cert if isinstance(mv, IhxInsert)]
     assert len(inserts) >= 10 and calls == inserts
     calls.clear()
     assert verify_certificate(model, cert)
@@ -757,7 +790,7 @@ def test_replay_refuses_a_rooted_h():
     # Node(H.left, H.right) closes up to H, but a rooted tree is no H
     ct, edge = next((c, e) for c, e in ihx_triples(2, 4) if c.nonrepeating)
     h, x = map(decode_code, ihx_at(ct, edge))
-    cert = MoveCertificate((IhxInsert(ct, edge, 1, Node(h.left, h.right), x),))
+    cert = (IhxInsert(ct, edge, 1, Node(h.left, h.right), x),)
     res = verify_certificate(make_model(4, 2, []), cert)
     assert (res.ok, res.code, res.move) == (False, "BadTriple", 0)
 
@@ -786,6 +819,11 @@ def test_replay_refuses_a_rooted_h():
      "raw tower disk 0: 'bracket' must be a string, not an integer"),
     ({"m": 3, "order": 1, "disks": [], "points": [{"sign": 1, "left": "(1,", "right": "3"}]},
      "raw tower point 0: 'left': unexpected end of input"),
+    ({"m": 2, "order": 1, "disks": [{"bracket": "(1,2)", "whisker": "a1"}], "points": []},
+     "raw tower disk 0: 'whisker': bad group letter '1' in word 'a1'"),
+    ({"m": 2, "order": 0, "disks": [], "points": [{"sign": 1, "left": "1", "right": "2",
+                                                   "g": "aA"}]},
+     "raw tower point 0: 'g': word 'aA' is not freely reduced"),
 ])
 def test_load_tower_names_the_offending_json_path(doc, message):
     with pytest.raises(TowerError) as exc:

@@ -10,16 +10,22 @@ ends with exit code 0, 1 or 2, an exit 1 comes with an ``error:`` line
 (or a ``FAIL:`` verdict from ``verify``), and no exception escapes.
 """
 
+import hashlib
 import io
 import json
+import random
+import re
 import sys
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from towertrees.cli import run
+from towertrees.towers import (TowerError, certificate_from_json, certificate_to_json,
+                               certify_raise_order, load_tower, verify_certificate)
 from towertrees.trees import (CanonicalTree, DecoratedTree, Leaf, Node, ParseError, SignedTree,
                               canonicalize, parse_tree, to_text)
 
@@ -213,3 +219,154 @@ def test_file_verbs_exit_cleanly(tmp_path_factory, verb, tower, other, use_json)
         lines = err.getvalue().splitlines()
         assert (lines and lines[-1].startswith("error: ")) or \
             (verb == "verify" and not lines), (argv, out.getvalue(), err.getvalue())
+
+
+# ------------------------------------------------------- pinned outcomes
+#
+# Seeded corpora rather than hypothesis: the SHA-256 over every outcome
+# pins what the parser and the JSON loaders return and, for every
+# refusal, its message, its position and which refusal comes first.
+
+PINNED = json.loads((Path(__file__).parent / "fixtures" / "parse_sha256.json").read_text())
+JUNK = "()[],:-+ 0123456789abABinerz²é\t"
+
+
+def _seeded_rooted(rng, leaves, low, high, word=None):
+    """A rooted tree text of ``leaves`` leaves labelled low..high; with
+    ``word``, a third of the leaves carry ``word(rng)``."""
+    if leaves == 1:
+        label = str(rng.randint(low, high))
+        return f"{label}:{word(rng)}" if word and rng.random() < 0.3 else label
+    k = rng.randint(1, leaves - 1)
+    return (f"({_seeded_rooted(rng, k, low, high, word)},"
+            f"{_seeded_rooted(rng, leaves - k, low, high, word)})")
+
+
+def _fuzz_word(rng):
+    return "".join(rng.choice("abAB") for _ in range(rng.randint(0, 3)))
+
+
+def _seeded_text(rng):
+    """A well-formed tree of the fuzz alphabet, kept, truncated, spliced
+    with junk or spaced out, or junk alone."""
+    if rng.random() < 0.1:
+        return "".join(rng.choice(JUNK) for _ in range(rng.randint(0, 20)))
+    low = 0 if rng.random() < 0.1 else 1
+    text = _seeded_rooted(rng, rng.randint(1, 6), low, 5, _fuzz_word)
+    if rng.random() < 0.6:
+        right = _seeded_rooted(rng, rng.randint(1, 5), low, 5, _fuzz_word)
+        text = f"inner({text},{right},{_fuzz_word(rng)})"
+    cut = rng.randint(0, len(text))
+    how = rng.choice(["keep", "keep", "truncate", "splice", "space"])
+    if how == "truncate":
+        return text[:cut]
+    if how == "splice":
+        return text[:cut] + "".join(rng.choice(JUNK) for _ in range(rng.randint(1, 4))) + text[cut:]
+    if how == "space":
+        return "".join(ch + rng.choice(["", "", " ", "\t", "\n "]) for ch in text)
+    return text
+
+
+def test_parse_outcomes_match_golden_digest():
+    rng = random.Random("parse-outcomes")
+    digest = hashlib.sha256()
+    for _ in range(PINNED["texts"]):
+        text = _seeded_text(rng)
+        try:
+            outcome = to_text(parse_tree(text))
+        except ParseError as exc:
+            outcome = f"ParseError at {exc.position}: {exc}"
+        digest.update(outcome.encode() + b"\n")
+    assert digest.hexdigest() == PINNED["texts_sha256"]
+
+
+def _seeded_tree(rng, m):
+    """An unrooted tree text over labels 1..m, in layout form or not; in
+    a third of them the leaves and the fused edge carry reduced words."""
+    word = (lambda rng: rng.choice(["a", "B", "ab", "Ba"])) if rng.random() < 0.3 else None
+    left = _seeded_rooted(rng, rng.randint(1, 3), 1, m, word)
+    right = _seeded_rooted(rng, rng.randint(1, 4), 1, m, word)
+    return f"inner({left},{right},{word(rng) if word and rng.random() < 0.5 else ''})"
+
+
+def _mutate_text(rng, text):
+    cut = rng.randint(0, len(text))
+    return rng.choice([text[:cut], text[:cut] + rng.choice(JUNK) + text[cut:],
+                       text[6:-2] if text.startswith("inner(") else text,
+                       re.sub(r"\d+", "9", text, count=1), text.replace(",)", ",aA)"),
+                       "inner(" + text[6:].replace(",", ", ", 1)])
+
+
+def _mutate_record(rng, record, keys):
+    key = rng.choice(keys)
+    value = record.get(key)
+    how = rng.choice(["keep", "drop", "text", "text", "type", "sign"])
+    if how == "drop":
+        record.pop(key, None)
+    elif how == "text" and isinstance(value, str):
+        record[key] = _mutate_text(rng, value)
+    elif how == "type":
+        record[key] = rng.choice([None, 1, "1", [value], {"k": value}, True])
+    elif how == "sign":
+        record["sign"] = rng.choice([0, 2, -1, 1, "+1"])
+
+
+def _model_doc(rng):
+    m = rng.randint(1, 4)
+    points = [{"sign": rng.choice((1, -1)), "tree": _seeded_tree(rng, m)}
+              for _ in range(rng.randint(0, 4))]
+    return {"m": m, "order": rng.choice([0, 0, 1, 2]), "points": points}
+
+
+def test_loader_outcomes_match_golden_digest():
+    # model documents and certificates, each with one seeded mutation:
+    # the outcome is the loaded points (the certificate as printed, and
+    # its replay against its model) or the TowerError
+    rng = random.Random("loader-outcomes")
+    digest = hashlib.sha256()
+    for _ in range(PINNED["models"]):
+        doc = _model_doc(rng)
+        if doc["points"] and rng.random() < 0.9:
+            _mutate_record(rng, rng.choice(doc["points"]), ["sign", "tree", "tree"])
+        elif rng.random() < 0.5:
+            _mutate_record(rng, doc, ["m", "order", "points"])
+        try:
+            model = load_tower(json.dumps(doc))
+            outcome = "; ".join(f"{pid} {pt.sign:+d} {pt.tree.text()}"
+                                for pid, pt in model.points.items())
+        except TowerError as exc:
+            outcome = f"TowerError: {exc}"
+        digest.update(outcome.encode() + b"\n")
+    for k in range(PINNED["certificates"]):
+        order, m = rng.choice([(2, 3), (2, 4), (3, 3)])
+        triples = []
+        for _ in range(1 + k % 3):
+            sign = rng.choice((1, -1))
+            a, b, c = (rng.randint(1, m) for _ in range(3))
+            d = _seeded_rooted(rng, order - 1, 1, m)
+            triples += [{"sign": sign, "tree": f"inner((({x},{y}),{z}),{d},)"}
+                        for x, y, z in ((a, b, c), (b, c, a), (c, a, b))]
+        model = load_tower(json.dumps({"m": m, "order": order, "points": triples}))
+        moves = json.loads(certificate_to_json(certify_raise_order(model)))
+        inserts = [mv for mv in moves if mv["move"] == "ihx_insert"]
+        if inserts and rng.random() < 0.8:
+            mv = rng.choice(inserts)
+            if rng.random() < 0.3:  # the same tree, written another way
+                key = rng.choice(["h", "x"])
+                inner = parse_tree(mv[key])
+                mv[key] = to_text(DecoratedTree(inner.right, inner.left, inner.word))
+            elif rng.random() < 0.2:
+                mv["h"], mv["x"] = mv["x"], mv["h"]
+            else:
+                _mutate_record(rng, mv, ["i", "h", "x", "h", "x", "edge", "move", "sign"])
+        elif moves:
+            _mutate_record(rng, rng.choice(moves), ["move", "p", "q"])
+        try:
+            cert = certificate_from_json(json.dumps(moves))
+            result = verify_certificate(model, cert)
+            outcome = (f"{certificate_to_json(cert)}\n"
+                       f"{result.ok} {result.code} {result.move} {result.reason}")
+        except TowerError as exc:
+            outcome = f"TowerError: {exc}"
+        digest.update(outcome.encode() + b"\n")
+    assert digest.hexdigest() == PINNED["documents_sha256"]

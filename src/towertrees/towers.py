@@ -14,12 +14,18 @@ calculus needs only IHX insertions and pair cancellations:
 * ``CancelPair``        removes two points carrying the same simple
                         tree with opposite signs (``apply_move``).
 
-A model keys its points by id.  Replay and ``apply_move`` check and
-apply each move in one in-place step, which also checks a replayed
-insertion's own H and X; ``ihx_insert`` and the planner make H and X
-themselves and add the points directly, without that check.  Planner
-and replay copy the points once.  An insertion canonicalizes its H and
-X once each, and a cancellation reads simplicity off the code.  A
+A model keys its points by id, in a read-only mapping.  Replay and
+``apply_move`` check and apply each move in one in-place step, which
+also checks a replayed insertion's own H and X; ``ihx_insert`` and the
+planner make H and X themselves and add the points directly, without
+that check.  Planner and replay copy the points once.  An insertion
+canonicalizes its H and X once each, and a cancellation reads
+simplicity off the code.  H and X stay codes end to end: the planner
+stores ``ihx_at``'s layout codes, ``certificate_to_json`` prints them,
+the loader reads them back as the same tuples, and replay compares a
+move's H and X with the recomputed codes as tuples, canonicalizing only
+one written another way.  The loaders read every tree as a code
+(``parse_unrooted_code``) and canonicalize it as such.  A
 certificate is a tuple of moves: ``certify_raise_order`` plans one that
 empties the order-n layer whenever the intersection sum vanishes in the
 order-n group, and ``verify_certificate`` replays one, checking every
@@ -44,6 +50,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from types import MappingProxyType
 
 from .groups import _relator_terms, is_zero, normal_form, relator_combination
 from .sums import TreeSum
@@ -55,7 +62,6 @@ from .trees import (
     RootedTree,
     SignedTree,
     canonicalize,
-    decode_code,
     ihx_at,
     interior_edge_paths,
     is_simple,
@@ -63,6 +69,7 @@ from .trees import (
     labels_of,
     order_of,
     parse_tree,
+    parse_unrooted_code,
     to_text,
 )
 from .words import check_word, winv, wmul
@@ -263,15 +270,17 @@ class TowerPoint:
 
 @dataclass(frozen=True)
 class TowerModel:
-    """Split-tower model: its points keyed by id, in insertion order.
-    The public moves return a new model and leave this one as it is."""
+    """Split-tower model: its points keyed by id, in insertion order,
+    held in a read-only mapping over a copy of the points given.  The
+    public moves return a new model and leave this one as it is."""
 
     m: int
     order: int
-    points: dict[int, TowerPoint]
+    points: MappingProxyType[int, TowerPoint]
     next_id: int = 0
 
     def __post_init__(self):
+        object.__setattr__(self, "points", MappingProxyType(dict(self.points)))
         for pid, pt in self.points.items():
             if pt.sign not in (1, -1):
                 raise TowerError(f"point {pid} has sign {pt.sign}, not +1 or -1")
@@ -329,11 +338,15 @@ def glue(a: TowerModel, b: TowerModel) -> TowerModel:
 
 @dataclass(frozen=True)
 class IhxInsert:
+    """An IHX insertion at ``edge`` of ``tree``.  H and X are codes: the
+    planner stores ``ihx_at``'s layout codes, the certificate loader
+    what ``parse_unrooted_code`` gives; a DecoratedTree also does."""
+
     tree: CanonicalTree
     edge: str
     sign: int
-    h: DecoratedTree
-    x: DecoratedTree
+    h: tuple | DecoratedTree
+    x: tuple | DecoratedTree
 
 
 @dataclass(frozen=True)
@@ -382,11 +395,14 @@ def _step(model, points, next_id, move):
 
 def _same_class(t, code):
     """A move's own H or X needs canonicalizing only when it is not the
-    layout tree of the code recomputed here; a rooted tree never
-    matches."""
-    return (t == decode_code(code)
-            or isinstance(t, DecoratedTree)
-            and canonicalize(SignedTree(1, t)) == canonicalize(SignedTree(1, code)))
+    layout code recomputed here.  A rooted tree or code never matches:
+    canonicalization refuses it with a TypeError."""
+    if t == code:
+        return True
+    try:
+        return canonicalize(SignedTree(1, t)) == canonicalize(SignedTree(1, code))
+    except TypeError:
+        return False
 
 
 def _add_points(points, next_id, added):
@@ -458,7 +474,7 @@ def certify_raise_order(model: TowerModel) -> tuple:
             # the one ihx_at of the checked insertion also gives the move's H and X
             h, x, added = _ihx_points(model, ct, edge, sign)
             _, next_id = _add_points(points, next_id, added)
-            moves.append(IhxInsert(ct, edge, sign, decode_code(h), decode_code(x)))
+            moves.append(IhxInsert(ct, edge, sign, h, x))
 
     by_tree: dict = {}
     for pid, pt in points.items():
@@ -604,10 +620,11 @@ def _get_parsed(record, key, where, parse, default=_REQUIRED):
 
 
 def _get_unrooted(record, key, where):
-    tree = _get_parsed(record, key, where, parse_tree)
-    if not isinstance(tree, DecoratedTree):
+    """The unrooted tree at ``key`` as ``parse_unrooted_code`` reads it."""
+    code = _get_parsed(record, key, where, parse_unrooted_code)
+    if code is None:
         raise TowerError(f"{where}: {key!r} is {record[key]!r}, not an unrooted tree")
-    return tree
+    return code
 
 
 def _get_head(doc, where):

@@ -36,10 +36,16 @@ h is trivial, so decorated and trivially decorated trees share one
 path.  Edge paths and the IHX move are read on the layout code (root
 label, rest) as well: ``ihx_at`` returns H and X as such codes, and
 ``canonicalize`` reads their views straight off them.
+
+The grammar has one scanner, given the constructors of what it builds:
+``parse_tree`` builds ``Leaf``/``Node`` trees, ``parse_unrooted_code``
+the codes that ``canonicalize`` and ``to_text`` take as they are, with
+no tree objects in between.
 """
 
 from __future__ import annotations
 
+import re
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -47,7 +53,7 @@ from itertools import groupby
 from math import factorial
 from types import MappingProxyType
 
-from .words import check_word, winv, wmul, wreduce
+from .words import check_word, is_reduced, winv, wmul, wreduce
 
 
 class ParseError(ValueError):
@@ -125,26 +131,33 @@ class CanonicalTree:
         return decode_code(self.code)
 
     def text(self):
-        return to_text(self.decode())
+        return to_text(self.code)
 
     def __repr__(self):
         return f"CanonicalTree({self.text()!r})"
 
 
 # ----------------------------------------------------------------- grammar
+#
+# One scanner reads the grammar, building rooted trees with the leaf and
+# node constructors it is given: ``Leaf``/``Node`` for ``parse_tree``,
+# side codes (0, label, word) and (1, left, right) for
+# ``parse_unrooted_code``.  It walks the tokens of one ``findall``: a
+# label with the word it carries, a run of letters or any other single
+# character that is not whitespace, which separates tokens and is
+# otherwise skipped.  Positions are worked out only for a ParseError,
+# which names the token where the grammar breaks.
 
-def _skip_ws(text, i):
-    while i < len(text) and text[i].isspace():
-        i += 1
-    return i
+_TOKEN = re.compile(r"[(),]|[0-9]+(?::[A-Za-z]*)?|[A-Za-z]+|\S")
+# the value of each label token below 100 that carries no word; any
+# other label token is read and checked by ``_label``
+_PLAIN_LABELS = {str(label): label for label in range(1, 100)}
 
 
-def _expect(text, i, ch):
-    """Skip whitespace, then read ``ch``; returns the index after it."""
-    i = _skip_ws(text, i)
-    if i >= len(text) or text[i] != ch:
-        raise ParseError(f"expected {ch!r}", i)
-    return i + 1
+def _start(text, k):
+    """Where token k starts, or the end of the text past the last token."""
+    starts = [m.start() for m in _TOKEN.finditer(text)]
+    return starts[k] if k < len(starts) else len(text)
 
 
 def _parse_word(text, i):
@@ -159,33 +172,92 @@ def _parse_word(text, i):
     return w, j
 
 
-def _parse_label(text, i):
-    j = i
-    while j < len(text) and "0" <= text[j] <= "9":
-        j += 1
-    if j == i:
-        raise ParseError("expected a label", i)
+def _check_word(text, toks, k, word, at):
+    """Refuse ``word``, the letters the tokens give for the word starting
+    at ``at``, as ``_parse_word`` would.  The word runs on into token k
+    only when that is a non-ASCII letter, which no word may hold;
+    ``_parse_word`` then reads the whole word for the message."""
+    if toks[k] > "\x7f" or not is_reduced(word):
+        _parse_word(text, at)
+
+
+def _label(text, toks, k):
+    """The label and word of the label token k."""
+    tok = toks[k]
+    digits, colon, word = tok.partition(":")
     try:
-        label = int(text[i:j])
+        label = int(digits)
     except ValueError:  # more digits than int() converts
-        raise ParseError(f"label of {j - i} digits is too long", i) from None
+        raise ParseError(f"label of {len(digits)} digits is too long", _start(text, k)) from None
     if label < 1:
-        raise ParseError(f"label {label} out of range (labels start at 1)", i)
-    word = ""
-    if j < len(text) and text[j] == ":":
-        word, j = _parse_word(text, j + 1)
-    return Leaf(label, word), j
+        raise ParseError(f"label {label} out of range (labels start at 1)", _start(text, k))
+    if colon:
+        _check_word(text, toks, k + 1, word, _start(text, k) + len(digits) + 1)
+    return label, word
 
 
-def _parse_rooted(text, i):
-    i = _skip_ws(text, i)
-    if i >= len(text):
-        raise ParseError("unexpected end of input", i)
-    if text[i] == "(":
-        left, i = _parse_rooted(text, i + 1)
-        right, i = _parse_rooted(text, _expect(text, i, ","))
-        return Node(left, right), _expect(text, i, ")")
-    return _parse_label(text, i)
+def _scan_rooted(text, toks, k, leaf, node):
+    """The rooted tree starting at token k, and the index past it; the
+    token list ends in an empty sentinel."""
+    open_nodes = []  # None for a node awaiting its left child, else that child
+    while True:
+        tok = toks[k]
+        if tok == "(":
+            open_nodes.append(None)
+            k += 1
+            continue
+        label = _PLAIN_LABELS.get(tok)
+        if label is not None:
+            tree = leaf(label, "")
+        elif "0" <= tok < ":":
+            tree = leaf(*_label(text, toks, k))
+        else:
+            raise ParseError("expected a label" if tok else "unexpected end of input",
+                             _start(text, k))
+        k += 1
+        # close every node this subtree completes
+        while open_nodes:
+            if open_nodes[-1] is None:
+                if toks[k] != ",":
+                    raise ParseError("expected ','", _start(text, k))
+                open_nodes[-1] = tree
+                k += 1
+                break
+            if toks[k] != ")":
+                raise ParseError("expected ')'", _start(text, k))
+            tree = node(open_nodes.pop(), tree)
+            k += 1
+        else:
+            return tree, k
+
+
+def _scan(text, leaf, node):
+    """Scan the grammar with the constructors ``leaf(label, word)`` and
+    ``node(left, right)``.  Returns (tree, None, None) for a rooted tree
+    and (left, right, word) for an unrooted one."""
+    toks = _TOKEN.findall(text)
+    toks.append("")
+    if text.lstrip()[:6] != "inner(":
+        tree, k = _scan_rooted(text, toks, 0, leaf, node)
+        if toks[k]:
+            raise ParseError("trailing input", _start(text, k))
+        return tree, None, None
+    left, k = _scan_rooted(text, toks, 2, leaf, node)  # past "inner" and "("
+    if toks[k] != ",":
+        raise ParseError("expected ','", _start(text, k))
+    right, k = _scan_rooted(text, toks, k + 1, leaf, node)
+    if toks[k] != ",":
+        raise ParseError("expected ','", _start(text, k))
+    k += 1
+    word = toks[k] if toks[k].isalpha() and toks[k].isascii() else ""
+    if word or toks[k] > "\x7f":
+        _check_word(text, toks, k + 1 if word else k, word, _start(text, k))
+        k += bool(word)
+    if toks[k] != ")":
+        raise ParseError("expected ')'", _start(text, k))
+    if toks[k + 1]:
+        raise ParseError("trailing input", _start(text, k + 1))
+    return left, right, word
 
 
 def parse_tree(text):
@@ -198,36 +270,56 @@ def parse_tree(text):
     Words use letters a-z, with uppercase for inverses.  Whitespace is
     insignificant.
     """
-    i = _skip_ws(text, 0)
-    if text[i:i + 6] == "inner(":
-        left, i = _parse_rooted(text, i + 6)
-        right, i = _parse_rooted(text, _expect(text, i, ","))
-        word, i = _parse_word(text, _skip_ws(text, _expect(text, i, ",")))
-        tree, i = DecoratedTree(left, right, word), _expect(text, i, ")")
-    else:
-        tree, i = _parse_rooted(text, i)
-    i = _skip_ws(text, i)
-    if i != len(text):
-        raise ParseError("trailing input", i)
-    return tree
+    left, right, word = _scan(text, Leaf, Node)
+    return left if right is None else DecoratedTree(left, right, word)
+
+
+def _leaf_code(label, word):
+    return (0, label, word)
+
+
+def _node_code(left, right):
+    return (1, left, right)
+
+
+def parse_unrooted_code(text):
+    """The code of an unrooted tree text, or None for a rooted one.
+
+    Text in layout form, ``inner(r,rest,)`` with a bare root leaf r,
+    gives the layout code (r, rest) that ``CanonicalTree.code`` and
+    ``ihx_at`` give; any other gives the unrooted code (left, right,
+    word) of its two side codes and fused word.  A side code carries
+    each leaf's own edge word, as written; ``leaf_views`` folds them
+    into holonomies.  ``to_text`` prints either code back as
+    ``to_text(parse_tree(text))`` would.
+    """
+    left, right, word = _scan(text, _leaf_code, _node_code)
+    if right is None:
+        return None
+    if not word and left[0] == 0 and not left[2]:
+        return (left[1], right)
+    return (left, right, word)
 
 
 def parse_signed(text):
     """Parse an optional +/- sign followed by a tree."""
-    i = _skip_ws(text, 0)
-    sign = 1
-    if i < len(text) and text[i] in "+-":
-        sign = 1 if text[i] == "+" else -1
-        i += 1
-    return sign, parse_tree(text[i:])
+    text = text.lstrip()
+    if text[:1] in ("+", "-"):
+        return (1 if text[0] == "+" else -1), parse_tree(text[1:])
+    return 1, parse_tree(text)
 
 
 def to_text(tree):
     """Print a tree in the grammar; exact inverse of the parser.
 
-    Rooted trees with decorated internal edges are not representable
-    and raise ValueError (push decorations to the leaves first).
+    A layout or unrooted code prints as the tree it stands for, its
+    leaf words as written.  Rooted trees with decorated internal edges
+    are not representable and raise ValueError (push decorations to the
+    leaves first).
     """
+    if isinstance(tree, tuple):
+        left, right, word = _sides(tree)
+        return f"inner({_code_text(left)},{_code_text(right)},{word})"
     if isinstance(tree, Leaf):
         return f"{tree.label}:{tree.word}" if tree.word else str(tree.label)
     if isinstance(tree, Node):
@@ -237,6 +329,12 @@ def to_text(tree):
     if isinstance(tree, DecoratedTree):
         return f"inner({to_text(tree.left)},{to_text(tree.right)},{tree.word})"
     raise TypeError(f"not a tree: {tree!r}")
+
+
+def _code_text(c):
+    if c[0] == 0:
+        return f"{c[1]}:{c[2]}" if c[2] else str(c[1])
+    return f"({_code_text(c[1])},{_code_text(c[2])})"
 
 
 # ------------------------------------------------------------ basic algebra
@@ -298,27 +396,48 @@ def _rebase(view, g):
     return (1, _rebase(view[1], g), _rebase(view[2], g))
 
 
+def _sides(code):
+    """(left, right, word) of an unrooted code; a layout code (root,
+    rest) is its bare root leaf fused to ``rest``."""
+    if len(code) == 2 and type(code[0]) is int:
+        return (0, code[0], ""), code[1], ""
+    if len(code) == 3 and type(code[0]) is tuple:
+        return code
+    raise TypeError(f"not an unrooted code: {code!r}")
+
+
 def leaf_views(tree):
-    """(label, view) of a DecoratedTree, a CanonicalTree or a layout
-    code (root label, rest) rooted at each of its leaves.
+    """(label, view) of a DecoratedTree, a CanonicalTree, a layout code
+    (root label, rest) or an unrooted code (left, right, word), rooted
+    at each of its leaves.
 
     A view is the rooted code of the rest of the tree as seen from the
     root leaf: (0, label, holonomy) at a leaf, (1, left, right) at a
     trivalent vertex entered from its parent, the children in cyclic
-    order.  A code, bare or a CanonicalTree's, is read straight off:
-    the root leaf (0, r, "") against the rest, as its decoded layout
-    would be.  A rooted ``Leaf`` or ``Node`` is refused with a
-    ``TypeError``: it has no leaf at its root to be read from.
+    order.  A code is read straight off, folding its leaf words and
+    fused word into holonomies as its decoded tree would be: the words
+    of leaf sides sit on the fused edge, and the fused edge's word
+    prefixes every leaf word on the right side.  A layout code, bare or
+    a CanonicalTree's, has nothing to fold.  A rooted ``Leaf`` or
+    ``Node`` is refused with a ``TypeError``: it has no leaf at its root
+    to be read from.
     """
-    if isinstance(tree, (CanonicalTree, tuple)):
-        root, rest = tree.code if isinstance(tree, CanonicalTree) else tree
-        left, right = (0, root, ""), rest
+    if isinstance(tree, CanonicalTree):
+        tree = tree.code
+    if isinstance(tree, tuple):
+        left, right, word = _sides(tree)
+        lword = left[2] if left[0] == 0 else ""
+        rword = right[2] if right[0] == 0 else ""
+        if lword or word:
+            fused = wmul(winv(lword), word, rword)
+            left = (0, left[1], "") if lword else left
+            right = (0, right[1], fused) if right[0] == 0 else _rebase(right, fused)
     elif isinstance(tree, DecoratedTree):
         left = _side_code(tree.left, "")
         right = _side_code(tree.right, wmul(winv(tree.left.word), tree.word, tree.right.word))
     else:
         raise TypeError("expected an unrooted tree (DecoratedTree, CanonicalTree or "
-                        f"layout code), not {type(tree).__name__}")
+                        f"code), not {type(tree).__name__}")
     out = []
     _collect_views(left, right, out)
     _collect_views(right, left, out)
@@ -343,12 +462,13 @@ def _canon_rec(view):
 
 def canonicalize(signed):
     """Canonical form of a signed decorated tree; the signed tree may
-    also be a CanonicalTree or a layout code (root label, rest), such
-    as ``ihx_at`` returns.
+    also be a CanonicalTree or a code (see ``leaf_views``), such as
+    ``ihx_at`` or ``parse_unrooted_code`` returns.
 
     Returns (CanonicalTree, sign).  Gauge-equivalent inputs map to equal
     canonical trees with the AS-predicted sign relation; for 2-torsion
-    classes the sign is normalized to +1.  The code is minimized over
+    classes (t = -t) the sign is reduced mod 2, so +-1 gives 1 and 0 or
+    +-2 give 0.  The code is minimized over
     the rootings at the least-label leaves: a code starts with its root
     label, so no other root can give the minimal code.
     """
@@ -369,7 +489,7 @@ def canonicalize(signed):
             signs.add(sign)
             amb_at_best = amb_at_best or amb
     torsion = amb_at_best or len(signs) == 2
-    sign = 1 if torsion else min(signs) * signed.sign
+    sign = signed.sign % 2 if torsion else min(signs) * signed.sign
     # an order-n tree has n + 2 leaves
     return CanonicalTree(best, torsion, len(views) - 2, labels), sign
 

@@ -275,11 +275,10 @@ def test_models_refuse_point_signs_other_than_one(sign):
             make_model(3, 1, [(1, y), (sign, tree)])
         with refused:
             bch_tower([SignedTree(1, y.decode()), SignedTree(sign, tree.decode())], 1, 3)
-    # glue rebuilds its model, so a point changed in place is caught there
-    a, b = make_model(3, 1, [(1, y)]), make_model(3, 1, [(1, y)])
-    b.points[0] = TowerPoint(-sign, y)
-    with refused:
-        glue(a, b)
+    # a model's points are read-only, so no point can change after the check
+    b = make_model(3, 1, [(1, y)])
+    with pytest.raises(TypeError):
+        b.points[0] = TowerPoint(-sign, y)
 
 
 def test_models_whose_certificates_would_fail_are_refused():
@@ -787,12 +786,36 @@ def test_ihx_insert_accepts_equivalent_h_and_x():
 
 
 def test_replay_refuses_a_rooted_h():
-    # Node(H.left, H.right) closes up to H, but a rooted tree is no H
+    # Node(H.left, H.right) closes up to H, but a rooted tree is no H,
+    # nor is its rooted code
     ct, edge = next((c, e) for c, e in ihx_triples(2, 4) if c.nonrepeating)
     h, x = map(decode_code, ihx_at(ct, edge))
-    cert = (IhxInsert(ct, edge, 1, Node(h.left, h.right), x),)
-    res = verify_certificate(make_model(4, 2, []), cert)
-    assert (res.ok, res.code, res.move) == (False, "BadTriple", 0)
+    hcode, _ = ihx_at(ct, edge)
+    for rooted in (Node(h.left, h.right), (1, (0, hcode[0], ""), hcode[1]), "H"):
+        cert = (IhxInsert(ct, edge, 1, rooted, x),)
+        res = verify_certificate(make_model(4, 2, []), cert)
+        assert (res.ok, res.code, res.move) == (False, "BadTriple", 0)
+
+
+def test_certificates_keep_h_and_x_as_codes():
+    # the planner stores ihx_at's layout codes, the loader reads them
+    # back as the same tuples, and any other code of the same tree, or
+    # a DecoratedTree, replays the same way
+    model = _jacobi_model(random.Random("codes"), 3, 3, 4)
+    cert = certify_raise_order(model)
+    inserts = [mv for mv in cert if isinstance(mv, IhxInsert)]
+    assert inserts
+    for mv in inserts:
+        assert (mv.h, mv.x) == ihx_at(mv.tree, mv.edge)
+    text = certificate_to_json(cert)
+    assert certificate_from_json(text) == cert
+    final = replay_certificate(model, cert)
+    for rewrite in (lambda c: (c[1], (0, c[0], ""), ""), decode_code):
+        moved = tuple(IhxInsert(mv.tree, mv.edge, mv.sign, rewrite(mv.h), rewrite(mv.x))
+                      if isinstance(mv, IhxInsert) else mv for mv in cert)
+        assert replay_certificate(model, moved) == final
+    assert certificate_to_json(certificate_from_json(text.replace('"inner(1,', '"inner( 1 ,'))) \
+        == text
 
 
 # ----------------------------------------------------------- JSON loaders

@@ -5,7 +5,9 @@ from hypothesis import given, settings, strategies as st
 
 from towertrees import lie, trees
 from towertrees.cli import run
+from towertrees.groups import is_zero
 from towertrees.lie import eta
+from towertrees.sums import TreeSum
 from towertrees.trees import (
     BoundsError,
     CanonicalTree,
@@ -425,6 +427,56 @@ def test_is_simple_refuses_rooted_trees():
     for text in ["(((1,2),(3,4)),5)", "1"]:
         with pytest.raises(TypeError, match="is_simple expects an unrooted tree"):
             is_simple(parse_tree(text))
+
+
+def _internal_words_dropped(sub):
+    """The same tree with the words of its Node edges removed, so that
+    the grammar can print it."""
+    if isinstance(sub, Node):
+        return Node(_internal_words_dropped(sub.left), _internal_words_dropped(sub.right))
+    if isinstance(sub, DecoratedTree):
+        return DecoratedTree(_internal_words_dropped(sub.left),
+                             _internal_words_dropped(sub.right), sub.word)
+    return sub
+
+
+def test_unrooted_codes_read_as_their_trees():
+    # the loaders' codes against the parsed trees on 3,000 seeded random
+    # decorated trees: the same views, canonical form and sign, and the
+    # same text when printed
+    rng = random.Random(20261)
+    layouts = 0
+    for _ in range(3000):
+        t = _internal_words_dropped(_random_decorated(rng, max_order=4))
+        text = to_text(t)
+        code = trees.parse_unrooted_code(text)
+        layouts += len(code) == 2
+        assert to_text(code) == text
+        assert sorted(trees.leaf_views(code)) == sorted(trees.leaf_views(t))
+        sign = rng.choice((1, -1))
+        assert canonicalize(SignedTree(sign, code)) == canonicalize(SignedTree(sign, t))
+    assert layouts > 100
+    # layout text gives the layout code that ihx_at and CanonicalTree use
+    ct, _ = canonicalize(SignedTree(1, parse_tree("inner((1,2),(3,4:a),)")))
+    assert trees.parse_unrooted_code(ct.text()) == ct.code
+    assert trees.parse_unrooted_code(" inner( 1 , 2:ab ,) ") == (1, (0, 2, "ab"))
+    assert trees.parse_unrooted_code("inner(1:a,2,)") == ((0, 1, "a"), (0, 2, ""), "")
+    for rooted in ["1", "(1,2)", "((1,2),3:b)"]:
+        assert trees.parse_unrooted_code(rooted) is None
+    for bad in ["inner(1,2,", "inner(1,2,aA)", "(1,"]:
+        with pytest.raises(ParseError):
+            trees.parse_unrooted_code(bad)
+
+
+def test_two_torsion_sign_is_reduced_mod_2():
+    # t = -t, so a 2-torsion tree's coefficient lives in Z/2: +-1 gives
+    # 1, and 0 or +-2 give 0
+    tree = parse_tree("inner(1,(1,1),)")
+    ct, _ = canonicalize(SignedTree(1, tree))
+    for sign in (0, 1, -1, 2, -2, 3, 5):
+        assert canonicalize(SignedTree(sign, tree)) == (ct, sign % 2)
+    assert is_zero(TreeSum([canonicalize(SignedTree(2, tree))]), 1, 1)
+    assert not is_zero(TreeSum([canonicalize(SignedTree(3, tree))]), 1, 1)
 
 
 def test_rooted_trees_are_not_read_as_unrooted_ones():

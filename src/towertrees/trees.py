@@ -424,7 +424,9 @@ def leaf_views(tree):
     """
     if isinstance(tree, CanonicalTree):
         tree = tree.code
-    if isinstance(tree, tuple):
+    if isinstance(tree, tuple) and len(tree) == 2:
+        left, right = (0, tree[0], ""), tree[1]
+    elif isinstance(tree, tuple):
         left, right, word = _sides(tree)
         lword = left[2] if left[0] == 0 else ""
         rword = right[2] if right[0] == 0 else ""

@@ -7,12 +7,11 @@ forms absorb.
 """
 
 from towertrees import (
+    DecoratedTree,
     Node,
     SignedTree,
     all_trees,
     canonicalize,
-    hol_normalize,
-    inner_product,
     is_simple,
     order_of,
     parse_tree,
@@ -27,7 +26,7 @@ print(f"b = {to_text(b)}   order {order_of(b)}")
 ab = Node(a, b)
 print(f"rooted product a*b = {to_text(ab)}   order {order_of(ab)}")
 
-fused = inner_product(a, parse_tree("(3,4)"), "g")
+fused = DecoratedTree(a, parse_tree("(3,4)"), "g")
 print(f"inner product  = {to_text(fused)}   order {order_of(fused)}")
 
 print()
@@ -45,7 +44,7 @@ for left, right in pairs:
 
 print("== whisker pushes: all decorations end up on the leaf edges ==")
 t = parse_tree("inner(1:a,(2:b,3:c),)")
-print(f"{to_text(t)}  normalizes to  {to_text(hol_normalize(t))}")
+print(f"{to_text(t)}  normalizes to  {canonicalize(SignedTree(1, t))[0].text()}")
 
 print()
 print("== two-torsion from symmetric trees ==")

@@ -6,6 +6,8 @@ replayable certificate of moves empties the order-n layer.
 """
 
 import random
+import sys
+from pathlib import Path
 
 from towertrees import (
     ObstructionNonzero,
@@ -15,7 +17,6 @@ from towertrees import (
     extract_model,
     glue,
     ihx_insert,
-    random_raw_tower,
     replay_certificate,
     tau,
     verify_certificate,
@@ -23,6 +24,10 @@ from towertrees import (
 from towertrees.groups import ihx_triples, is_zero
 from towertrees.towers import RawDisk, RawPoint, RawTower
 from towertrees.trees import parse_tree
+
+# the seeded random raw towers come from the test oracles
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
+from oracles import random_raw_tower
 
 print("== a raw order-2 tower on four surfaces ==")
 # each Whitney disk is named by its rooted tree

@@ -7,17 +7,21 @@ swaps and the Jacobi identity absorbs IHX, so the map factors through
 the tree groups and its rank bounds their free rank from below.
 """
 
-from towertrees import (
-    eta,
-    eta_sum,
-    group_structure,
-    hall_basis,
-    lie_dimension_oracle,
-    rational_rank_bound,
-    rooted_tree_to_lie,
-)
+import sys
+from pathlib import Path
+
+from towertrees import Leaf, eta, eta_sum, group_structure, lie_bracket, rational_rank_bound
 from towertrees.groups import ihx_triples, relator_sum
 from towertrees.trees import parse_tree
+
+# the Hall bases and the necklace count come from the test oracles
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
+from oracles import hall_basis, lie_dimension_oracle
+
+
+def bracket(t):
+    """Leaf i -> X_i, node -> the bracket of its children's images."""
+    return {(t.label,): 1} if isinstance(t, Leaf) else lie_bracket(bracket(t.left), bracket(t.right))
 
 
 def show(poly):
@@ -27,7 +31,7 @@ def show(poly):
 
 print("== brackets from rooted trees ==")
 for text in ["(1,2)", "((1,2),3)", "(1,(2,3))"]:
-    print(f"{text:12s} -> {show(rooted_tree_to_lie(parse_tree(text)))}")
+    print(f"{text:12s} -> {show(bracket(parse_tree(text)))}")
 
 print()
 print("== eta on the order-0 edge ==")

@@ -9,7 +9,8 @@ The library is organized along its objects:
                the exact zero test, spanning by simple trees
 * ``towers``   split tower models, the move calculus, certified order
                raising
-* ``lie``      independent free-Lie-algebra oracle
+* ``lie``      the map eta into the free Lie algebra and the rank
+               bound it gives
 * ``intlinalg`` exact integer matrix utilities
 """
 
@@ -25,9 +26,7 @@ from .trees import (
     all_trees,
     canonicalize,
     canonicalize_rooted,
-    hol_normalize,
     ihx_at,
-    inner_product,
     interior_edge_paths,
     is_simple,
     labels_of,
@@ -73,7 +72,6 @@ from .towers import (
     make_model,
     model_to_json,
     parse_bracket,
-    random_raw_tower,
     raw_from_json,
     raw_to_json,
     replay_certificate,
@@ -83,12 +81,8 @@ from .towers import (
 from .lie import (
     eta,
     eta_sum,
-    hall_basis,
     lie_bracket,
-    lie_dimension_oracle,
-    lyndon_words,
     rational_rank_bound,
-    rooted_tree_to_lie,
 )
 
 __version__ = "0.1.0"

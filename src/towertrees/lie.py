@@ -1,10 +1,11 @@
-"""Free Lie algebra oracle over the integers.
+"""The map eta from trees to the free Lie algebra over the integers.
 
 Everything is verified by expansion in the free associative algebra
 (noncommutative words with integer coefficients), never by basis
-rewriting: this module exists to cross-check the tree groups, so it
-shares with them only the tree types, ``trees.leaf_views`` (a tree
-read from each of its leaves) and ``intlinalg.integer_rank``.
+rewriting.  The image of eta bounds the free rank of the tree groups
+from below, so the module shares with them only the tree types,
+``trees.leaf_views`` (a tree read from each of its leaves) and
+``intlinalg.integer_rank``.
 
 A Lie polynomial is a plain dict, a word (tuple of labels) mapped to a
 nonzero integer coefficient; zero is the empty dict, so two polynomials
@@ -21,7 +22,8 @@ Within one call of ``eta`` or ``eta_sum``, and within one block of
 ``rational_rank_bound``, each distinct sub-view is expanded once, since
 the views of a tree, and the trees of a block, share subtrees.
 ``tests/oracles.py`` keeps the bracket-by-bracket expansion as the
-reference.
+reference, and the Hall (Lyndon) basis and the Witt necklace count that
+check the bracket's dimensions.
 
 eta keeps a tree's label multiset (the letters of each word with its
 label), so the images of distinct label-multiset blocks are supported on
@@ -34,7 +36,7 @@ once per arrangement of its multiplicities.
 from __future__ import annotations
 
 from .intlinalg import integer_rank
-from .trees import CanonicalTree, DecoratedTree, Leaf, leaf_views, representative_blocks
+from .trees import CanonicalTree, DecoratedTree, leaf_views, representative_blocks
 
 
 def lie_bracket(a, b):
@@ -49,15 +51,6 @@ def lie_bracket(a, b):
             w = wb + wa
             out[w] = out.get(w, 0) - c
     return {w: c for w, c in out.items() if c}
-
-
-def rooted_tree_to_lie(t):
-    """Leaf i -> X_i, node -> bracket of the children's images."""
-    if t.word:
-        raise ValueError("decorated trees have no Lie image")
-    if isinstance(t, Leaf):
-        return {(t.label,): 1}
-    return lie_bracket(rooted_tree_to_lie(t.left), rooted_tree_to_lie(t.right))
 
 
 def _view_poly(view, memo):
@@ -105,63 +98,6 @@ def eta(tree):
 def eta_sum(ts):
     """Linear extension of eta to tree sums."""
     return _by_label(_eta_terms(ts.items(), {}))
-
-
-# ------------------------------------------------------------- Hall bases
-
-def lyndon_words(m, length):
-    """Lyndon words of the given length over 1..m (Duval iteration)."""
-    out = []
-    w = [1]
-    while True:
-        if len(w) == length:
-            out.append(tuple(w))
-        k = len(w)
-        while len(w) < length:
-            w.append(w[len(w) - k])
-        while w and w[-1] == m:
-            w.pop()
-        if not w:
-            return out
-        w[-1] += 1
-
-
-def _standard_bracketing(word):
-    if len(word) == 1:
-        return {word: 1}
-    # standard factorization: the longest proper Lyndon suffix (a
-    # single letter is one, so the search always ends)
-    for i in range(1, len(word)):
-        suffix = word[i:]
-        if all(suffix < suffix[j:] + suffix[:j] for j in range(1, len(suffix))):
-            return lie_bracket(_standard_bracketing(word[:i]), _standard_bracketing(suffix))
-
-
-def hall_basis(m, length):
-    """A Hall family (Lyndon basis) of the degree-``length`` part of the
-    free Lie algebra on m generators, expanded; ``length`` is at least 1."""
-    if length < 1:
-        raise ValueError(f"length {length} out of bounds (at least 1)")
-    return [_standard_bracketing(w) for w in lyndon_words(m, length)]
-
-
-def lie_dimension_oracle(m, length):
-    """Necklace-count dimension of the degree-``length`` part (Witt)."""
-    if length < 1:
-        raise ValueError(f"length {length} out of bounds (at least 1)")
-    def mobius(n):
-        result, p = 1, 2
-        while p * p <= n:
-            if n % p == 0:
-                n //= p
-                if n % p == 0:
-                    return 0
-                result = -result
-            p += 1
-        return -result if n > 1 else result
-
-    return sum(mobius(d) * m ** (length // d)
-               for d in range(1, length + 1) if length % d == 0) // length
 
 
 def rational_rank_bound(order, labels):

@@ -233,14 +233,13 @@ def extract_model(raw: RawTower):
     the sign of any point it supports.
     """
     unpaired = validate_raw(raw)
+    # an order-0 surface without a disk entry has a trivial whisker and
+    # orientation +1
     whisker = {d.bracket: d.whisker for d in raw.disks}
     orient = {d.bracket: d.orientation for d in raw.disks}
-    for i in range(1, raw.m + 1):
-        whisker.setdefault(Leaf(i), "")
-        orient.setdefault(Leaf(i), 1)
 
     def build(b, parent):
-        word = wmul(winv(whisker[parent]), whisker[b]) if parent is not None else ""
+        word = wmul(winv(whisker[parent]), whisker.get(b, "")) if parent is not None else ""
         if isinstance(b, Leaf):
             return Leaf(b.label, word)
         left = build(b.left, b)
@@ -251,9 +250,10 @@ def extract_model(raw: RawTower):
 
     pairs = []
     for p in unpaired:
-        fused = wmul(winv(whisker[p.left]), p.word, whisker[p.right])
+        fused = wmul(winv(whisker.get(p.left, "")), p.word, whisker.get(p.right, ""))
         tree = DecoratedTree(build(p.left, None), build(p.right, None), fused)
-        pairs.append(canonicalize(SignedTree(p.sign * orient[p.left] * orient[p.right], tree)))
+        sign = p.sign * orient.get(p.left, 1) * orient.get(p.right, 1)
+        pairs.append(canonicalize(SignedTree(sign, tree)))
     order = min(ct.order for ct, _ in pairs) if pairs else raw.order
     return make_model(raw.m, order, [(sign, ct) for ct, sign in pairs])
 
@@ -661,6 +661,8 @@ def _model_from_doc(doc) -> TowerModel:
         top = ct.labels[-1]
         if top > m:
             raise TowerError(f"{where}: 'tree' uses the label {top} outside 1..{m}")
+        if ct.order < order:
+            raise TowerError(f"{where}: 'tree' has order {ct.order} below the tower order {order}")
         pairs.append((sign, ct))
     return make_model(m, order, pairs)
 
@@ -758,61 +760,3 @@ def certificate_from_json(text: str) -> tuple:
         else:
             raise TowerError(f"{where}: unknown move kind {kind!r}")
     return tuple(moves)
-
-
-# ----------------------------------------------------------- random towers
-
-def random_raw_tower(rng):
-    """A random well-formed raw tower on 2 to 4 surfaces, for randomized
-    suites and demos: one to three top brackets of order at most 2, a
-    Whitney disk for every non-leaf bracket under them, and one to three
-    unpaired points."""
-    m = rng.randint(2, 4)
-
-    def random_word(maxlen=2):
-        letters = []
-        for _ in range(rng.randint(0, maxlen)):
-            ch = rng.choice("ab")
-            letters.append(ch if rng.random() < 0.5 else ch.upper())
-        return wmul(*letters)
-
-    def random_bracket(max_order):
-        if max_order == 0 or rng.random() < 0.4:
-            return Leaf(rng.randint(1, m))
-        k = rng.randint(0, max_order - 1)
-        return Node(random_bracket(k), random_bracket(max_order - 1 - k))
-
-    needed = {}  # every Whitney disk under a top one, in preorder
-
-    def add_disks(b):
-        if isinstance(b, Node):
-            needed[b] = True
-            add_disks(b.left)
-            add_disks(b.right)
-
-    tops = []
-    for _ in range(rng.randint(1, 3)):
-        b = random_bracket(2)
-        tops.append(b)
-        add_disks(b)
-
-    disks = [RawDisk(b, random_word(), rng.choice((1, -1))) for b in needed]
-    if rng.random() < 0.5:  # optional order-0 surface data
-        disks.append(RawDisk(Leaf(rng.randint(1, m)), random_word(), rng.choice((1, -1))))
-
-    points = []
-    for b in needed:
-        s = rng.choice((1, -1))
-        points.append(RawPoint(s, b.left, b.right, random_word(), b))
-        points.append(RawPoint(-s, b.left, b.right, random_word(), b))
-
-    surfaces = [Leaf(i) for i in range(1, m + 1)] + list(needed)
-    unpaired = []
-    for _ in range(rng.randint(1, 3)):
-        left = rng.choice(tops + surfaces)
-        right = rng.choice(surfaces)
-        unpaired.append(RawPoint(rng.choice((1, -1)), left, right, random_word()))
-    points.extend(unpaired)
-
-    order = min(p.order for p in unpaired)
-    return RawTower(m, order, tuple(disks), tuple(points))

@@ -360,11 +360,6 @@ def labels_of(tree):
     raise TypeError(f"not a tree: {tree!r}")
 
 
-def inner_product(a, b, g=""):
-    """Fuse the roots of a and b into a single edge decorated by g."""
-    return DecoratedTree(a, b, wreduce(g))
-
-
 # ------------------------------------------------------------ leaf views
 
 def _side_code(sub, hol):
@@ -506,18 +501,8 @@ def canonicalize_rooted(sign, rooted):
     return _decode_rest(code), (1 if amb else s * sign), amb
 
 
-def explicit_code(tree):
-    """Isomorphism + OR/HOL invariant code keeping vertex orientations.
-
-    Two decorated trees get equal explicit codes iff they are related by
-    edge reversals, whisker moves and relabeling of the internal
-    structure, with no AS flips.
-    """
-    return min(leaf_views(tree))
-
-
 def decode_code(code):
-    """Rebuild the layout tree of a canonical or explicit code."""
+    """Rebuild the layout tree of a layout code (root label, rest)."""
     return DecoratedTree(Leaf(code[0]), _decode_rest(code[1]), "")
 
 
@@ -596,18 +581,7 @@ def ihx_at(ct, path):
             (root, _code_replace(rest, path[:-1], (1, (1, b, s), a))))
 
 
-# ------------------------------------------------------------ normal forms
-
-def hol_normalize(t):
-    """Push all decorations onto the leaf edges.
-
-    Returns an OR/HOL-equivalent presentation rooted at the leaf with
-    the least plain code: the root edge and every interior edge carry
-    the identity and each remaining leaf edge carries the holonomy from
-    the root, oriented toward its leaf.  Idempotent.
-    """
-    return decode_code(explicit_code(t))
-
+# ------------------------------------------------------------ simple trees
 
 def is_simple(t):
     """True iff the tree shape is a caterpillar (right/left-normed):

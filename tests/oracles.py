@@ -1,9 +1,9 @@
 """Independent brute-force oracles the tests check the library against.
 
 Nothing here reuses the library's canonicalization search, Smith normal
-form elimination or Lie dimension formula; where an oracle needs tree
-plumbing it sticks to the raw building blocks (explicit codes and
-single-vertex flips).  ``graph_leaf_views`` is the reference for the
+form elimination or Lie bracket; where an oracle needs tree plumbing it
+sticks to the raw building blocks (explicit codes and single-vertex
+flips).  ``graph_leaf_views`` is the reference for the
 library's leaf views: it builds the adjacency graph of a tree and walks
 it from every leaf, carrying the holonomy edge by edge, and the
 explicit codes and canonical forms here are read off it.
@@ -18,7 +18,13 @@ reference for ``trees.ihx_at``: it takes the IHX move on the decoded
 Leaf/Node layout and returns H and X as DecoratedTrees.  ``bracket_eta`` is the
 reference for ``lie.eta``: it expands every bracket of every graph-walk
 view afresh, one dict word -> coefficient per bracket, summed by its
-own helper here, sharing nothing with ``lie``.
+own helper here, sharing nothing with ``lie``.  ``hall_basis`` (the
+Lyndon basis, bracketed by its standard factorization) and
+``lie_dimension_oracle`` (Witt's necklace count) check the bracket's
+dimensions, on that same helper; ``lie_dim_by_rank`` is a third count,
+the rank of every bracketing of every word.  ``random_raw_tower`` is
+the seeded generator of well-formed raw towers for the randomized
+suites and the demos.
 """
 
 from itertools import combinations, product
@@ -26,6 +32,7 @@ from math import gcd
 
 from towertrees.groups import RelationMatrix, ihx_triples, presentation
 from towertrees.intlinalg import IntegerLattice
+from towertrees.towers import RawDisk, RawPoint, RawTower
 from towertrees.trees import CanonicalTree, DecoratedTree, Leaf, Node, labels_of
 from towertrees.words import winv, wmul
 
@@ -161,6 +168,61 @@ def bracket_eta_vector(tree):
     the rank computation."""
     return {(label,) + w: c for label, el in bracket_eta(tree).items()
             for w, c in el.items()}
+
+
+def lyndon_words(m, length):
+    """Lyndon words of the given length over 1..m (Duval iteration)."""
+    out = []
+    w = [1]
+    while True:
+        if len(w) == length:
+            out.append(tuple(w))
+        k = len(w)
+        while len(w) < length:
+            w.append(w[len(w) - k])
+        while w and w[-1] == m:
+            w.pop()
+        if not w:
+            return out
+        w[-1] += 1
+
+
+def _standard_bracketing(word):
+    if len(word) == 1:
+        return {word: 1}
+    # standard factorization: the longest proper Lyndon suffix (a
+    # single letter is one, so the search always ends)
+    for i in range(1, len(word)):
+        suffix = word[i:]
+        if all(suffix < suffix[j:] + suffix[:j] for j in range(1, len(suffix))):
+            return _element_bracket(_standard_bracketing(word[:i]), _standard_bracketing(suffix))
+
+
+def hall_basis(m, length):
+    """A Hall family (Lyndon basis) of the degree-``length`` part of the
+    free Lie algebra on m generators, expanded; ``length`` is at least 1."""
+    if length < 1:
+        raise ValueError(f"length {length} out of bounds (at least 1)")
+    return [_standard_bracketing(w) for w in lyndon_words(m, length)]
+
+
+def lie_dimension_oracle(m, length):
+    """Necklace-count dimension of the degree-``length`` part (Witt)."""
+    if length < 1:
+        raise ValueError(f"length {length} out of bounds (at least 1)")
+    def mobius(n):
+        result, p = 1, 2
+        while p * p <= n:
+            if n % p == 0:
+                n //= p
+                if n % p == 0:
+                    return 0
+                result = -result
+            p += 1
+        return -result if n > 1 else result
+
+    return sum(mobius(d) * m ** (length // d)
+               for d in range(1, length + 1) if length % d == 0) // length
 
 
 def _min_orientation(view):
@@ -496,22 +558,15 @@ def lie_dim_by_rank(m, length):
 
     def bracketings(word):
         if len(word) == 1:
-            return [{(word[0],): 1}]
-        out = []
-        for i in range(1, len(word)):
-            for a in bracketings(word[:i]):
-                for b in bracketings(word[i:]):
-                    prod = {}
-                    for wa, ca in a.items():
-                        for wb, cb in b.items():
-                            prod[wa + wb] = prod.get(wa + wb, 0) + ca * cb
-                            prod[wb + wa] = prod.get(wb + wa, 0) - ca * cb
-                    out.append({w: c for w, c in prod.items() if c})
-        return out
+            return [{word: 1}]
+        return [_element_bracket(a, b)
+                for i in range(1, len(word))
+                for a in bracketings(word[:i])
+                for b in bracketings(word[i:])]
 
     rows = []
     for word in product(range(1, m + 1), repeat=length):
-        rows.extend(bracketings(list(word)))
+        rows.extend(bracketings(word))
 
     index = {}
     dense = []
@@ -537,3 +592,59 @@ def lie_dim_by_rank(m, length):
                 else:
                     row.pop(cc, None)
     return rank
+
+
+def random_raw_tower(rng):
+    """A random well-formed raw tower on 2 to 4 surfaces, for randomized
+    suites and demos: one to three top brackets of order at most 2, a
+    Whitney disk for every non-leaf bracket under them, and one to three
+    unpaired points."""
+    m = rng.randint(2, 4)
+
+    def random_word(maxlen=2):
+        letters = []
+        for _ in range(rng.randint(0, maxlen)):
+            ch = rng.choice("ab")
+            letters.append(ch if rng.random() < 0.5 else ch.upper())
+        return wmul(*letters)
+
+    def random_bracket(max_order):
+        if max_order == 0 or rng.random() < 0.4:
+            return Leaf(rng.randint(1, m))
+        k = rng.randint(0, max_order - 1)
+        return Node(random_bracket(k), random_bracket(max_order - 1 - k))
+
+    needed = {}  # every Whitney disk under a top one, in preorder
+
+    def add_disks(b):
+        if isinstance(b, Node):
+            needed[b] = True
+            add_disks(b.left)
+            add_disks(b.right)
+
+    tops = []
+    for _ in range(rng.randint(1, 3)):
+        b = random_bracket(2)
+        tops.append(b)
+        add_disks(b)
+
+    disks = [RawDisk(b, random_word(), rng.choice((1, -1))) for b in needed]
+    if rng.random() < 0.5:  # optional order-0 surface data
+        disks.append(RawDisk(Leaf(rng.randint(1, m)), random_word(), rng.choice((1, -1))))
+
+    points = []
+    for b in needed:
+        s = rng.choice((1, -1))
+        points.append(RawPoint(s, b.left, b.right, random_word(), b))
+        points.append(RawPoint(-s, b.left, b.right, random_word(), b))
+
+    surfaces = [Leaf(i) for i in range(1, m + 1)] + list(needed)
+    unpaired = []
+    for _ in range(rng.randint(1, 3)):
+        left = rng.choice(tops + surfaces)
+        right = rng.choice(surfaces)
+        unpaired.append(RawPoint(rng.choice((1, -1)), left, right, random_word()))
+    points.extend(unpaired)
+
+    order = min(p.order for p in unpaired)
+    return RawTower(m, order, tuple(disks), tuple(points))

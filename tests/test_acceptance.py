@@ -31,7 +31,6 @@ from towertrees.towers import (
     extract_model,
     glue,
     ihx_insert,
-    random_raw_tower,
     raw_from_json,
     tau,
     verify_certificate,
@@ -46,7 +45,7 @@ from towertrees.trees import (
 )
 from towertrees.words import winv
 
-from oracles import flip_at, internal_paths, raw_generators
+from oracles import flip_at, internal_paths, random_raw_tower, raw_generators
 
 FIXTURES = Path(__file__).parent / "fixtures"
 

@@ -269,7 +269,7 @@ def test_cli_is_a_thin_adapter(capsys):
 
 def test_groups_max_order_raises_the_bound(capsys):
     # closed form at (5,2): free rank 2*L6(2) - L7(2) = 0, torsion (Z/2)^{2*L3(2)}
-    from towertrees.lie import lie_dimension_oracle as L
+    from oracles import lie_dimension_oracle as L
 
     code, out, err = invoke(capsys, "groups", "--order", "5", "--labels", "2",
                             "--max-order", "5")

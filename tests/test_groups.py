@@ -24,20 +24,25 @@ from towertrees.groups import (
     relator_sum,
 )
 from towertrees.intlinalg import IntegerLattice, smith_normal_form
-from towertrees.lie import lie_dimension_oracle
 from towertrees.sums import TreeSum
 from towertrees.trees import (
     BoundsError,
     SignedTree,
     all_trees,
     canonicalize,
-    explicit_code,
     is_simple,
     parse_tree,
     trees_by_multiset,
 )
 
-from oracles import cell_lattice, nonrepeating_presentation, raw_generators, raw_presentation
+from oracles import (
+    cell_lattice,
+    graph_explicit_code,
+    lie_dimension_oracle,
+    nonrepeating_presentation,
+    raw_generators,
+    raw_presentation,
+)
 
 
 def canon(text):
@@ -315,7 +320,7 @@ def _raw_zero_test(ts, n, m):
     over orientation-explicit generators and test membership in the
     integer span of the AS and IHX rows."""
     gens, rows = raw_presentation(n, m)
-    index = {explicit_code(g): i for i, g in enumerate(gens)}
+    index = {graph_explicit_code(g): i for i, g in enumerate(gens)}
     lat = IntegerLattice()
     for row in rows:
         lat.add(row)
@@ -325,7 +330,7 @@ def _raw_zero_test(ts, n, m):
         g = t.decode()
         ct, s = canonicalize(SignedTree(1, g))
         assert ct == t
-        i = index[explicit_code(g)]
+        i = index[graph_explicit_code(g)]
         vec[i] = vec.get(i, 0) + c * s
     return lat.contains({i: v for i, v in vec.items() if v})
 

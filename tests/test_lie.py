@@ -6,16 +6,7 @@ from hypothesis import given, settings, strategies as st
 from towertrees import lie
 from towertrees.groups import group_structure, ihx_triples, relator_sum
 from towertrees.intlinalg import integer_rank
-from towertrees.lie import (
-    eta,
-    eta_sum,
-    hall_basis,
-    lie_bracket,
-    lie_dimension_oracle,
-    lyndon_words,
-    rational_rank_bound,
-    rooted_tree_to_lie,
-)
+from towertrees.lie import eta, eta_sum, lie_bracket, rational_rank_bound
 from towertrees.trees import (
     DecoratedTree,
     Leaf,
@@ -34,8 +25,11 @@ from oracles import (
     bracket_eta_sum,
     bracket_eta_vector,
     flip_at,
+    hall_basis,
     internal_paths,
     lie_dim_by_rank,
+    lie_dimension_oracle,
+    lyndon_words,
 )
 
 X = {i: {(i,): 1} for i in range(1, 6)}
@@ -76,28 +70,13 @@ def test_jacobi(seed):
     assert total == {}
 
 
-def test_rooted_tree_images():
-    assert rooted_tree_to_lie(parse_tree("(1,2)")) == lie_bracket(X[1], X[2])
-    assert rooted_tree_to_lie(parse_tree("((1,2),3)")) == \
-        lie_bracket(lie_bracket(X[1], X[2]), X[3])
-
-
-def test_rooted_product_is_bracket():
-    a, b = parse_tree("(1,2)"), parse_tree("(3,(4,5))")
-    assert rooted_tree_to_lie(Node(a, b)) == \
-        lie_bracket(rooted_tree_to_lie(a), rooted_tree_to_lie(b))
-
-
-def test_rooted_tree_rejects_decorations():
-    with pytest.raises(ValueError):
-        rooted_tree_to_lie(parse_tree("(1:a,2)"))
-
-
 def test_ihx_rooted_images_sum_to_zero():
-    # the three trees of an IHX triple, all rooted at the same leaf
-    i = rooted_tree_to_lie(parse_tree("(2,(3,4))"))
-    h = rooted_tree_to_lie(parse_tree("((4,2),3)"))
-    x = rooted_tree_to_lie(parse_tree("((3,2),4)"))
+    # the three trees of an IHX triple, all rooted at the same leaf:
+    # eta's component at that leaf's label is the bracket of the rest
+    i = eta(parse_tree("inner(1,(2,(3,4)),)"))[1]
+    h = eta(parse_tree("inner(1,((4,2),3),)"))[1]
+    x = eta(parse_tree("inner(1,((3,2),4),)"))[1]
+    assert i == lie_bracket(X[2], lie_bracket(X[3], X[4]))
     assert _combine((1, i), (-1, h), (1, x)) == {}
 
 
@@ -273,10 +252,6 @@ def test_decorated_trees_have_no_lie_image():
             continue
         assert eta(t) == eta(ct) == expected
     assert raised > 600
-    with pytest.raises(ValueError, match=message):
-        rooted_tree_to_lie(parse_tree("(1:a,2)"))
-    with pytest.raises(ValueError, match=message):
-        rooted_tree_to_lie(Node(Leaf(1), Leaf(2), "a"))
 
 
 def test_leaf_views_read_from_the_code():

@@ -2,6 +2,7 @@ import hashlib
 import json
 import random
 import re
+import signal
 from dataclasses import replace
 from pathlib import Path
 
@@ -33,7 +34,6 @@ from towertrees.towers import (
     make_model,
     model_to_json,
     parse_bracket,
-    random_raw_tower,
     raw_from_json,
     raw_to_json,
     replay_certificate,
@@ -53,6 +53,8 @@ from towertrees.trees import (
     to_text,
 )
 from towertrees.words import winv
+
+from oracles import random_raw_tower
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -847,11 +849,37 @@ def test_certificates_keep_h_and_x_as_codes():
     ({"m": 2, "order": 0, "disks": [], "points": [{"sign": 1, "left": "1", "right": "2",
                                                    "g": "aA"}]},
      "raw tower point 0: 'g': word 'aA' is not freely reduced"),
+    ({"m": 3, "order": 2, "points": [{"sign": 1, "tree": "inner(1,(2,3),)"}]},
+     "model point 0: 'tree' has order 1 below the tower order 2"),
 ])
 def test_load_tower_names_the_offending_json_path(doc, message):
     with pytest.raises(TowerError) as exc:
         load_tower(json.dumps(doc))
     assert message in str(exc.value)
+
+
+def test_raw_tower_load_time_does_not_grow_with_m():
+    # surfaces are read where the points and disks use them, so a
+    # declared m of 10^12 loads as a small m does; a scan of 1..m would
+    # be stopped by the 2-second alarm
+    doc = {"m": 3, "order": 1,
+           "disks": [{"bracket": "(1,2)", "whisker": "a", "orientation": -1}],
+           "points": [{"sign": 1, "left": "1", "right": "2", "paired_by": "(1,2)"},
+                      {"sign": -1, "left": "1", "right": "2", "g": "b", "paired_by": "(1,2)"},
+                      {"sign": 1, "left": "(1,2)", "right": "3", "g": "B"}]}
+    small = tau(load_tower(json.dumps(doc)))
+
+    def alarm(signum, frame):
+        raise TimeoutError("loading took over 2 s")
+
+    previous = signal.signal(signal.SIGALRM, alarm)
+    signal.setitimer(signal.ITIMER_REAL, 2.0)
+    try:
+        huge = tau(load_tower(json.dumps({**doc, "m": 10 ** 12})))
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    assert huge == small and huge.text() == "+1*inner(1,(2,3:B),)"
 
 
 @pytest.mark.parametrize("doc, message", [

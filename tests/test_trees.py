@@ -20,9 +20,7 @@ from towertrees.trees import (
     canonicalize,
     canonicalize_rooted,
     decode_code,
-    hol_normalize,
     ihx_at,
-    inner_product,
     interior_edge_paths,
     is_simple,
     labels_of,
@@ -41,7 +39,6 @@ from oracles import (
     edge_paths,
     flip_at,
     graph_canonicalize,
-    graph_explicit_code,
     graph_leaf_views,
     internal_paths,
     is_simple_by_graph,
@@ -127,41 +124,42 @@ def test_rooted_product():
 
 
 def test_inner_product_orders():
-    assert order_of(inner_product(Leaf(1), Leaf(2), "a")) == 0
-    t = inner_product(parse_tree("(1,2)"), parse_tree("(3,4)"), "g")
+    assert order_of(DecoratedTree(Leaf(1), Leaf(2), "a")) == 0
+    t = DecoratedTree(parse_tree("(1,2)"), parse_tree("(3,4)"), "g")
     assert order_of(t) == 2
 
 
 def test_inner_product_swap_inverts_word():
     # canonical equality of inner(a,b,g) and inner(b,a,g^-1)
     a, b = parse_tree("(1,2)"), parse_tree("(3,4)")
-    lhs = canonicalize(SignedTree(1, inner_product(a, b, "ab")))
-    rhs = canonicalize(SignedTree(1, inner_product(b, a, "BA")))
+    lhs = canonicalize(SignedTree(1, DecoratedTree(a, b, "ab")))
+    rhs = canonicalize(SignedTree(1, DecoratedTree(b, a, "BA")))
     assert lhs == rhs
 
 
 # ------------------------------------------------------------ hol normalize
+# The canonical form pushes every decoration onto the leaf edges: the
+# root edge and every interior edge carry the identity, and each other
+# leaf edge the holonomy from the root, oriented toward its leaf.
 
 def test_hol_normalize_y_example():
     # edges toward the leaves decorated (a, b, c): pushing the root edge
     # decoration through the vertex leaves (1, a^-1 b, a^-1 c)
     t = parse_tree("inner(1:a,(2:b,3:c),)")
-    assert to_text(hol_normalize(t)) == "inner(1,(2:Ab,3:Ac),)"
+    assert canonicalize(SignedTree(1, t))[0].text() == "inner(1,(2:Ab,3:Ac),)"
 
 
 def test_hol_normalize_trivial_unchanged():
     t = parse_tree("inner(1,(2,3),)")
-    assert hol_normalize(t) == t
+    assert canonicalize(SignedTree(1, t))[0].decode() == t
 
 
 @given(st.integers(0, 2 ** 30))
 @settings(max_examples=60, deadline=None)
 def test_hol_normalize_idempotent(seed):
-    t = _random_decorated(random.Random(seed))
-    h = hol_normalize(t)
-    assert hol_normalize(h) == h
-    # same gauge class
-    assert canonicalize(SignedTree(1, t)) == canonicalize(SignedTree(1, h))
+    # the decoded canonical layout is its own canonical form
+    ct, _ = canonicalize(SignedTree(1, _random_decorated(random.Random(seed))))
+    assert canonicalize(SignedTree(1, ct.decode())) == (ct, 1)
 
 
 # ------------------------------------------------------------- canonicalize
@@ -332,7 +330,6 @@ def test_leaf_views_match_graph_oracle():
         code, gsign, torsion = graph_canonicalize(t)
         assert (ct.code, ct.two_torsion, ct.order) == (code, torsion, order_of(t))
         assert s == (1 if torsion else sign * gsign)
-        assert trees.explicit_code(t) == graph_explicit_code(t)
         if all(_view_is_trivial(view) for _, view in views):
             assert eta(t) == _graph_eta(views)
         else:
@@ -484,8 +481,7 @@ def test_rooted_trees_are_not_read_as_unrooted_ones():
     # would be inner(1,(2,(3,4)),), a different order-2 tree
     for tree in [parse_tree("((1,2),(3,4))"), Leaf(1)]:
         name = type(tree).__name__
-        for read in (trees.leaf_views, trees.explicit_code, hol_normalize,
-                     lambda t: canonicalize(SignedTree(1, t))):
+        for read in (trees.leaf_views, lambda t: canonicalize(SignedTree(1, t))):
             with pytest.raises(TypeError, match=f"not {name}$"):
                 read(tree)
 

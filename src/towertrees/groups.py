@@ -15,6 +15,14 @@ one matrix.  The exact zero test, normal forms and relator combinations
 use one tracked lattice per multiset, built on first use and cached.
 ``reduce_to_simple`` rewrites the canonical code itself.
 
+Every IHX row is built by ``_rows``, for ``presentation``,
+``group_table`` and the zero test's blocks alike, and every relator sum
+by ``_relator_terms``.  Both canonicalize H and X, like the combs of
+``reduce_to_simple``, through ``trees.canonicalize_rewrite``: a
+companion keeps its tree's root and labels, so when the least label
+occurs once a single rooting decides its canonical form.  ``_rows``
+maps each companion's code straight to its column, with no tree object.
+
 Every function here computes whatever cell it is asked for: an order
 below 0 or a label count below 1 is a ``BoundsError`` from
 ``all_trees``, and there is no upper cap.
@@ -30,9 +38,8 @@ from .intlinalg import IntegerLattice, smith_normal_form
 from .sums import TreeSum
 from .trees import (
     CanonicalTree,
-    SignedTree,
     all_trees,
-    canonicalize,
+    canonicalize_rewrite,
     ihx_at,
     interior_edge_paths,
     is_simple,
@@ -90,9 +97,17 @@ class RelationMatrix:
 
 def _relator_terms(tree, h, x):
     """I - H + X as (CanonicalTree, coefficient) terms, H and X the codes from ``ihx_at``."""
-    ch, sh = canonicalize(SignedTree(1, h))
-    cx, sx = canonicalize(SignedTree(1, x))
+    ch, sh = _rewritten(tree, h)
+    cx, sx = _rewritten(tree, x)
     return [(tree, 1), (ch, -sh), (cx, sx)]
+
+
+def _rewritten(tree, code):
+    """``canonicalize(SignedTree(1, code))`` for a layout code that
+    rewrites ``tree`` with its root and labels, the CanonicalTree built
+    with ``tree``'s order and labels."""
+    code, sign, torsion = canonicalize_rewrite(code, tree.labels)
+    return CanonicalTree(code, torsion, tree.order, tree.labels), sign
 
 
 def relator_sum(tree: CanonicalTree, edge: str) -> TreeSum:
@@ -124,16 +139,20 @@ def _matrix(trees):
 
 def _rows(trees, triples):
     """The IHX row of each triple, then a row 2t per 2-torsion tree t,
-    as sorted (column, coefficient) pairs, a tree's column its index."""
+    as sorted (column, coefficient) pairs, a tree's column its index.
+    H and X go from ``canonicalize_rewrite`` straight to their columns,
+    with no tree object."""
     index = {ct.code: i for i, ct in enumerate(trees)}
     rows = []
     for ct, edge in triples:
-        row = {}
-        for t, c in _relator_terms(ct, *ihx_at(ct, edge)):
+        row = {index[ct.code]: 1}
+        h, x = ihx_at(ct, edge)
+        for code, c in ((h, -1), (x, 1)):
+            code, sign, torsion = canonicalize_rewrite(code, ct.labels)
             # as in a TreeSum: 2-torsion coefficients mod 2, zeros dropped
-            j = index[t.code]
-            c += row.get(j, 0)
-            row[j] = c % 2 if t.two_torsion else c
+            j = index[code]
+            c = c * sign + row.get(j, 0)
+            row[j] = c % 2 if torsion else c
         rows.append(tuple(sorted((j, c) for j, c in row.items() if c)))
     rows.extend(((i, 2),) for i, ct in enumerate(trees) if ct.two_torsion)
     return tuple(rows)
@@ -275,7 +294,8 @@ def reduce_to_simple(tree: CanonicalTree) -> TreeSum:
     each step one IHX move at an interior edge, so the difference from
     the input lies in the relator lattice.  Terminates because the left
     argument shrinks at the top and the rewrite recurses into smaller
-    subtrees.  Each comb (root, comb) is canonicalized as a code.
+    subtrees.  Each comb (root, comb) keeps the root and labels, so it
+    is canonicalized by ``canonicalize_rewrite``.
     """
     if is_simple(tree):
         return TreeSum({tree: 1})
@@ -284,7 +304,7 @@ def reduce_to_simple(tree: CanonicalTree) -> TreeSum:
     root, rest = tree.code
     out = []
     for comb, coeff in _right_norm(rest).items():
-        ct, sign = canonicalize(SignedTree(1, (root, comb)))
+        ct, sign = _rewritten(tree, (root, comb))
         out.append((ct, coeff * sign))
     return TreeSum(out)
 

@@ -55,6 +55,7 @@ from types import MappingProxyType
 from .groups import _relator_terms, is_zero, normal_form, relator_combination
 from .sums import TreeSum
 from .trees import (
+    _code_at,
     CanonicalTree,
     DecoratedTree,
     Leaf,
@@ -63,7 +64,6 @@ from .trees import (
     SignedTree,
     canonicalize,
     ihx_at,
-    interior_edge_paths,
     is_simple,
     is_trivially_decorated,
     labels_of,
@@ -420,7 +420,9 @@ def _ihx_points(model, ct, edge, sign):
             "WrongOrder", f"tree has order {ct.order}, tower has order {model.order}")
     if ct.labels[0] < 1 or ct.labels[-1] > model.m:
         raise MoveError("BadLabels", f"tree {ct.text()} uses labels outside 1..{model.m}")
-    if edge not in interior_edge_paths(ct):
+    # an interior edge is a nonempty path to a trivalent vertex of the rest
+    sub = _code_at(ct.code[1], edge) if edge and isinstance(edge, str) else None
+    if sub is None or sub[0] == 0:
         raise MoveError("NotInterior", f"{edge!r} is not an interior edge of {ct.text()}")
     h, x = ihx_at(ct, edge)
     return h, x, [_point(c * sign, t) for t, c in _relator_terms(ct, h, x)]
@@ -434,13 +436,15 @@ def _cancelling_pair(model, points, p, q):
         if pid not in points:
             raise MoveError("UnknownPoint", f"no point with id {pid}")
     pa, pb = points[p], points[q]
-    for pid, pt in ((p, pa), (q, pb)):
+    same = pa.tree == pb.tree
+    # q carrying p's tree passes whatever p passes
+    for pid, pt in ((p, pa),) if same else ((p, pa), (q, pb)):
         if pt.tree.order != model.order:
             raise MoveError("WrongOrder", f"point {pid} has order {pt.tree.order}, "
                                           f"tower has order {model.order}")
         if not is_simple(pt.tree):
             raise MoveError("NotSimple", f"point {pid} carries the non-simple tree {pt.tree.text()}")
-    if pa.tree != pb.tree:
+    if not same:
         raise MoveError("TreesDiffer", f"points {p} and {q} carry different trees")
     if not pa.tree.two_torsion and pa.sign + pb.sign != 0:
         raise MoveError("SameSign", f"points {p} and {q} have equal signs")

@@ -34,8 +34,16 @@ measured once, from the top vertex of the left side; rooting at a leaf
 of holonomy h re-bases each of them by h^-1, which changes nothing when
 h is trivial, so decorated and trivially decorated trees share one
 path.  Edge paths and the IHX move are read on the layout code (root
-label, rest) as well: ``ihx_at`` returns H and X as such codes, and
-``canonicalize`` reads their views straight off them.
+label, rest) as well: ``ihx_at`` returns H and X as such codes.
+
+``canonicalize`` and ``canonicalize_rewrite`` share one minimization
+over the least-label rootings, ``_least_rooting``.  Every IHX
+companion, and every comb of ``reduce_to_simple``, goes through
+``canonicalize_rewrite``: it rewrites a canonical tree with the same
+root and labels, so its root carries the least label.  When that label
+occurs once, the root leaf is the only rooting to try, and its view is
+the rest of the code as it stands; otherwise every view at a leaf of
+the least label is compared, as in ``canonicalize``.
 
 The grammar has one scanner, given the constructors of what it builds:
 ``parse_tree`` builds ``Leaf``/``Node`` trees, ``parse_unrooted_code``
@@ -471,7 +479,18 @@ def canonicalize(signed):
     """
     views = leaf_views(signed.tree)
     labels = tuple(sorted(label for label, _ in views))
-    low = labels[0]
+    code, sign, torsion = _least_rooting(views, labels[0])
+    sign = signed.sign % 2 if torsion else sign * signed.sign
+    # an order-n tree has n + 2 leaves
+    return CanonicalTree(code, torsion, len(views) - 2, labels), sign
+
+
+def _least_rooting(views, low):
+    """The least code (low, view) over the ``views`` rooted at a leaf
+    labelled ``low``, the least label, with the sign it takes for an
+    input of sign 1 and whether the class is 2-torsion: when the least
+    code is reached with both signs, or with a tie between the two
+    children of some vertex."""
     best = None
     signs = set()
     amb_at_best = False
@@ -486,9 +505,27 @@ def canonicalize(signed):
             signs.add(sign)
             amb_at_best = amb_at_best or amb
     torsion = amb_at_best or len(signs) == 2
-    sign = signed.sign % 2 if torsion else min(signs) * signed.sign
-    # an order-n tree has n + 2 leaves
-    return CanonicalTree(best, torsion, len(views) - 2, labels), sign
+    return best, (1 if torsion else min(signs)), torsion
+
+
+def canonicalize_rewrite(code, labels):
+    """The canonical code, sign and ``two_torsion`` of
+    ``canonicalize(SignedTree(1, code))``, for a layout code (root,
+    rest) that rewrites a canonical tree with the same root and sorted
+    leaf ``labels``: ``ihx_at``'s H and X, or a comb of
+    ``reduce_to_simple``.  Its root carries the least label.
+
+    When that label occurs once (``labels[0] < labels[1]``), the root
+    leaf is the only rooting that can give the least code, and its view
+    is ``rest`` itself: one ``_canon_rec`` call, with no other view, no
+    label sort and no tree object.  Otherwise the views at every leaf of
+    the least label go through ``_least_rooting``, as in
+    ``canonicalize``.
+    """
+    if labels[0] < labels[1]:
+        rest, sign, amb = _canon_rec(code[1])
+        return (code[0], rest), (1 if amb else sign), amb
+    return _least_rooting(leaf_views(code), code[0])
 
 
 def canonicalize_rooted(sign, rooted):
@@ -563,8 +600,9 @@ def ihx_at(ct, path):
     C,D), (A,C | B,D) and (A,D | B,C) satisfy I - H + X = 0, the tree
     form of the Jacobi identity.  Returns H and X as layout codes (root
     label, rest), shaped as ``CanonicalTree.code`` but not canonical,
-    for ``canonicalize`` or ``decode_code``.  Leaf holonomies are
-    measured from the root, so they move with their subtrees.
+    for ``canonicalize_rewrite``, ``canonicalize`` or ``decode_code``.
+    Leaf holonomies are measured from the root, so they move with their
+    subtrees.
     """
     if not path:
         raise ValueError("the root-leaf edge is not interior")

@@ -314,6 +314,19 @@ def test_ihx_insert_rejects_bad_edge():
         ihx_insert(model, ct, "L")
 
 
+@pytest.mark.parametrize("edge", ["", "Q", "RX", "RL", "LL", "RRL", None, ["R"]])
+def test_ihx_insert_refuses_each_kind_of_non_interior_edge(edge):
+    # the root-leaf edge, a step other than L/R, a path to a leaf, a
+    # path past a leaf, and an edge that is not a string
+    ct = canon("inner((1,2),(3,4),)")
+    assert ct.code == (1, (1, (0, 2, ""), (1, (0, 3, ""), (0, 4, ""))))
+    with pytest.raises(MoveError) as exc:
+        ihx_insert(make_model(4, 2, []), ct, edge)
+    assert exc.value.reason == "NotInterior"
+    assert str(exc.value) == f"{edge!r} is not an interior edge of {ct.text()}"
+    assert len(ihx_insert(make_model(4, 2, []), ct, "R").points) == 3
+
+
 def test_replay_rejects_swapped_h_and_x():
     ct, edge = next((c, e) for c, e in ihx_triples(2, 4) if c.nonrepeating)
     model = ihx_insert(make_model(4, 2, []), ct, edge)
@@ -354,6 +367,37 @@ def test_cancel_pair_errors():
     with pytest.raises(MoveError) as exc:
         apply_move(model4, CancelPair(0, 1))
     assert exc.value.reason == "NotSimple"
+
+
+def test_cancel_pair_checks_simplicity_once_per_distinct_tree(monkeypatch):
+    import towertrees.towers as towers
+
+    walked = []
+    real_is_simple = towers.is_simple
+    monkeypatch.setattr(towers, "is_simple", lambda t: walked.append(t) or real_is_simple(t))
+    star = canon("inner((1,2),((3,1),(2,3)),)")
+    other = canon("inner((1,2),((3,4),(1,2)),)")
+    y = canon("inner(1,(2,(3,(1,(2,3)))),)")
+    assert not real_is_simple(star) and not real_is_simple(other) and real_is_simple(y)
+    assert star != other
+    cases = [
+        # non-simple and equal: one walk, and p is named
+        ([(1, star), (-1, star)], 0, [star]),
+        # non-simple and different: p fails first, before the trees are compared
+        ([(1, star), (-1, other)], 0, [star]),
+        # simple p, different non-simple q: q is still walked and named
+        ([(1, y), (-1, star)], 1, [y, star]),
+        ([(1, y), (-1, other)], 1, [y, other]),
+    ]
+    for points, named, trees in cases:
+        walked.clear()
+        with pytest.raises(MoveError, match=f"^point {named} carries the non-simple tree") as exc:
+            apply_move(make_model(4, 4, points), CancelPair(0, 1))
+        assert exc.value.reason == "NotSimple"
+        assert walked == trees
+    walked.clear()
+    assert not apply_move(make_model(4, 4, [(1, y), (-1, y)]), CancelPair(0, 1)).points
+    assert walked == [y]
 
 
 def test_cancel_torsion_pair_same_stored_sign():

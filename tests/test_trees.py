@@ -1,11 +1,12 @@
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from towertrees import lie, trees
 from towertrees.cli import run
-from towertrees.groups import is_zero
+from towertrees.groups import _rewritten, is_zero
 from towertrees.lie import eta
 from towertrees.sums import TreeSum
 from towertrees.trees import (
@@ -18,6 +19,7 @@ from towertrees.trees import (
     SignedTree,
     all_trees,
     canonicalize,
+    canonicalize_rewrite,
     canonicalize_rooted,
     decode_code,
     ihx_at,
@@ -389,6 +391,73 @@ def test_ihx_at_refuses_non_interior_edges():
     for edge in ("L", "RR", "RRL", "Q"):
         with pytest.raises(ValueError, match=f"^edge '{edge}' is not interior$"):
             ihx_at(ct, edge)
+
+
+# ---------------------------------------------------- canonicalize_rewrite
+
+def _check_rewrite(ct, code, seen):
+    """``canonicalize_rewrite`` of a layout code rewriting ``ct``, and the
+    CanonicalTree that groups builds from it with ``ct``'s order and
+    labels, against ``canonicalize``; ``seen`` counts the cases by
+    (one rooting, two_torsion)."""
+    ref, sign = canonicalize(SignedTree(1, code))
+    assert canonicalize_rewrite(code, ct.labels) == (ref.code, sign, ref.two_torsion)
+    built, built_sign = _rewritten(ct, code)
+    assert (built, built_sign, built.order, built.labels) == (ref, sign, ref.order, ref.labels)
+    seen[ct.labels[0] < ct.labels[1], ref.two_torsion] += 1
+
+
+def test_canonicalize_rewrite_agrees_on_every_ihx_companion():
+    # both companions of every IHX triple on every cell n <= 5, m <= 4,
+    # plus (6,3): both paths, with and without 2-torsion
+    seen = Counter()
+    for n, m in [(n, m) for n in range(1, 6) for m in range(1, 5)] + [(6, 3)]:
+        for ct in all_trees(n, m):
+            for edge in interior_edge_paths(ct):
+                for code in ihx_at(ct, edge):
+                    _check_rewrite(ct, code, seen)
+    assert sorted(seen) == [(False, False), (False, True), (True, False), (True, True)]
+
+
+def test_canonicalize_rewrite_agrees_on_decorated_layouts():
+    # 1,000 seeded random trees of orders 1-5 on 4 labels, decorated over
+    # ab: the layout codes rooted at each least-label leaf, whose root
+    # view has a trivial holonomy, and both companions at every interior
+    # edge of the canonical form
+    rng = random.Random(2323)
+    seen = Counter()
+    for k in range(1000):
+        t = _random_decorated(rng, max_order=5)
+        while order_of(t) < 1:
+            t = _random_decorated(rng, max_order=5)
+        if k % 4 == 0:
+            t = _strip(t)
+        ct = canonicalize(SignedTree(1, t))[0]
+        for label, view in trees.leaf_views(t):
+            if label == ct.labels[0]:
+                _check_rewrite(ct, (label, view), seen)
+        for edge in interior_edge_paths(ct):
+            for code in ihx_at(ct, edge):
+                _check_rewrite(ct, code, seen)
+    assert sorted(seen) == [(False, False), (False, True), (True, False), (True, True)]
+    assert min(seen.values()) >= 20
+
+
+def test_canonicalize_rewrite_takes_one_rooting_iff_the_least_label_is_unique(monkeypatch):
+    unique = canonicalize(SignedTree(1, parse_tree("inner(1,(3,(2,3)),)")))[0]
+    repeated = canonicalize(SignedTree(1, parse_tree("inner(1,((1,3),(2,3)),)")))[0]
+    calls = []
+    real = trees.leaf_views
+    monkeypatch.setattr(trees, "leaf_views", lambda t: calls.append(t) or real(t))
+    h, x = ihx_at(unique, "R")
+    assert canonicalize_rewrite(h, unique.labels) == ((1, (1, (0, 2, ""), (1, (0, 3, ""), (0, 3, "")))),
+                                                      1, True)
+    assert canonicalize_rewrite(x, unique.labels)[2] is False
+    assert calls == []
+    for edge in interior_edge_paths(repeated):
+        for code in ihx_at(repeated, edge):
+            canonicalize_rewrite(code, repeated.labels)
+            assert calls[-1] == code
 
 
 def test_canonicalize_rooted():

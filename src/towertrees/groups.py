@@ -20,8 +20,10 @@ Every IHX row is built by ``_rows``, for ``presentation``,
 by ``_relator_terms``.  Both canonicalize H and X, like the combs of
 ``reduce_to_simple``, through ``trees.canonicalize_rewrite``: a
 companion keeps its tree's root and labels, so when the least label
-occurs once a single rooting decides its canonical form.  ``_rows``
-maps each companion's code straight to its column, with no tree object.
+occurs once a single rooting decides its canonical form; the
+representative blocks make label 1 the rarest, so ``group_table`` is on
+that path in every block that uses some label once.  ``_rows`` maps
+each companion's code straight to its column, with no tree object.
 
 Every function here computes whatever cell it is asked for: an order
 below 0 or a label count below 1 is a ``BoundsError`` from
@@ -121,7 +123,8 @@ def ihx_triples(order, labels):
 
 
 def _triples(trees):
-    return tuple((ct, edge) for ct in trees for edge in sorted(interior_edge_paths(ct)))
+    # interior_edge_paths lists a tree's edges in sorted order
+    return tuple((ct, edge) for ct in trees for edge in interior_edge_paths(ct))
 
 
 # ------------------------------------------------------------- presentation

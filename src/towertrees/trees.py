@@ -37,13 +37,14 @@ path.  Edge paths and the IHX move are read on the layout code (root
 label, rest) as well: ``ihx_at`` returns H and X as such codes.
 
 ``canonicalize`` and ``canonicalize_rewrite`` share one minimization
-over the least-label rootings, ``_least_rooting``.  Every IHX
-companion, and every comb of ``reduce_to_simple``, goes through
-``canonicalize_rewrite``: it rewrites a canonical tree with the same
-root and labels, so its root carries the least label.  When that label
-occurs once, the root leaf is the only rooting to try, and its view is
-the rest of the code as it stands; otherwise every view at a leaf of
-the least label is compared, as in ``canonicalize``.
+over the least-label rootings, ``_least_rooting``, and one view walker.
+Every IHX companion, and every comb of ``reduce_to_simple``, goes
+through ``canonicalize_rewrite``: it rewrites a canonical tree with the
+same root and labels, so its root carries the least label.  When that
+label occurs once, the root leaf is the only rooting to try, and its
+view is the rest of the code as it stands; otherwise the walker roots
+only the leaves of the least label.  The walker and ``_canon_rec``
+recurse only into vertices: a leaf is read in place.
 
 The grammar has one scanner, given the constructors of what it builds:
 ``parse_tree`` builds ``Leaf``/``Node`` trees, ``parse_unrooted_code``
@@ -379,17 +380,21 @@ def _side_code(sub, hol):
             _side_code(sub.right, wmul(hol, sub.right.word) if sub.right.word else hol))
 
 
-def _collect_views(code, outside, out):
-    """Append (label, holonomy, view) for every leaf of ``code``, the
-    subtree hanging below an edge whose other side reads ``outside``."""
-    if code[0] == 0:
-        out.append((code[1], code[2], outside))
-        return
+def _collect_views(code, outside, out, low=None):
+    """Append (label, holonomy, view) for every leaf, or every leaf
+    labelled ``low``, below the vertex ``code``, hanging below an edge
+    whose other side reads ``outside``.  A leaf child takes no call."""
     # the cyclic order (a, b, parent): entered from a it continues
     # (b, parent), entered from b it continues (parent, a)
     _, a, b = code
-    _collect_views(a, (1, b, outside), out)
-    _collect_views(b, (1, outside, a), out)
+    if a[0]:
+        _collect_views(a, (1, b, outside), out, low)
+    elif low is None or a[1] == low:
+        out.append((a[1], a[2], (1, b, outside)))
+    if b[0]:
+        _collect_views(b, (1, outside, a), out, low)
+    elif low is None or b[1] == low:
+        out.append((b[1], b[2], (1, outside, a)))
 
 
 def _rebase(view, g):
@@ -443,26 +448,37 @@ def leaf_views(tree):
     else:
         raise TypeError("expected an unrooted tree (DecoratedTree, CanonicalTree or "
                         f"code), not {type(tree).__name__}")
+    return _views(left, right)
+
+
+def _views(left, right, low=None):
+    """``leaf_views`` of two fused sides, or its views at leaves ``low``."""
     out = []
-    _collect_views(left, right, out)
-    _collect_views(right, left, out)
+    for side, other in ((left, right), (right, left)):
+        if side[0]:
+            _collect_views(side, other, out, low)
+        elif low is None or side[1] == low:
+            out.append((side[1], side[2], other))
     # holonomies are measured from the top of the left side; rooting at
     # a leaf of holonomy h re-bases each of them by h^-1
     return [(label, _rebase(view, winv(hol)) if hol else view) for label, hol, view in out]
 
 
 def _canon_rec(view):
-    """Minimal code over vertex orientation states, with sign and tie flag."""
-    if view[0] == 0:
-        return view, 1, False
-    ca, sa, aa = _canon_rec(view[1])
-    cb, sb, ab = _canon_rec(view[2])
-    amb = aa or ab
+    """Minimal code over vertex orientation states, with sign and tie
+    flag, of a vertex view; a leaf is its own, with sign 1 and no tie."""
+    _, ca, cb = view
+    if ca[0]:
+        ca, sign, amb = _canon_rec(ca)
+    else:
+        sign, amb = 1, False
+    if cb[0]:
+        cb, sb, ab = _canon_rec(cb)
+        sign *= sb
+        amb = amb or ab
     if cb < ca:
-        return (1, cb, ca), -sa * sb, amb
-    if ca == cb:
-        amb = True
-    return (1, ca, cb), sa * sb, amb
+        return (1, cb, ca), -sign, amb
+    return (1, ca, cb), sign, amb or ca == cb
 
 
 def canonicalize(signed):
@@ -497,7 +513,7 @@ def _least_rooting(views, low):
     for label, view in views:
         if label != low:
             continue
-        code, sign, amb = _canon_rec(view)
+        code, sign, amb = _canon_rec(view) if view[0] else (view, 1, False)
         full = (label, code)
         if best is None or full < best:
             best, signs, amb_at_best = full, {sign}, amb
@@ -518,14 +534,16 @@ def canonicalize_rewrite(code, labels):
     When that label occurs once (``labels[0] < labels[1]``), the root
     leaf is the only rooting that can give the least code, and its view
     is ``rest`` itself: one ``_canon_rec`` call, with no other view, no
-    label sort and no tree object.  Otherwise the views at every leaf of
-    the least label go through ``_least_rooting``, as in
-    ``canonicalize``.
+    label sort and no tree object.  Otherwise the walker collects views
+    only at the leaves of the least label, each re-based by its leaf's
+    holonomy, and they go through ``_least_rooting``; no other leaf is
+    rooted.
     """
+    root, rest = code
     if labels[0] < labels[1]:
-        rest, sign, amb = _canon_rec(code[1])
-        return (code[0], rest), (1 if amb else sign), amb
-    return _least_rooting(leaf_views(code), code[0])
+        rest, sign, amb = _canon_rec(rest)
+        return (root, rest), (1 if amb else sign), amb
+    return _least_rooting(_views((0, root, ""), rest, root), root)
 
 
 def canonicalize_rooted(sign, rooted):
@@ -534,7 +552,8 @@ def canonicalize_rooted(sign, rooted):
 
     Returns (rooted tree in layout form, sign, two_torsion).
     """
-    code, s, amb = _canon_rec(_side_code(rooted, wreduce(rooted.word)))
+    code = _side_code(rooted, wreduce(rooted.word))
+    code, s, amb = _canon_rec(code) if code[0] else (code, 1, False)
     return _decode_rest(code), (1 if amb else s * sign), amb
 
 
@@ -564,15 +583,18 @@ def is_trivially_decorated(ct):
 
 def interior_edge_paths(ct):
     """Edges whose both endpoints are trivalent, the edge above the
-    layout subtree at path p named p."""
-    return [p for p, sub in _positions(ct.code[1], "") if p and sub[0] == 1]
+    layout subtree at path p named p, in preorder, which is also the
+    sorted order of the paths."""
+    out = []
+    _vertex_paths(ct.code[1], "", out)
+    return out[1:]  # all but the root leaf's edge
 
 
-def _positions(c, path):
-    yield path, c
-    if c[0] == 1:
-        yield from _positions(c[1], path + "L")
-        yield from _positions(c[2], path + "R")
+def _vertex_paths(c, path, out):
+    if c[0]:
+        out.append(path)
+        _vertex_paths(c[1], path + "L", out)
+        _vertex_paths(c[2], path + "R", out)
 
 
 def _code_at(c, path):
@@ -582,14 +604,6 @@ def _code_at(c, path):
             return None
         c = c[1] if step == "L" else c[2]
     return c
-
-
-def _code_replace(c, path, new):
-    if not path:
-        return new
-    if path[0] == "L":
-        return (1, _code_replace(c[1], path[1:], new), c[2])
-    return (1, c[1], _code_replace(c[2], path[1:], new))
 
 
 def ihx_at(ct, path):
@@ -606,17 +620,27 @@ def ihx_at(ct, path):
     """
     if not path:
         raise ValueError("the root-leaf edge is not interior")
-    root, rest = ct.code
-    sub = _code_at(rest, path)
-    if sub is None or sub[0] == 0:
+    root, c = ct.code
+    above = []  # one descent: the vertices passed, each with its step
+    for step in path:
+        if c[0] == 0 or step not in "LR":
+            raise ValueError(f"edge {path!r} is not interior")
+        above.append((c, step))
+        c = c[1] if step == "L" else c[2]
+    if c[0] == 0:
         raise ValueError(f"edge {path!r} is not interior")
     # the edge's lower end holds (A, B), its upper end the sibling S; a
     # right edge reads as a left one with A and B swapped
-    _, a, b = sub
-    parent = _code_at(rest, path[:-1])
-    a, b, s = (a, b, parent[2]) if path[-1] == "L" else (b, a, parent[1])
-    return ((root, _code_replace(rest, path[:-1], (1, (1, a, s), b))),
-            (root, _code_replace(rest, path[:-1], (1, (1, b, s), a))))
+    _, a, b = c
+    parent, step = above.pop()
+    a, b, s = (a, b, parent[2]) if step == "L" else (b, a, parent[1])
+    h, x = (1, (1, a, s), b), (1, (1, b, s), a)
+    for parent, step in reversed(above):
+        if step == "L":
+            h, x = (1, h, parent[2]), (1, x, parent[2])
+        else:
+            h, x = (1, parent[1], h), (1, parent[1], x)
+    return (root, h), (root, x)
 
 
 # ------------------------------------------------------------ simple trees
@@ -694,8 +718,10 @@ def trees_by_multiset(order, labels, /):
 
 @lru_cache(maxsize=None)
 def representative_blocks(order, labels, /):
-    """(count, trees) for each block whose label multiplicities do not
-    increase from label 1 to m, in multiset order.
+    """(count, trees) for each block whose used labels 1..k have
+    non-decreasing multiplicities, the unused labels last, in multiset
+    order.  The rarest label is then 1, the root of every code, so a
+    block with a label used once is canonicalized from one rooting.
 
     A permutation of the labels carries the block of a multiset onto the
     block of the permuted multiset, AS and IHX included, so every block
@@ -706,7 +732,7 @@ def representative_blocks(order, labels, /):
     out = []
     for mu, trees in trees_by_multiset(order, labels).items():
         mult = [mu.count(i) for i in range(1, labels + 1)]
-        if all(a >= b for a, b in zip(mult, mult[1:])):
+        if mult == sorted(k for k in mult if k) + [0] * mult.count(0):
             count = factorial(labels)
             for k in Counter(mult).values():
                 count //= factorial(k)

@@ -444,20 +444,35 @@ def test_canonicalize_rewrite_agrees_on_decorated_layouts():
 
 
 def test_canonicalize_rewrite_takes_one_rooting_iff_the_least_label_is_unique(monkeypatch):
+    # the rootings tried are the views the least-label walk hands to
+    # _least_rooting: none when the least label occurs once, else one per
+    # leaf carrying it, and never a view of the whole tree
     unique = canonicalize(SignedTree(1, parse_tree("inner(1,(3,(2,3)),)")))[0]
     repeated = canonicalize(SignedTree(1, parse_tree("inner(1,((1,3),(2,3)),)")))[0]
-    calls = []
-    real = trees.leaf_views
-    monkeypatch.setattr(trees, "leaf_views", lambda t: calls.append(t) or real(t))
+    walks, rootings = [], []
+    real_walk, real_least = trees._collect_views, trees._least_rooting
+
+    def walk(code, outside, out, low=None):
+        walks.append(low)
+        return real_walk(code, outside, out, low)
+
+    def least(views, low):
+        rootings.append([label for label, _ in views])
+        return real_least(views, low)
+
+    monkeypatch.setattr(trees, "_collect_views", walk)
+    monkeypatch.setattr(trees, "_least_rooting", least)
+    monkeypatch.setattr(trees, "leaf_views", None)
     h, x = ihx_at(unique, "R")
     assert canonicalize_rewrite(h, unique.labels) == ((1, (1, (0, 2, ""), (1, (0, 3, ""), (0, 3, "")))),
                                                       1, True)
     assert canonicalize_rewrite(x, unique.labels)[2] is False
-    assert calls == []
+    assert walks == [] and rootings == []
     for edge in interior_edge_paths(repeated):
         for code in ihx_at(repeated, edge):
             canonicalize_rewrite(code, repeated.labels)
-            assert calls[-1] == code
+            assert rootings.pop() == [1, 1]
+    assert walks and set(walks) == {1}
 
 
 def test_canonicalize_rooted():
@@ -637,13 +652,27 @@ def test_representative_blocks_cover_the_cell(n, m):
     copies = {}
     for mu, block in blocks.items():
         assert all(tuple(ct.labels) == mu for ct in block)
-        mult = sorted((mu.count(i) for i in range(1, m + 1)), reverse=True)
+        # used labels in non-decreasing multiplicity, the unused ones last
+        mult = sorted(k for k in (mu.count(i) for i in range(1, m + 1)) if k)
         rep = tuple(i + 1 for i, k in enumerate(mult) for _ in range(k))
         assert len(block) == len(blocks[rep]), (mu, rep)
         copies[rep] = copies.get(rep, 0) + 1
     reps = representative_blocks(n, m)
     assert [(tuple(trees[0].labels), count) for count, trees in reps] == sorted(copies.items())
     assert sum(count * len(trees) for count, trees in reps) == len(all_trees(n, m))
+
+
+@pytest.mark.parametrize("n, m, unique, total", [(4, 4, 261, 378), (5, 3, 464, 876),
+                                                 (6, 3, 1590, 4730)])
+def test_representative_blocks_put_triples_on_the_one_rooting_path(n, m, unique, total):
+    # the IHX triples of the representative blocks whose least label, the
+    # root of every code, occurs once: their companions are canonicalized
+    # from one rooting.  With label 1 the most frequent label, none were.
+    counts = Counter()
+    for _, block in representative_blocks(n, m):
+        for ct in block:
+            counts[ct.labels[0] < ct.labels[1]] += len(interior_edge_paths(ct))
+    assert (counts[True], sum(counts.values())) == (unique, total)
 
 
 def test_bounds(capsys):

@@ -446,7 +446,7 @@ def test_canonicalize_rewrite_agrees_on_decorated_layouts():
 def test_canonicalize_rewrite_takes_one_rooting_iff_the_least_label_is_unique(monkeypatch):
     # the rootings tried are the views the least-label walk hands to
     # _least_rooting: none when the least label occurs once, else one per
-    # leaf carrying it, and never a view of the whole tree
+    # leaf carrying it; leaf_views, which roots every leaf, is not called
     unique = canonicalize(SignedTree(1, parse_tree("inner(1,(3,(2,3)),)")))[0]
     repeated = canonicalize(SignedTree(1, parse_tree("inner(1,((1,3),(2,3)),)")))[0]
     walks, rootings = [], []
@@ -667,7 +667,8 @@ def test_representative_blocks_cover_the_cell(n, m):
 def test_representative_blocks_put_triples_on_the_one_rooting_path(n, m, unique, total):
     # the IHX triples of the representative blocks whose least label, the
     # root of every code, occurs once: their companions are canonicalized
-    # from one rooting.  With label 1 the most frequent label, none were.
+    # from one rooting.  Representatives with label 1 the most frequent
+    # label would put none of them there.
     counts = Counter()
     for _, block in representative_blocks(n, m):
         for ct in block:

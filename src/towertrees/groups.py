@@ -9,7 +9,8 @@ blocks, and a label permutation carries one block onto another.
 ``group_table`` (the structure and the presentation's sizes) sums over
 the representative blocks of ``trees.representative_blocks``, each
 counted once per arrangement of its multiplicities: one Smith normal
-form per block, then one of their invariant factors' diagonal.  It
+form per block, of its distinct rows up to sign, then one of their
+invariant factors' diagonal.  It
 keeps no answer cache.  ``presentation`` is the whole cell's rows, in
 one matrix.  The exact zero test, normal forms and relator combinations
 use one tracked lattice per multiset, built on first use and cached.
@@ -17,13 +18,15 @@ use one tracked lattice per multiset, built on first use and cached.
 
 Every IHX row is built by ``_rows``, for ``presentation``,
 ``group_table`` and the zero test's blocks alike, and every relator sum
-by ``_relator_terms``.  Both canonicalize H and X, like the combs of
-``reduce_to_simple``, through ``trees.canonicalize_rewrite``: a
-companion keeps its tree's root and labels, so when the least label
-occurs once a single rooting decides its canonical form; the
-representative blocks make label 1 the rarest, so ``group_table`` is on
-that path in every block that uses some label once.  ``_rows`` maps
-each companion's code straight to its column, with no tree object.
+by ``_relator_terms``.  A companion H or X keeps its tree's root and
+labels, and differs from it only on the path from the rewritten vertex
+up to the root.  ``_rows`` canonicalizes neither: it re-sorts that path
+(``trees.sort_path``) and looks the sorted reading up in one
+``trees.reading_table`` of its trees, which holds every reading of each
+tree from a leaf of its least label, with its column and sign.  The
+representative blocks make label 1 the rarest, which keeps that table
+small.  ``_relator_terms``, like the combs of ``reduce_to_simple``,
+canonicalizes H and X through ``trees.canonicalize_rewrite``.
 
 Every function here computes whatever cell it is asked for: an order
 below 0 or a label count below 1 is a ``BoundsError`` from
@@ -46,7 +49,9 @@ from .trees import (
     interior_edge_paths,
     is_simple,
     is_trivially_decorated,
+    reading_table,
     representative_blocks,
+    sort_path,
     trees_by_multiset,
 )
 
@@ -90,8 +95,12 @@ class RelationMatrix:
         return [dict(r) for r in self.rows]
 
     def cokernel(self):
-        """The group presented, via Smith normal form of the rows."""
-        factors, rank = smith_normal_form(self.row_dicts())
+        """The group presented, via Smith normal form of the rows, each
+        taken once up to sign: a repeated or negated row spans nothing
+        new, and most IHX relations are written once from each of their
+        trees."""
+        rows = {r if r[0][1] > 0 else tuple((j, -c) for j, c in r): None for r in self.rows if r}
+        factors, rank = smith_normal_form([dict(r) for r in rows])
         return AbelianGroupStructure(self.ncols - rank, tuple(d for d in factors if d > 1))
 
 
@@ -143,20 +152,26 @@ def _matrix(trees):
 def _rows(trees, triples):
     """The IHX row of each triple, then a row 2t per 2-torsion tree t,
     as sorted (column, coefficient) pairs, a tree's column its index.
-    H and X go from ``canonicalize_rewrite`` straight to their columns,
-    with no tree object."""
-    index = {ct.code: i for i, ct in enumerate(trees)}
-    rows = []
+    H and X keep their tree's root and labels and differ from it only on
+    the path above the edge: ``sort_path`` re-sorts that path, and the
+    trees' ``reading_table``, dropped on return, gives the column and the
+    sign of the sorted reading."""
+    table = reading_table(trees)
+    torsion = [ct.two_torsion for ct in trees]
+    rows, tree = [], None
     for ct, edge in triples:
-        row = {index[ct.code]: 1}
+        if ct is not tree:  # a tree's triples are consecutive
+            tree, i = ct, table[ct.code][0]
+        turn = edge[:-1] + "L"  # the companions' rewritten vertex
         h, x = ihx_at(ct, edge)
-        for code, c in ((h, -1), (x, 1)):
-            code, sign, torsion = canonicalize_rewrite(code, ct.labels)
+        h, hsign = sort_path(h, turn)
+        x, xsign = sort_path(x, turn)
+        row = {i: 1}
+        for (j, s), c in ((table[h], -hsign), (table[x], xsign)):
             # as in a TreeSum: 2-torsion coefficients mod 2, zeros dropped
-            j = index[code]
-            c = c * sign + row.get(j, 0)
-            row[j] = c % 2 if torsion else c
-        rows.append(tuple(sorted((j, c) for j, c in row.items() if c)))
+            c = c * s + row.get(j, 0)
+            row[j] = c % 2 if torsion[j] else c
+        rows.append(tuple(sorted(jc for jc in row.items() if jc[1])))
     rows.extend(((i, 2),) for i, ct in enumerate(trees) if ct.two_torsion)
     return tuple(rows)
 
@@ -233,12 +248,16 @@ def _vectors(ts: TreeSum, order, labels):
            for mu, terms in by_block.items() if mu in blocks for block in [_block(order, labels, mu)]]
     if len(out) == len(by_block) and all(None not in vec for _, _, vec in out):
         return out
-    # a term lies in no block only when decorated or labelled past m
+    # a term lies in no block only when decorated, labelled past m or
+    # not in canonical form
     terms = ts.items()
     if not all(is_trivially_decorated(t) for t, _ in terms):
         raise ValueError("zero test supports the trivial group alphabet only")
-    bad = next(t for t, _ in terms if t.labels not in blocks)
-    raise ValueError(f"tree {bad.text()} is not an order-{order} tree on labels 1..{labels}")
+    past = [t for t, _ in terms if t.labels not in blocks]
+    if past:
+        raise ValueError(f"tree {past[0].text()} is not an order-{order} tree on labels 1..{labels}")
+    bad = next(t for t, _ in terms if t.code not in _block(order, labels, t.labels).index)
+    raise ValueError(f"tree {bad.text()} is not in canonical form")
 
 
 def is_zero(ts: TreeSum, order, labels):

@@ -38,13 +38,17 @@ label, rest) as well: ``ihx_at`` returns H and X as such codes.
 
 ``canonicalize`` and ``canonicalize_rewrite`` share one minimization
 over the least-label rootings, ``_least_rooting``, and one view walker.
-Every IHX companion, and every comb of ``reduce_to_simple``, goes
-through ``canonicalize_rewrite``: it rewrites a canonical tree with the
-same root and labels, so its root carries the least label.  When that
-label occurs once, the root leaf is the only rooting to try, and its
-view is the rest of the code as it stands; otherwise the walker roots
-only the leaves of the least label.  The walker and ``_canon_rec``
-recurse only into vertices: a leaf is read in place.
+``canonicalize_rewrite`` takes a code that rewrites a canonical tree
+with the same root and labels, so its root carries the least label: an
+enumeration candidate, an IHX companion of a relator sum, or a comb of
+``reduce_to_simple``.  When that label occurs once, the root leaf is
+the only rooting to try, and its view is the rest of the code as it
+stands; otherwise the walker roots only the leaves of the least label.
+The walker and ``_canon_rec`` recurse only into vertices: a leaf is
+read in place.  Every subtree of a canonical code is in code order, a
+fixed point of ``_canon_rec``, so the IHX rows need no canonicalization
+at all: ``sort_path`` re-sorts a companion on the path it rewrote, and
+``reading_table`` maps the sorted reading to its tree.
 
 The grammar has one scanner, given the constructors of what it builds:
 ``parse_tree`` builds ``Leaf``/``Node`` trees, ``parse_unrooted_code``
@@ -527,23 +531,70 @@ def _least_rooting(views, low):
 def canonicalize_rewrite(code, labels):
     """The canonical code, sign and ``two_torsion`` of
     ``canonicalize(SignedTree(1, code))``, for a layout code (root,
-    rest) that rewrites a canonical tree with the same root and sorted
-    leaf ``labels``: ``ihx_at``'s H and X, or a comb of
-    ``reduce_to_simple``.  Its root carries the least label.
+    rest) whose root carries the least of its sorted leaf ``labels``:
+    an ``all_trees`` candidate, or a code that rewrites a canonical tree
+    with the same root and labels, as ``ihx_at``'s H and X and the
+    combs of ``reduce_to_simple`` do.
 
     When that label occurs once (``labels[0] < labels[1]``), the root
     leaf is the only rooting that can give the least code, and its view
-    is ``rest`` itself: one ``_canon_rec`` call, with no other view, no
-    label sort and no tree object.  Otherwise the walker collects views
+    is ``rest`` itself: one ``_canon_rec`` call, none for a leaf, with
+    no other view, no label sort and no tree object.  Otherwise the walker collects views
     only at the leaves of the least label, each re-based by its leaf's
     holonomy, and they go through ``_least_rooting``; no other leaf is
     rooted.
     """
     root, rest = code
     if labels[0] < labels[1]:
-        rest, sign, amb = _canon_rec(rest)
+        rest, sign, amb = _canon_rec(rest) if rest[0] else (rest, 1, False)
         return (root, rest), (1 if amb else sign), amb
     return _least_rooting(_views((0, root, ""), rest, root), root)
+
+
+def reading_table(trees):
+    """{reading: (column, sign)} over canonical trees, a tree's column its
+    index: a reading is a layout code (least label, sorted view), the
+    tree rooted at a leaf of its least label with every vertex's
+    children in code order, and its sign that of the sort.
+
+    When the least label occurs once the canonical code is a tree's only
+    reading.  A code rewriting a tree with its root and labels, once
+    sorted (``sort_path``), is one of its class's readings, so this
+    table canonicalizes it by lookup; the sign of a 2-torsion tree's
+    reading holds only mod 2."""
+    table = {}
+    for j, ct in enumerate(trees):
+        root, rest = code = ct.code
+        table[code] = (j, 1)
+        if ct.labels[0] == ct.labels[1]:
+            # the first view is the root leaf's, the code itself
+            for _, view in _views((0, root, ""), rest, root)[1:]:
+                view, sign, _ = _canon_rec(view) if view[0] else (view, 1, False)
+                table[(root, view)] = (j, sign)
+    return table
+
+
+def sort_path(code, path):
+    """``_canon_rec``'s code and sign for the rest of a layout code
+    (root, rest) whose vertices off ``path`` are in code order: the
+    vertex at ``path`` and each one above it re-sorted, bottom-up, with
+    the product of the swap signs.  ``ihx_at``'s H and X at an edge p
+    differ from their tree only at p[:-1] + "L" and above."""
+    root, c = code
+    above = []
+    for step in path:
+        above.append((c, step))
+        c = c[1] if step == "L" else c[2]
+    _, lo, hi = c
+    sign = 1
+    while True:
+        if hi < lo:
+            lo, hi, sign = hi, lo, -sign
+        c = (1, lo, hi)
+        if not above:
+            return (root, c), sign
+        parent, step = above.pop()
+        lo, hi = (c, parent[2]) if step == "L" else (parent[1], c)
 
 
 def canonicalize_rooted(sign, rooted):
@@ -586,14 +637,19 @@ def interior_edge_paths(ct):
     layout subtree at path p named p, in preorder, which is also the
     sorted order of the paths."""
     out = []
-    _vertex_paths(ct.code[1], "", out)
+    rest = ct.code[1]
+    if rest[0]:
+        _vertex_paths(rest, "", out)
     return out[1:]  # all but the root leaf's edge
 
 
 def _vertex_paths(c, path, out):
-    if c[0]:
-        out.append(path)
+    """Append the paths of the vertex c and of the vertices below it, in
+    preorder; a leaf child takes no call."""
+    out.append(path)
+    if c[1][0]:
         _vertex_paths(c[1], path + "L", out)
+    if c[2][0]:
         _vertex_paths(c[2], path + "R", out)
 
 
@@ -694,7 +750,9 @@ def all_trees(order, labels, /):
     Canonical augmentation: a canonical code (r, rest) has least label
     r and a rest with sorted children, so every such candidate is
     canonicalized once and kept iff no other rooting at a leaf labelled
-    r gives a smaller code, i.e. iff canonicalization returns it."""
+    r gives a smaller code, i.e. iff canonicalization returns it.  The
+    candidate keeps its root and labels, so ``canonicalize_rewrite``
+    roots only the leaves labelled r."""
     if order < 0:
         raise BoundsError(f"order must be at least 0, not {order}")
     if labels < 1:
@@ -702,10 +760,22 @@ def all_trees(order, labels, /):
     out = []
     for root in range(1, labels + 1):
         for rest in _sorted_rests(order, root, labels):
-            ct = canonicalize(SignedTree(1, (root, rest)))[0]
-            if ct.code == (root, rest):
-                out.append(ct)
+            labs = []
+            _leaf_labels(rest, labs)
+            labs = (root, *sorted(labs))  # every label of rest is at least root
+            code, _, torsion = canonicalize_rewrite((root, rest), labs)
+            if code == (root, rest):
+                out.append(CanonicalTree(code, torsion, order, labs))
     return tuple(sorted(out, key=lambda ct: ct.code))
+
+
+def _leaf_labels(c, out):
+    """Append the leaf labels of a rooted code to ``out``."""
+    if c[0]:
+        _leaf_labels(c[1], out)
+        _leaf_labels(c[2], out)
+    else:
+        out.append(c[1])
 
 
 @lru_cache(maxsize=None)
@@ -720,8 +790,10 @@ def trees_by_multiset(order, labels, /):
 def representative_blocks(order, labels, /):
     """(count, trees) for each block whose used labels 1..k have
     non-decreasing multiplicities, the unused labels last, in multiset
-    order.  The rarest label is then 1, the root of every code, so a
-    block with a label used once is canonicalized from one rooting.
+    order.  The rarest label is then 1, the root of every code, so the
+    block's ``reading_table``, one reading per leaf labelled 1 of each
+    tree, is as small as a relabelling can make it, and a tree whose
+    label 1 occurs once has its code as its only reading.
 
     A permutation of the labels carries the block of a multiset onto the
     block of the permuted multiset, AS and IHX included, so every block

@@ -10,8 +10,10 @@ from pathlib import Path
 
 import pytest
 
+from towertrees import groups, trees as trees_module
 from towertrees.groups import (
     AbelianGroupStructure,
+    RelationMatrix,
     group_structure,
     group_table,
     ihx_triples,
@@ -27,6 +29,7 @@ from towertrees.intlinalg import IntegerLattice, smith_normal_form
 from towertrees.sums import TreeSum
 from towertrees.trees import (
     BoundsError,
+    CanonicalTree,
     SignedTree,
     all_trees,
     canonicalize,
@@ -112,25 +115,50 @@ def test_presentation_matches_golden_hashes():
         assert hashlib.sha256(repr(codes).encode()).hexdigest() == want["generators"], cell
 
 
-def test_presentation_row_counts():
-    mat = presentation(2, 3)
-    trees = all_trees(2, 3)
+@pytest.mark.parametrize("n, m", [(n, m) for n in range(6) for m in range(1, 5)] + [(2, 6), (6, 3)])
+def test_presentation_row_counts(n, m):
     # the canonical trees are the generators; one IHX row per (canonical
     # tree, interior edge) pair, in that order, then one doubling row per
-    # 2-torsion tree
-    assert mat.generators == trees
-    index = {t.code: i for i, t in enumerate(trees)}
-    ihx = [tuple((index[t.code], c) for t, c in relator_sum(ct, edge).items())
-           for ct, edge in ihx_triples(2, 3)]
-    torsion = [((i, 2),) for i, t in enumerate(trees) if t.two_torsion]
-    assert mat.ihx_count == len(ihx)
-    assert list(mat.rows) == ihx + torsion
+    # 2-torsion tree.  The IHX rows, which _rows writes by table lookup,
+    # are the relator sums, whose H and X go through canonicalize_rewrite:
+    # for the whole cell and for every block
+    cell = all_trees(n, m)
+    assert presentation(n, m).generators == cell
+    for trees in (cell, *trees_by_multiset(n, m).values()):
+        mat = groups._matrix(trees)
+        index = {t.code: i for i, t in enumerate(trees)}
+        triples = groups._triples(trees)
+        ihx = [tuple(sorted((index[t.code], c) for t, c in relator_sum(ct, edge).items()))
+               for ct, edge in triples]
+        torsion = [((i, 2),) for i, t in enumerate(trees) if t.two_torsion]
+        assert mat.generators == trees
+        assert mat.ihx_count == len(ihx) == max(n - 1, 0) * len(trees)
+        assert list(mat.rows) == ihx + torsion
+
+
+def test_presentation_sizes():
+    mat = presentation(2, 3)
     assert (mat.ncols, len(mat.rows)) == (21, 36)
     # nonrepeating keeps the trees with distinct labels, none of them 2-torsion
     mat = nonrepeating_presentation(2, 4)
     assert mat.generators == tuple(t for t in all_trees(2, 4) if t.nonrepeating)
     assert mat.ihx_count == len(mat.rows) == len(
         [(ct, edge) for ct, edge in ihx_triples(2, 4) if ct.nonrepeating])
+
+
+def test_rows_take_no_canonicalization(monkeypatch):
+    # every IHX row is written by lookup in the trees' reading table
+    cell = all_trees(4, 3)
+
+    def refuse(*args):
+        raise AssertionError("canonicalized while writing rows")
+
+    for module, name in [(trees_module, "canonicalize"), (trees_module, "canonicalize_rewrite"),
+                         (trees_module, "_least_rooting"), (groups, "canonicalize_rewrite")]:
+        monkeypatch.setattr(module, name, refuse)
+    rows = groups._rows(cell, groups._triples(cell))
+    monkeypatch.undo()
+    assert rows == presentation(4, 3).rows
 
 
 def test_raw_generators_are_orientation_explicit():
@@ -237,6 +265,19 @@ def test_zero_test_refuses_decorated_trees_before_labels_past_m():
         for query in (is_zero, normal_form, relator_combination):
             with pytest.raises(ValueError, match=message):
                 query(TreeSum({t: 1 for t in trees}), 2, 4)
+
+
+def test_zero_test_names_a_tree_not_in_canonical_form():
+    # labels of a block but a code that is none of the block's canonical
+    # codes: named after any tree labelled past m, not a StopIteration
+    swapped = CanonicalTree((1, (1, (0, 3, ""), (0, 2, ""))), False, 1, (1, 2, 3))
+    past = canon("inner(1,(2,4),)")
+    for trees, message in [([swapped], r"^tree inner\(1,\(3,2\),\) is not in canonical form$"),
+                           ([swapped, past], r"^tree inner\(1,\(2,4\),\) is not an order-1 tree "
+                                             r"on labels 1..3$")]:
+        for query in (is_zero, normal_form, relator_combination):
+            with pytest.raises(ValueError, match=message):
+                query(TreeSum({t: 1 for t in trees}), 1, 3)
 
 
 def test_cached_tree_labels_cannot_be_changed():
@@ -369,6 +410,24 @@ def test_cokernels_agree_between_presentations():
         factors, rank = smith_normal_form(rows)
         raw = AbelianGroupStructure(len(gens) - rank, tuple(d for d in factors if d > 1))
         assert group_structure(n, m, nonrepeating) == raw, (n, m, nonrepeating)
+
+
+def test_cokernel_takes_each_row_once_up_to_sign():
+    # the Smith form of the distinct rows up to sign against that of every
+    # row, on cells where rows repeat and where they repeat negated
+    repeated = negated = 0
+    for n, m in [(1, 2), (2, 3), (2, 4), (3, 2), (3, 3), (4, 2)]:
+        mat = presentation(n, m)
+        factors, rank = smith_normal_form(mat.row_dicts())
+        assert mat.cokernel() == AbelianGroupStructure(
+            mat.ncols - rank, tuple(d for d in factors if d > 1)), (n, m)
+        rows = set(mat.rows)
+        repeated += len(mat.rows) - len(rows)
+        negated += sum(tuple((j, -c) for j, c in r) in rows for r in rows)
+    assert repeated and negated
+    # rows equal up to the sign of one entry are not the same row
+    mat = RelationMatrix(all_trees(0, 2)[:2], (((0, 1), (1, 1)), ((0, 1), (1, -1))), 2)
+    assert mat.cokernel() == AbelianGroupStructure(0, (2,))
 
 
 def _closed_form(n, m):

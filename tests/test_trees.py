@@ -30,6 +30,7 @@ from towertrees.trees import (
     parse_signed,
     parse_tree,
     representative_blocks,
+    sort_path,
     to_text,
     trees_by_multiset,
 )
@@ -475,6 +476,18 @@ def test_canonicalize_rewrite_takes_one_rooting_iff_the_least_label_is_unique(mo
     assert walks and set(walks) == {1}
 
 
+@pytest.mark.parametrize("n, m", [(n, m) for n in range(2, 6) for m in range(1, 4)])
+def test_sort_path_agrees_with_canon_rec(n, m):
+    # both companions of every triple differ from their tree only at the
+    # rewritten vertex and above it, so re-sorting that path gives
+    # _canon_rec's code and sign
+    for ct in all_trees(n, m):
+        for edge in interior_edge_paths(ct):
+            for root, rest in ihx_at(ct, edge):
+                code, sign, _ = trees._canon_rec(rest)
+                assert sort_path((root, rest), edge[:-1] + "L") == ((root, code), sign)
+
+
 def test_canonicalize_rooted():
     body, sign, torsion = canonicalize_rooted(-1, parse_tree("(2,1)"))
     assert to_text(body) == "(1,2)" and sign == 1 and not torsion
@@ -666,9 +679,10 @@ def test_representative_blocks_cover_the_cell(n, m):
                                                  (6, 3, 1590, 4730)])
 def test_representative_blocks_put_triples_on_the_one_rooting_path(n, m, unique, total):
     # the IHX triples of the representative blocks whose least label, the
-    # root of every code, occurs once: their companions are canonicalized
-    # from one rooting.  Representatives with label 1 the most frequent
-    # label would put none of them there.
+    # root of every code, occurs once: their tree has its code as its only
+    # reading in the block's reading table, and a companion of theirs is
+    # canonicalized from one rooting.  Representatives with label 1 the
+    # most frequent label would put none of them there.
     counts = Counter()
     for _, block in representative_blocks(n, m):
         for ct in block:

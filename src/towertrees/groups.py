@@ -20,8 +20,9 @@ Every IHX row is built by ``_rows``, for ``presentation``,
 ``group_table`` and the zero test's blocks alike, and every relator sum
 by ``_relator_terms``.  A companion H or X keeps its tree's root and
 labels, and differs from it only on the path from the rewritten vertex
-up to the root.  ``_rows`` canonicalizes neither: it re-sorts that path
-(``trees.sort_path``) and looks the sorted reading up in one
+up to the root.  ``_rows`` canonicalizes neither: the one descent to
+the edge, ``trees._ihx``, sorts that path as it climbs back, and
+``_rows`` looks the sorted reading up in one
 ``trees.reading_table`` of its trees, which holds every reading of each
 tree from a leaf of its least label, with its column and sign.  The
 representative blocks make label 1 the rarest, which keeps that table
@@ -42,6 +43,7 @@ from typing import NamedTuple
 from .intlinalg import IntegerLattice, smith_normal_form
 from .sums import TreeSum
 from .trees import (
+    _ihx,
     CanonicalTree,
     all_trees,
     canonicalize_rewrite,
@@ -51,7 +53,6 @@ from .trees import (
     is_trivially_decorated,
     reading_table,
     representative_blocks,
-    sort_path,
     trees_by_multiset,
 )
 
@@ -153,19 +154,16 @@ def _rows(trees, triples):
     """The IHX row of each triple, then a row 2t per 2-torsion tree t,
     as sorted (column, coefficient) pairs, a tree's column its index.
     H and X keep their tree's root and labels and differ from it only on
-    the path above the edge: ``sort_path`` re-sorts that path, and the
-    trees' ``reading_table``, dropped on return, gives the column and the
-    sign of the sorted reading."""
+    the path above the edge: ``_ihx`` sorts that path on its one climb,
+    and the trees' ``reading_table``, dropped on return, gives the column
+    and the sign of the sorted reading."""
     table = reading_table(trees)
     torsion = [ct.two_torsion for ct in trees]
     rows, tree = [], None
     for ct, edge in triples:
         if ct is not tree:  # a tree's triples are consecutive
             tree, i = ct, table[ct.code][0]
-        turn = edge[:-1] + "L"  # the companions' rewritten vertex
-        h, x = ihx_at(ct, edge)
-        h, hsign = sort_path(h, turn)
-        x, xsign = sort_path(x, turn)
+        (h, hsign), (x, xsign) = _ihx(ct, edge)[1]
         row = {i: 1}
         for (j, s), c in ((table[h], -hsign), (table[x], xsign)):
             # as in a TreeSum: 2-torsion coefficients mod 2, zeros dropped

@@ -55,7 +55,6 @@ from types import MappingProxyType
 from .groups import _relator_terms, is_zero, normal_form, relator_combination
 from .sums import TreeSum
 from .trees import (
-    _code_at,
     CanonicalTree,
     DecoratedTree,
     Leaf,
@@ -420,11 +419,13 @@ def _ihx_points(model, ct, edge, sign):
             "WrongOrder", f"tree has order {ct.order}, tower has order {model.order}")
     if ct.labels[0] < 1 or ct.labels[-1] > model.m:
         raise MoveError("BadLabels", f"tree {ct.text()} uses labels outside 1..{model.m}")
-    # an interior edge is a nonempty path to a trivalent vertex of the rest
-    sub = _code_at(ct.code[1], edge) if edge and isinstance(edge, str) else None
-    if sub is None or sub[0] == 0:
-        raise MoveError("NotInterior", f"{edge!r} is not an interior edge of {ct.text()}")
-    h, x = ihx_at(ct, edge)
+    # ihx_at refuses a path that is not interior, the root-leaf edge ""
+    # included; a list of steps would pass for its string, so only a
+    # string is read
+    try:
+        h, x = ihx_at(ct, edge if isinstance(edge, str) else "")
+    except ValueError:
+        raise MoveError("NotInterior", f"{edge!r} is not an interior edge of {ct.text()}") from None
     return h, x, [_point(c * sign, t) for t, c in _relator_terms(ct, h, x)]
 
 

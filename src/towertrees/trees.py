@@ -47,8 +47,9 @@ stands; otherwise the walker roots only the leaves of the least label.
 The walker and ``_canon_rec`` recurse only into vertices: a leaf is
 read in place.  Every subtree of a canonical code is in code order, a
 fixed point of ``_canon_rec``, so the IHX rows need no canonicalization
-at all: ``sort_path`` re-sorts a companion on the path it rewrote, and
-``reading_table`` maps the sorted reading to its tree.
+at all: ``_ihx``, the one descent to an IHX edge behind ``ihx_at``, also
+sorts each companion on the path it rewrote as it climbs back, and
+``reading_table`` maps that sorted reading to its tree.
 
 The grammar has one scanner, given the constructors of what it builds:
 ``parse_tree`` builds ``Leaf``/``Node`` trees, ``parse_unrooted_code``
@@ -559,9 +560,9 @@ def reading_table(trees):
 
     When the least label occurs once the canonical code is a tree's only
     reading.  A code rewriting a tree with its root and labels, once
-    sorted (``sort_path``), is one of its class's readings, so this
-    table canonicalizes it by lookup; the sign of a 2-torsion tree's
-    reading holds only mod 2."""
+    sorted (as ``_ihx`` sorts H and X), is one of its class's readings,
+    so this table canonicalizes it by lookup; the sign of a 2-torsion
+    tree's reading holds only mod 2."""
     table = {}
     for j, ct in enumerate(trees):
         root, rest = code = ct.code
@@ -572,29 +573,6 @@ def reading_table(trees):
                 view, sign, _ = _canon_rec(view) if view[0] else (view, 1, False)
                 table[(root, view)] = (j, sign)
     return table
-
-
-def sort_path(code, path):
-    """``_canon_rec``'s code and sign for the rest of a layout code
-    (root, rest) whose vertices off ``path`` are in code order: the
-    vertex at ``path`` and each one above it re-sorted, bottom-up, with
-    the product of the swap signs.  ``ihx_at``'s H and X at an edge p
-    differ from their tree only at p[:-1] + "L" and above."""
-    root, c = code
-    above = []
-    for step in path:
-        above.append((c, step))
-        c = c[1] if step == "L" else c[2]
-    _, lo, hi = c
-    sign = 1
-    while True:
-        if hi < lo:
-            lo, hi, sign = hi, lo, -sign
-        c = (1, lo, hi)
-        if not above:
-            return (root, c), sign
-        parent, step = above.pop()
-        lo, hi = (c, parent[2]) if step == "L" else (parent[1], c)
 
 
 def canonicalize_rooted(sign, rooted):
@@ -653,15 +631,6 @@ def _vertex_paths(c, path, out):
         _vertex_paths(c[2], path + "R", out)
 
 
-def _code_at(c, path):
-    """The subcode at ``path``, or None when the path leaves the tree."""
-    for step in path:
-        if c[0] == 0 or step not in "LR":
-            return None
-        c = c[1] if step == "L" else c[2]
-    return c
-
-
 def ihx_at(ct, path):
     """The H and X companions of a canonical tree at an interior edge.
 
@@ -674,6 +643,23 @@ def ihx_at(ct, path):
     Leaf holonomies are measured from the root, so they move with their
     subtrees.
     """
+    return _ihx(ct, path)[0]
+
+
+def _sorted(lo, hi, sign):
+    """The vertex (1, lo, hi) in code order, ``sign`` negated by a swap."""
+    return ((1, hi, lo), -sign) if hi < lo else ((1, lo, hi), sign)
+
+
+def _ihx(ct, path):
+    """``ihx_at``'s H and X, from one descent to the edge and one climb
+    back, and their sorted readings: ((H, X), ((H', sign), (X', sign))).
+
+    Every subtree of a canonical code is in code order, and H and X
+    differ from their tree only at the rewritten vertex and above it, so
+    sorting those vertices on the climb, with the product of the swap
+    signs, gives ``_canon_rec``'s code and sign: a reading that
+    ``reading_table`` knows."""
     if not path:
         raise ValueError("the root-leaf edge is not interior")
     root, c = ct.code
@@ -691,12 +677,21 @@ def ihx_at(ct, path):
     parent, step = above.pop()
     a, b, s = (a, b, parent[2]) if step == "L" else (b, a, parent[1])
     h, x = (1, (1, a, s), b), (1, (1, b, s), a)
+    (hs, hsign), (xs, xsign) = _sorted(a, s, 1), _sorted(b, s, 1)
+    hs, hsign = _sorted(hs, b, hsign)
+    xs, xsign = _sorted(xs, a, xsign)
     for parent, step in reversed(above):
         if step == "L":
-            h, x = (1, h, parent[2]), (1, x, parent[2])
+            sib = parent[2]
+            h, x = (1, h, sib), (1, x, sib)
+            hs, hsign = _sorted(hs, sib, hsign)
+            xs, xsign = _sorted(xs, sib, xsign)
         else:
-            h, x = (1, parent[1], h), (1, parent[1], x)
-    return (root, h), (root, x)
+            sib = parent[1]
+            h, x = (1, sib, h), (1, sib, x)
+            hs, hsign = _sorted(sib, hs, hsign)
+            xs, xsign = _sorted(sib, xs, xsign)
+    return ((root, h), (root, x)), (((root, hs), hsign), ((root, xs), xsign))
 
 
 # ------------------------------------------------------------ simple trees

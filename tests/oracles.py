@@ -22,7 +22,10 @@ own helper here, sharing nothing with ``lie``.  ``hall_basis`` (the
 Lyndon basis, bracketed by its standard factorization) and
 ``lie_dimension_oracle`` (Witt's necklace count) check the bracket's
 dimensions, on that same helper; ``lie_dim_by_rank`` is a third count,
-the rank of every bracketing of every word.  ``random_raw_tower`` is
+the rank of every bracketing of every word.  ``closed_form_counts``
+and ``closed_form_sizes`` count the canonical trees, the 2-torsion
+trees and the presentation's rows by generating functions, with no
+enumeration at all.  ``random_raw_tower`` is
 the seeded generator of well-formed raw towers for the randomized
 suites and the demos.
 """
@@ -511,6 +514,92 @@ def count_classes(raw_trees):
                 parent[other] = other
             union(code, other)
     return len({find(c) for c in parent})
+
+
+def _degree_part(a, b, d):
+    """The degree-d part of the product of the series a and b; a series
+    is a list, by degree, of {exponent vector: coefficient} dicts."""
+    out = {}
+    for i in range(d + 1):
+        for ea, ca in a[i].items():
+            for eb, cb in b[d - i].items():
+                e = tuple(x + y for x, y in zip(ea, eb))
+                out[e] = out.get(e, 0) + ca * cb
+    return out
+
+
+def _substitute(a, k, top):
+    """The series a(x_1^k, ..., x_m^k), up to degree ``top``."""
+    out = [{} for _ in range(top + 1)]
+    for d in range(top // k + 1):
+        out[k * d] = {tuple(k * x for x in e): c for e, c in a[d].items()}
+    return out
+
+
+def _combine(*terms):
+    """The sum of k * poly over the (k, poly) pairs."""
+    out = {}
+    for k, poly in terms:
+        for e, c in poly.items():
+            out[e] = out.get(e, 0) + k * c
+    return out
+
+
+def _unrooted_count(m, top, twist):
+    """The degree-``top`` part of Otter's count of unrooted trivalent
+    trees by leaf labels, on the variables x_1..x_m: with X = sum x_i and
+    R = X + (R^2 + R(x^2))/2 the rooted trees, the count is
+
+        X R + (R^3 + 3 R(x^2) R + 2 R(x^3))/6 - (R^2 - R(x^2))/2,
+
+    the trees rooted at a leaf or at a trivalent vertex, less those
+    rooted at an edge that no symmetry reverses (Otter's dissimilarity
+    theorem).  ``twist`` = -1 weights each tree by the orientation character
+    instead: a swap at a vertex reverses its cyclic order, so the rooted
+    series and the vertex term take the sign of each transposition, while
+    the edge term stays as it is."""
+    x = [{}] * (top + 1)
+    x[1] = {tuple(int(i == j) for j in range(m)): 1 for i in range(m)}
+    rooted = list(x)
+    for d in range(2, top + 1):
+        half = _combine((1, _degree_part(rooted, rooted, d)),
+                        (twist, _substitute(rooted, 2, d)[d]))
+        assert all(c % 2 == 0 for c in half.values())
+        rooted[d] = {e: c // 2 for e, c in half.items() if c}
+    square = [_degree_part(rooted, rooted, d) for d in range(top + 1)]
+    r2, r3 = _substitute(rooted, 2, top), _substitute(rooted, 3, top)
+    sixfold = _combine((6, _degree_part(x, rooted, top)),
+                       (1, _degree_part(square, rooted, top)),
+                       (3 * twist, _degree_part(r2, rooted, top)),
+                       (2, r3[top]), (-3, square[top]), (3, r2[top]))
+    assert all(c % 6 == 0 for c in sixfold.values())
+    return {e: c // 6 for e, c in sixfold.items() if c}
+
+
+def closed_form_counts(order, labels):
+    """{label multiset: (trees, 2-torsion trees)} for the canonical
+    order-n trees on labels 1..m, a multiset the sorted leaf labels, by
+    the unlabelled-tree counting of Otter, *The number of trees*, Ann. of
+    Math. 49 (1948), with the cycle indices of Harary-Palmer, *Graphical
+    Enumeration* (1973).  The trees are counted by ``_unrooted_count``
+    and the trees that are not 2-torsion by its signed version, since a
+    tree is 2-torsion iff a symmetry reverses an odd number of vertex
+    orientations.  The unsigned count is the classical one; the signed
+    one is checked here against the enumeration, not proved."""
+    plain = _unrooted_count(labels, order + 2, 1)
+    signed = _unrooted_count(labels, order + 2, -1)
+    counts = {tuple(i for i, k in enumerate(e, 1) for _ in range(k)): (c, c - signed.get(e, 0))
+              for e, c in plain.items()}
+    return dict(sorted(counts.items()))
+
+
+def closed_form_sizes(order, labels):
+    """(generators, relators) of the presentation of the order-n group on
+    labels 1..m: the trees, then n - 1 IHX rows per tree, one per
+    interior edge, and a doubling row per 2-torsion tree."""
+    counts = closed_form_counts(order, labels).values()
+    trees = sum(c for c, _ in counts)
+    return trees, max(order - 1, 0) * trees + sum(t for _, t in counts)
 
 
 def snf_by_minors(rows, nrows, ncols):

@@ -40,6 +40,8 @@ from towertrees.trees import (
 
 from oracles import (
     cell_lattice,
+    closed_form_counts,
+    closed_form_sizes,
     graph_explicit_code,
     lie_dimension_oracle,
     nonrepeating_presentation,
@@ -647,6 +649,34 @@ def test_group_structure_matches_the_whole_cell_presentation(n, m):
     for nonrepeating, mat in ((False, presentation(n, m)), (True, nonrepeating_presentation(n, m))):
         assert group_table(n, m, nonrepeating) == (mat.cokernel(), mat.ncols, len(mat.rows))
         assert group_structure(n, m, nonrepeating) == mat.cokernel()
+
+
+@pytest.mark.parametrize("n, m", [(n, m) for n in range(7) for m in range(1, 5)]
+                         + [(3, 5), (4, 5), (2, 6)])
+def test_closed_form_counts_match_every_block(n, m):
+    # Otter's count and its signed version against the enumeration, block
+    # by block: the trees and the 2-torsion trees of each label multiset
+    blocks = trees_by_multiset(n, m)
+    assert closed_form_counts(n, m) == {
+        mu: (len(trees), sum(ct.two_torsion for ct in trees)) for mu, trees in blocks.items()}
+
+
+@pytest.mark.parametrize("n, m", [(n, m) for n in range(6) for m in range(1, 5)]
+                         + [(6, 3), (6, 4), (3, 5), (4, 5)])
+def test_group_table_sizes_match_closed_form(n, m):
+    table = group_table(n, m)
+    assert (table.generator_count, table.relator_count) == closed_form_sizes(n, m)
+
+
+def test_closed_form_sizes_of_the_large_cells():
+    # the sizes that the groups verb prints at (7,3), (6,4), (8,3) and
+    # (3,6), which CI pins, and those it printed at (7,4) and (6,5)
+    assert closed_form_sizes(7, 3) == (17_790, 122_331)
+    assert closed_form_sizes(6, 4) == (31_420, 180_648)
+    assert closed_form_sizes(8, 3) == (85_536, 675_000)
+    assert closed_form_sizes(3, 6) == (1_386, 3_528)
+    assert closed_form_sizes(7, 4) == (190_360, 1_290_092)
+    assert closed_form_sizes(6, 5) == (165_510, 937_150)
 
 
 def test_block_torsion_merges_into_invariant_factors(monkeypatch):

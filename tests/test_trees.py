@@ -30,7 +30,6 @@ from towertrees.trees import (
     parse_signed,
     parse_tree,
     representative_blocks,
-    sort_path,
     to_text,
     trees_by_multiset,
 )
@@ -479,13 +478,16 @@ def test_canonicalize_rewrite_takes_one_rooting_iff_the_least_label_is_unique(mo
 @pytest.mark.parametrize("n, m", [(n, m) for n in range(2, 6) for m in range(1, 4)])
 def test_sort_path_agrees_with_canon_rec(n, m):
     # both companions of every triple differ from their tree only at the
-    # rewritten vertex and above it, so re-sorting that path gives
-    # _canon_rec's code and sign
+    # rewritten vertex and above it, so the path that _ihx sorts on its
+    # climb gives _canon_rec's code and sign of the written code, and the
+    # written pair is ihx_at's
     for ct in all_trees(n, m):
         for edge in interior_edge_paths(ct):
-            for root, rest in ihx_at(ct, edge):
+            written, readings = trees._ihx(ct, edge)
+            assert written == ihx_at(ct, edge)
+            for (root, rest), reading in zip(written, readings):
                 code, sign, _ = trees._canon_rec(rest)
-                assert sort_path((root, rest), edge[:-1] + "L") == ((root, code), sign)
+                assert reading == ((root, code), sign)
 
 
 def test_canonicalize_rooted():

@@ -2,9 +2,12 @@
 
 Every verb is a thin adapter: parse arguments, hold its order and label
 count to --max-order/--max-labels (the library itself has no cap), call
-the library, format the result.  Exit codes: 0 success, 1 input or
-usage errors, 2 when certification finds a nonzero obstruction (a
-result, not an error, so pipelines can branch on it).
+the library, format the result.  A tree argument may begin with its
+sign (``-(2,1)``), and an argument that begins with ``-`` and a digit,
+``(`` or ``inner`` is never an option, so ``--out -1.txt`` names a file.
+Exit codes: 0 success, 1 input or usage errors, 2 when certification
+finds a nonzero obstruction (a result, not an error, so pipelines can
+branch on it).
 """
 
 from __future__ import annotations
@@ -41,7 +44,17 @@ from .towers import (
 )
 
 
+# a signed tree literal, a negative integer or a path such as -1.txt
+_TREE_ARG = re.compile(r"^-\s*(\(|\d|inner)")
+
+
 class _Parser(argparse.ArgumentParser):
+    def _parse_optional(self, arg_string):
+        """Read what ``_TREE_ARG`` matches as an argument (``None``), never as an option."""
+        if _TREE_ARG.match(arg_string):
+            return None
+        return super()._parse_optional(arg_string)
+
     def error(self, message):
         self.print_usage(sys.stderr)
         sys.stderr.write(f"{self.prog}: error: {message}\n")
@@ -196,7 +209,7 @@ def cmd_bch(args):
     for _, t in sigma:
         if not isinstance(t, DecoratedTree):
             raise TowerError(f"{to_text(t)!r} is not an unrooted tree")
-    model = bch_tower([(s, t) for s, t in sigma], args.order, args.labels)
+    model = bch_tower(sigma, args.order, args.labels)
     _emit(args, model_to_json(model))
     return 0
 
@@ -281,41 +294,9 @@ def build_parser():
     return parser
 
 
-# a plain negative integer is left to argparse, which reads it as a
-# positional or as the value of an integer option (``--order -1``)
-_TREE_ARG = re.compile(r"^-(?!\d+$)\s*(\(|\d|inner)")
-
-
-def _stash_tree_args(argv):
-    """Hide negative-signed tree literals from option parsing."""
-    stash = {}
-    out = []
-    for a in argv:
-        if _TREE_ARG.match(a):
-            key = f"@tree{len(stash)}"
-            stash[key] = a
-            out.append(key)
-        else:
-            out.append(a)
-    return out, stash
-
-
-def _unstash(value, stash):
-    if isinstance(value, str):
-        return stash.get(value, value)
-    if isinstance(value, list):
-        return [_unstash(v, stash) for v in value]
-    return value
-
-
 def run(argv=None):
-    parser = build_parser()
-    argv = sys.argv[1:] if argv is None else list(argv)
-    argv, stash = _stash_tree_args(argv)
     try:
-        args = parser.parse_args(argv)
-        for name, value in vars(args).items():
-            setattr(args, name, _unstash(value, stash))
+        args = build_parser().parse_args(argv)
         return args.fn(args)
     except SystemExit as exc:
         return exc.code or 0

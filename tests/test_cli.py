@@ -69,8 +69,9 @@ def test_deeply_nested_tree_exits_one(capsys):
 def test_canon_absorbs_sign(capsys):
     code1, out1, _ = invoke(capsys, "canon", "-(2,1)")
     code2, out2, _ = invoke(capsys, "canon", "+(1,2)")
-    assert code1 == code2 == 0
-    assert out1 == out2 == "+(1,2)\n"
+    code3, out3, _ = invoke(capsys, "canon", "--", "-(2,1)")
+    assert code1 == code2 == code3 == 0
+    assert out1 == out2 == out3 == "+(1,2)\n"
 
 
 def test_canon_unrooted_and_torsion(capsys):
@@ -514,3 +515,30 @@ def test_flags_a_verb_does_not_read_are_refused(argv, flag, capsys):
     code, out, err = invoke(capsys, *argv, *flag)
     assert (code, out) == (1, "")
     assert err.splitlines()[-1] == f"towertrees: error: unrecognized arguments: {' '.join(flag)}"
+
+
+@pytest.mark.parametrize("argv", [
+    ["canon", "-(2,1)"],
+    ["reduce", "-inner((1,2),((3,4),(1,2)),)"],
+    ["bch", "-inner((1,2),(3,4),)", "--order", "2", "--labels", "4"],
+])
+def test_out_path_shaped_like_a_placeholder_is_written(argv, tmp_path, monkeypatch, capsys):
+    # a path such as @tree0 is the user's file, whatever the tree arguments
+    monkeypatch.chdir(tmp_path)
+    _, printed, _ = invoke(capsys, *argv)
+    code, out, err = invoke(capsys, *argv, "--out", "@tree0")
+    assert (code, out, err) == (0, "", "")
+    assert [p.name for p in tmp_path.iterdir()] == ["@tree0"]
+    assert (tmp_path / "@tree0").read_text() == printed
+
+
+def test_paths_beginning_with_a_negative_number_are_paths(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    code, out, err = invoke(capsys, "canon", "-(2,1)", "--out", "-1.txt")
+    assert (code, out, err) == (0, "", "")
+    assert [p.name for p in tmp_path.iterdir()] == ["-1.txt"]
+    assert (tmp_path / "-1.txt").read_text() == "+(1,2)\n"
+    (tmp_path / "-1.json").write_text((FIXTURES / "order2_tower.json").read_text())
+    code, out, err = invoke(capsys, "tau", "-1.json")
+    assert (code, err) == (0, "")
+    assert out.startswith("tau = +1*inner(1,(2,(3,4)),)\n")

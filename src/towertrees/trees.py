@@ -47,8 +47,9 @@ stands; otherwise the walker roots only the leaves of the least label.
 The walker and ``_canon_rec`` recurse only into vertices: a leaf is
 read in place.  Every subtree of a canonical code is in code order, a
 fixed point of ``_canon_rec``, so the IHX rows need no canonicalization
-at all: ``_ihx``, the one descent to an IHX edge behind ``ihx_at``, also
-sorts each companion on the path it rewrote as it climbs back, and
+at all: ``_ihx_edge`` is the one descent to an IHX edge, ``ihx_at``
+climbs back building H and X, and ``_ihx``, for the rows, also sorts
+each companion on the path it rewrote as it climbs, and
 ``reading_table`` maps that sorted reading to its tree.
 
 The grammar has one scanner, given the constructors of what it builds:
@@ -643,7 +644,36 @@ def ihx_at(ct, path):
     Leaf holonomies are measured from the root, so they move with their
     subtrees.
     """
-    return _ihx(ct, path)[0]
+    root, above, a, b, s = _ihx_edge(ct, path)
+    h, x = (1, (1, a, s), b), (1, (1, b, s), a)
+    for parent, step in reversed(above):
+        if step == "L":
+            h, x = (1, h, parent[2]), (1, x, parent[2])
+        else:
+            h, x = (1, parent[1], h), (1, parent[1], x)
+    return (root, h), (root, x)
+
+
+def _ihx_edge(ct, path):
+    """One descent to an interior edge: (root, above, A, B, S), with
+    ``above`` the vertices passed, each with its step, the edge's lower
+    end holding (A, B) and its upper end the sibling S.  A right edge
+    reads as a left one with A and B swapped."""
+    if not path:
+        raise ValueError("the root-leaf edge is not interior")
+    root, c = ct.code
+    above = []
+    for step in path:
+        if c[0] == 0 or step not in "LR":
+            raise ValueError(f"edge {path!r} is not interior")
+        above.append((c, step))
+        c = c[1] if step == "L" else c[2]
+    if c[0] == 0:
+        raise ValueError(f"edge {path!r} is not interior")
+    _, a, b = c
+    parent, step = above.pop()
+    a, b, s = (a, b, parent[2]) if step == "L" else (b, a, parent[1])
+    return root, above, a, b, s
 
 
 def _sorted(lo, hi, sign):
@@ -660,22 +690,7 @@ def _ihx(ct, path):
     sorting those vertices on the climb, with the product of the swap
     signs, gives ``_canon_rec``'s code and sign: a reading that
     ``reading_table`` knows."""
-    if not path:
-        raise ValueError("the root-leaf edge is not interior")
-    root, c = ct.code
-    above = []  # one descent: the vertices passed, each with its step
-    for step in path:
-        if c[0] == 0 or step not in "LR":
-            raise ValueError(f"edge {path!r} is not interior")
-        above.append((c, step))
-        c = c[1] if step == "L" else c[2]
-    if c[0] == 0:
-        raise ValueError(f"edge {path!r} is not interior")
-    # the edge's lower end holds (A, B), its upper end the sibling S; a
-    # right edge reads as a left one with A and B swapped
-    _, a, b = c
-    parent, step = above.pop()
-    a, b, s = (a, b, parent[2]) if step == "L" else (b, a, parent[1])
+    root, above, a, b, s = _ihx_edge(ct, path)
     h, x = (1, (1, a, s), b), (1, (1, b, s), a)
     (hs, hsign), (xs, xsign) = _sorted(a, s, 1), _sorted(b, s, 1)
     hs, hsign = _sorted(hs, b, hsign)

@@ -16,6 +16,7 @@ from towertrees.trees import (
     canonicalize,
     leaf_views,
     parse_tree,
+    representative_blocks,
     to_text,
 )
 from towertrees.words import wreduce
@@ -181,6 +182,79 @@ def test_rank_matches_closed_form(n, m):
     assert rational_rank_bound(n, m) == m * L(m, n + 1) - L(m, n + 2)
 
 
+# ------------------------------------------------- rows on Lyndon columns
+
+_ROW_CELLS = [(n, m) for n in range(6) for m in range(1, 5)] + [(6, 3)]
+
+
+def _keyed_rows(trees, lyndon):
+    """``lie._eta_rows`` of a block, each row keyed by (label, *word);
+    the words numbered -1 are exactly those not in ``lyndon``."""
+    rows, columns = lie._eta_rows(trees)
+    assert all((j >= 0) == (w in lyndon) for (_, w), j in columns.items())
+    key = {j: (label,) + w for (label, w), j in columns.items() if j >= 0}
+    return [{key[j]: c for j, c in row.items()} for row in rows]
+
+
+def _lyndon_part(vector, lyndon, skip):
+    """The (label, Lyndon word) terms of a full word row, leaving out
+    the label ``skip`` above order 0, as ``lie._eta_rows`` does."""
+    return {key: c for key, c in vector.items()
+            if key[1:] in lyndon and (key[0] != skip or len(key) == 2)}
+
+
+@pytest.mark.parametrize("n, m", _ROW_CELLS)
+def test_lyndon_rows_span_the_rank_of_the_full_word_rows(n, m):
+    # each block's rows on (label, Lyndon word) columns have the rank of
+    # its full word rows, so rational_rank_bound is the full words' rank
+    total = 0
+    for count, trees in representative_blocks(n, m):
+        rank = integer_rank(lie._eta_rows(trees)[0])
+        assert rank == integer_rank([bracket_eta_vector(ct) for ct in trees]), trees[0].labels
+        total += count * rank
+    assert rational_rank_bound(n, m) == total
+
+
+@pytest.mark.parametrize("n, m", [(n, m) for n in range(5) for m in range(1, 5)])
+def test_eta_lands_in_the_kernel_of_the_bracket(n, m):
+    # the sum over labels l of [x_l, eta_l] vanishes on every tree, which
+    # lets the rank rows leave out one label's component
+    for ct in all_trees(n, m):
+        image = bracket_eta(ct)
+        assert _combine(*((1, lie_bracket(X[l], p)) for l, p in image.items())) == {}, ct.text()
+
+
+@pytest.mark.parametrize("n, m", [(n, m) for n in range(5) for m in range(1, 5)])
+def test_lyndon_rows_are_the_lyndon_part_of_eta(n, m):
+    # every key of a row is (label, Lyndon word), and a row holds every
+    # Lyndon coefficient of the tree's full word image but those of the
+    # block's last label above order 0, and only those
+    lyndon = set(lyndon_words(m, n + 1))
+    for _, trees in representative_blocks(n, m):
+        for ct, row in zip(trees, _keyed_rows(trees, lyndon)):
+            assert all(key[1:] in lyndon for key in row), ct.text()
+            assert row == _lyndon_part(bracket_eta_vector(ct), lyndon, ct.labels[-1]), ct.text()
+
+
+def test_top_bracket_is_led_by_the_least_letter_of_the_rest():
+    # rooted at its one leaf labelled 1, a tree on 1 < 2 <= ... reads a
+    # polynomial in the other letters, whose Lyndon words begin with 2,
+    # not with the block's least letter 1
+    seen = 0
+    for n, m in [(1, 3), (2, 3), (3, 3), (3, 4), (4, 3)]:
+        lyndon = set(lyndon_words(m, n + 1))
+        for _, trees in representative_blocks(n, m):
+            if trees[0].labels.count(1) != 1:
+                continue
+            for ct, row in zip(trees, _keyed_rows(trees, lyndon)):
+                expected = _lyndon_part(bracket_eta_vector(ct), lyndon, ct.labels[-1])
+                at_one = {key: c for key, c in expected.items() if key[0] == 1}
+                assert all(key[1] == trees[0].labels[1] for key in at_one)
+                assert row == expected, ct.text()
+                seen += len(at_one)
+    assert seen  # the image at label 1 is not always zero
+
+
 # ------------------------------------------- the bracket-by-bracket oracle
 
 def _random_tree(rng, word=lambda: "", max_order=5, m=4):
@@ -201,8 +275,8 @@ def _random_word(rng):
 
 @pytest.mark.parametrize("n", range(5))
 def test_eta_matches_bracket_oracle_on_canonical_trees(n):
-    # every canonical tree with n <= 4, m <= 4; the rank rows share one
-    # memo across the cell, as rational_rank_bound does
+    # every canonical tree with n <= 4, m <= 4; _eta_terms shares one
+    # memo across the cell, so every view reused between trees is checked
     rng = random.Random(n)
     for m in range(1, 5):
         cell = all_trees(n, m)

@@ -163,7 +163,7 @@ def _rows(trees, triples):
     for ct, edge in triples:
         if ct is not tree:  # a tree's triples are consecutive
             tree, i = ct, table[ct.code][0]
-        (h, hsign), (x, xsign) = _ihx(ct, edge)[1]
+        (h, hsign), (x, xsign) = _ihx(ct, edge)
         row = {i: 1}
         for (j, s), c in ((table[h], -hsign), (table[x], xsign)):
             # as in a TreeSum: 2-torsion coefficients mod 2, zeros dropped

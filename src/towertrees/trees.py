@@ -48,9 +48,10 @@ The walker and ``_canon_rec`` recurse only into vertices: a leaf is
 read in place.  Every subtree of a canonical code is in code order, a
 fixed point of ``_canon_rec``, so the IHX rows need no canonicalization
 at all: ``_ihx_edge`` is the one descent to an IHX edge, ``ihx_at``
-climbs back building H and X, and ``_ihx``, for the rows, also sorts
-each companion on the path it rewrote as it climbs, and
-``reading_table`` maps that sorted reading to its tree.
+climbs back building H and X as written, and ``_ihx``, for the rows,
+climbs back building only their sorted readings, each companion sorted
+on the path it rewrote, and ``reading_table`` maps that reading to its
+tree.
 
 The grammar has one scanner, given the constructors of what it builds:
 ``parse_tree`` builds ``Leaf``/``Node`` trees, ``parse_unrooted_code``
@@ -561,7 +562,7 @@ def reading_table(trees):
 
     When the least label occurs once the canonical code is a tree's only
     reading.  A code rewriting a tree with its root and labels, once
-    sorted (as ``_ihx`` sorts H and X), is one of its class's readings,
+    sorted (as ``_ihx`` reads H and X), is one of its class's readings,
     so this table canonicalizes it by lookup; the sign of a 2-torsion
     tree's reading holds only mod 2."""
     table = {}
@@ -682,8 +683,8 @@ def _sorted(lo, hi, sign):
 
 
 def _ihx(ct, path):
-    """``ihx_at``'s H and X, from one descent to the edge and one climb
-    back, and their sorted readings: ((H, X), ((H', sign), (X', sign))).
+    """The sorted readings of ``ihx_at``'s H and X, from one descent to
+    the edge and one climb back: ((H', sign), (X', sign)).
 
     Every subtree of a canonical code is in code order, and H and X
     differ from their tree only at the rewritten vertex and above it, so
@@ -691,22 +692,19 @@ def _ihx(ct, path):
     signs, gives ``_canon_rec``'s code and sign: a reading that
     ``reading_table`` knows."""
     root, above, a, b, s = _ihx_edge(ct, path)
-    h, x = (1, (1, a, s), b), (1, (1, b, s), a)
     (hs, hsign), (xs, xsign) = _sorted(a, s, 1), _sorted(b, s, 1)
     hs, hsign = _sorted(hs, b, hsign)
     xs, xsign = _sorted(xs, a, xsign)
     for parent, step in reversed(above):
         if step == "L":
             sib = parent[2]
-            h, x = (1, h, sib), (1, x, sib)
             hs, hsign = _sorted(hs, sib, hsign)
             xs, xsign = _sorted(xs, sib, xsign)
         else:
             sib = parent[1]
-            h, x = (1, sib, h), (1, sib, x)
             hs, hsign = _sorted(sib, hs, hsign)
             xs, xsign = _sorted(sib, xs, xsign)
-    return ((root, h), (root, x)), (((root, hs), hsign), ((root, xs), xsign))
+    return ((root, hs), hsign), ((root, xs), xsign)
 
 
 # ------------------------------------------------------------ simple trees

@@ -2,10 +2,12 @@
 
 Everything here runs over Python ints, never floats; torsion detection
 is the whole point.  Matrices are sparse: a row is a dict column ->
-nonzero value.  There is one elimination, ``IntegerLattice.add``: its
-echelon basis answers membership, residues and solving, gives
-``integer_rank``, and ``smith_normal_form`` alternates it between rows
-and columns until the basis is diagonal.
+nonzero value.  There are two eliminations.  ``IntegerLattice.add``
+keeps an echelon basis, which answers membership, residues and
+solving and gives ``integer_rank``.  ``smith_normal_form`` first
+splits off the +-1 pivots by Gauss-Jordan elimination (``_unit_pivots``),
+then alternates the echelon form between rows and columns on the rows
+left over until the basis is diagonal (``_kannan_bachem``).
 """
 
 from __future__ import annotations
@@ -29,7 +31,103 @@ def smith_normal_form(rows):
     (factors, rank) where factors is the tuple of nonzero invariant
     factors d1 | d2 | ... (including any 1s) and rank = len(factors).
 
-    Alternates row and column echelon forms of the same
+    First splits off the unit pivots (``_unit_pivots``), then takes the
+    Smith form of the rows left over (``_kannan_bachem``).  This is
+    exact.  The split uses row operations only, after which each pivot
+    column c is zero outside its own pivot row, where it holds +-1.
+    Column operations by c then clear the rest of that row without
+    touching any other row, so the row and column split off a summand
+    Z/1.  What remains is the set-aside rows, zero on every pivot
+    column.  Invariant factors are unique, so these are the factors of
+    the whole matrix.
+    """
+    pivots, rest = _unit_pivots(rows)
+    factors, rank = _kannan_bachem(rest)
+    return (1,) * pivots + factors, pivots + rank
+
+
+def _unit_pivots(rows):
+    """Online Gauss-Jordan elimination on +-1 pivots of dense or sparse
+    rows.
+
+    Each row is reduced against the pivot rows so far.  If it then has
+    an entry +-1, it becomes a pivot row on the +-1 column held by the
+    fewest pivot rows (Markowitz), which is cleared from every other
+    pivot row; otherwise it is set aside.  Pivot rows stay zero on each
+    other's pivot columns, so one pass reduces a row against them all,
+    and the set-aside rows, reduced once more against the final pivots,
+    come out zero on every pivot column.  Returns (number of pivots,
+    set-aside rows as dicts).
+    """
+    pivot_row: dict[int, dict[int, int]] = {}  # pivot column -> its row
+    held: dict[int, set[int]] = {}  # other column -> pivot columns of the rows nonzero there
+    aside = []
+    for row in rows:
+        v = _reduced(row, pivot_row)
+        c = None
+        for k, x in v.items():
+            if x == 1 or x == -1:
+                s = held.get(k)
+                if not s:
+                    c, n = k, 0
+                    break
+                if c is None or len(s) < n:
+                    c, n = k, len(s)
+        if c is None:
+            if v:
+                aside.append(v)
+            continue
+        for p in held.pop(c, ()):
+            r = pivot_row[p]
+            f = r[c] * v[c]
+            for k, x in v.items():
+                w = r.get(k, 0) - f * x
+                if w:
+                    if k not in r:
+                        held.setdefault(k, set()).add(p)
+                    r[k] = w
+                else:
+                    del r[k]
+                    if k != c:
+                        held[k].discard(p)
+        pivot_row[c] = v
+        for k in v:
+            if k != c:
+                s = held.get(k)
+                if s is None:
+                    held[k] = {c}
+                else:
+                    s.add(c)
+    return len(pivot_row), [v for v in (_reduced(r, pivot_row) for r in aside) if v]
+
+
+def _reduced(row, pivot_row):
+    """A dense or sparse row minus the pivot rows that clear its pivot
+    columns, as a new dict without zeros."""
+    if isinstance(row, dict):
+        v = dict(row)
+        if 0 in v.values():
+            v = {c: x for c, x in v.items() if x}
+    else:
+        v = {c: x for c, x in enumerate(row) if x}
+    for c in [c for c in v if c in pivot_row]:
+        p = pivot_row[c]
+        if len(p) == 1:  # {c: +-1}, a generator set to zero: the commonest pivot row
+            del v[c]
+            continue
+        f = v[c] * p[c]
+        for k, x in p.items():
+            w = v.get(k, 0) - f * x
+            if w:
+                v[k] = w
+            else:
+                del v[k]
+    return v
+
+
+def _kannan_bachem(rows):
+    """Invariant factors and rank as ``smith_normal_form``, by
+    alternating row and column echelon forms of the same
     ``IntegerLattice`` (Kannan-Bachem): take the echelon basis of the
     rows, ordered by pivot column; stop once every basis row has a
     single entry; otherwise transpose the basis and take the echelon

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from towertrees import groups, trees as trees_module
+from towertrees import groups, intlinalg, trees as trees_module
 from towertrees.groups import (
     AbelianGroupStructure,
     RelationMatrix,
@@ -430,6 +430,21 @@ def test_cokernel_takes_each_row_once_up_to_sign():
     # rows equal up to the sign of one entry are not the same row
     mat = RelationMatrix(all_trees(0, 2)[:2], (((0, 1), (1, 1)), ((0, 1), (1, -1))), 2)
     assert mat.cokernel() == AbelianGroupStructure(0, (2,))
+
+
+def test_unit_pivots_leave_the_smith_form_of_every_block_unchanged():
+    # smith_normal_form splits the +-1 pivots off first; Kannan-Bachem
+    # alone must give the same factors, on the raw rows of each
+    # representative block and on its rows taken once up to sign
+    cells = [(n, m) for n in range(6) for m in range(1, 5)] + [(6, 3)]
+    for n, m in cells:
+        for _, trees in trees_module.representative_blocks(n, m):
+            rows = groups._matrix(trees).rows
+            distinct = {r if r[0][1] > 0 else tuple((j, -c) for j, c in r): None
+                        for r in rows if r}
+            for matrix in (rows, distinct):
+                matrix = [dict(r) for r in matrix]
+                assert smith_normal_form(matrix) == intlinalg._kannan_bachem(matrix), (n, m)
 
 
 def _closed_form(n, m):

@@ -89,9 +89,12 @@ def test_snf_matches_minors_oracle(m):
     ([[4, 0, 2, -2], [0, -4, 3, -2], [0, -2, 1, 3]], ((1, 1, 4), 3), 5),
 ])
 def test_snf_passes_follow_the_feed_order(monkeypatch, m, snf, lattices):
-    # each pass builds one echelon lattice; feeding the transposed rows
-    # by ascending column is what makes each pass isolate or shrink the
-    # first pivot not yet alone in its row and column
+    # each Kannan-Bachem pass builds one echelon lattice; feeding the
+    # transposed rows by ascending column is what makes each pass
+    # isolate or shrink the first pivot not yet alone in its row and
+    # column.  The helper is called alone: smith_normal_form splits the
+    # +-1 pivots off first, so it builds fewer lattices for the third
+    # matrix, which has a +-1 entry
     built = []
 
     class Counting(IntegerLattice):
@@ -101,8 +104,48 @@ def test_snf_passes_follow_the_feed_order(monkeypatch, m, snf, lattices):
             super().__init__(track)
 
     monkeypatch.setattr(intlinalg, "IntegerLattice", Counting)
-    assert smith_normal_form(m) == snf
+    assert intlinalg._kannan_bachem(m) == snf
     assert len(built) == lattices
+
+
+@st.composite
+def unit_rich_matrices(draw):
+    """Up to 6 x 5, entries mostly 0 and +-1 as in an IHX presentation,
+    with repeated and negated rows, doubling rows 2 e_j and zero rows,
+    in any order."""
+    c = draw(st.integers(1, 5))
+    entry = st.sampled_from((0, 0, 1, -1, 1, -1, 2, -2, 3))
+    m = draw(st.lists(st.lists(entry, min_size=c, max_size=c), max_size=3))
+    for kind in draw(st.lists(st.sampled_from(("copy", "negated", "double", "zero")), max_size=3)):
+        if kind in ("copy", "negated") and m:
+            row = draw(st.sampled_from(m))
+            m.append(row[:] if kind == "copy" else [-x for x in row])
+        elif kind == "double":
+            j = draw(st.integers(0, c - 1))
+            m.append([2 if k == j else 0 for k in range(c)])
+        else:
+            m.append([0] * c)
+    return draw(st.permutations(m))
+
+
+@given(unit_rich_matrices())
+@settings(max_examples=300, deadline=None)
+def test_snf_of_unit_rich_rows_matches_minors_oracle(m):
+    r, c = len(m), len(m[0]) if m else 0
+    factors, rank = smith_normal_form(m)
+    assert factors == snf_by_minors(m, r, c)
+    assert rank == len(factors)
+    sparse = [{j: v for j, v in enumerate(row) if v} for row in m]
+    assert smith_normal_form(sparse) == (factors, rank)
+
+
+def test_snf_reduces_set_aside_rows_against_later_pivots():
+    # (2, 2) has no +-1 entry and is set aside; (1, 3) then pivots on
+    # column 0, which the set-aside row meets: only (2, 2) - 2 (1, 3) =
+    # (0, -4) is left to the Smith form, and the determinant is 4
+    assert intlinalg._unit_pivots([{0: 2, 1: 2}, {0: 1, 1: 3}]) == (1, [{1: -4}])
+    assert smith_normal_form([[2, 2], [1, 3]]) == ((1, 4), 2)
+    assert smith_normal_form([{0: 2, 1: 2}, {0: 1, 1: 3}]) == ((1, 4), 2)
 
 
 def test_lattice_membership():

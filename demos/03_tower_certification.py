@@ -22,17 +22,16 @@ from towertrees import (
     verify_certificate,
 )
 from towertrees.groups import ihx_triples, is_zero
-from towertrees.towers import RawDisk, RawPoint, RawTower
-from towertrees.trees import parse_tree
+from towertrees.towers import RawDisk, RawPoint, RawTower, parse_bracket
 
 # the seeded random raw towers come from the test oracles
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
 from oracles import random_raw_tower
 
 print("== a raw order-2 tower on four surfaces ==")
-# each Whitney disk is named by its rooted tree
-one, two, three, four = map(parse_tree, "1234")
-w12, w34 = parse_tree("(1,2)"), parse_tree("(3,4)")
+# each Whitney disk is named by its bracket, a rooted code
+one, two, three, four = map(parse_bracket, "1234")
+w12, w34 = parse_bracket("(1,2)"), parse_bracket("(3,4)")
 raw = RawTower(4, 2,
                disks=(RawDisk(w12), RawDisk(w34)),
                points=(

@@ -21,10 +21,10 @@ from . import lie
 from .groups import group_table, is_zero, reduce_to_simple
 from .trees import (
     BoundsError,
-    DecoratedTree,
     SignedTree,
     canonicalize,
     canonicalize_rooted,
+    is_rooted,
     parse_signed,
     to_text,
 )
@@ -100,13 +100,13 @@ def _at_least(least):
 
 
 def cmd_canon(args):
-    sign, tree = _read_tree_arg(args)
-    if isinstance(tree, DecoratedTree):
-        ct, s = canonicalize(SignedTree(sign, tree))
-        text, torsion = ct.text(), ct.two_torsion
-    else:
-        body, s, torsion = canonicalize_rooted(sign, tree)
+    sign, code = _read_tree_arg(args)
+    if is_rooted(code):
+        body, s, torsion = canonicalize_rooted(sign, code)
         text = to_text(body)
+    else:
+        ct, s = canonicalize(SignedTree(sign, code))
+        text, torsion = ct.text(), ct.two_torsion
     if args.json:
         _emit(args, json.dumps(
             {"canonical": text, "sign": s, "two_torsion": torsion}, indent=2))
@@ -116,10 +116,10 @@ def cmd_canon(args):
 
 
 def cmd_reduce(args):
-    sign, tree = _read_tree_arg(args)
-    if not isinstance(tree, DecoratedTree):
+    sign, code = _read_tree_arg(args)
+    if is_rooted(code):
         raise TowerError("reduce expects an unrooted tree, e.g. inner((1,2),(3,4),)")
-    ct, s = canonicalize(SignedTree(sign, tree))
+    ct, s = canonicalize(SignedTree(sign, code))
     ts = reduce_to_simple(ct).scale(s)
     if args.json:
         _emit(args, json.dumps(
@@ -206,9 +206,9 @@ def cmd_glue(args):
 
 def cmd_bch(args):
     sigma = [parse_signed(t) for t in args.trees]
-    for _, t in sigma:
-        if not isinstance(t, DecoratedTree):
-            raise TowerError(f"{to_text(t)!r} is not an unrooted tree")
+    for _, code in sigma:
+        if is_rooted(code):
+            raise TowerError(f"{to_text(code)!r} is not an unrooted tree")
     model = bch_tower(sigma, args.order, args.labels)
     _emit(args, model_to_json(model))
     return 0

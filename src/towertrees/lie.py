@@ -3,8 +3,9 @@
 Everything is verified by expansion in the free associative algebra
 (noncommutative words with integer coefficients), never by basis
 rewriting.  The image of eta bounds the free rank of the tree groups
-from below, so the module shares with them only the tree types,
-``trees.leaf_views`` (a tree read from each of its leaves) and
+from below, so the module shares with them only
+``trees.leaf_views`` (a tree read from each of its leaves, which
+refuses a rooted one), the representative blocks and
 ``intlinalg.integer_rank``.
 
 A Lie polynomial is a plain dict, a word (tuple of labels) mapped to a
@@ -44,7 +45,7 @@ once per arrangement of its multiplicities.
 from __future__ import annotations
 
 from .intlinalg import integer_rank
-from .trees import CanonicalTree, DecoratedTree, leaf_views, representative_blocks
+from .trees import leaf_views, representative_blocks
 
 
 def lie_bracket(a, b):
@@ -82,8 +83,6 @@ def _eta_terms(terms, memo):
     dict (label, *word) -> coefficient, zero terms dropped."""
     out: dict[tuple, int] = {}
     for tree, k in terms:
-        if not isinstance(tree, (CanonicalTree, DecoratedTree)):
-            raise TypeError("eta expects an unrooted tree")
         for label, view in leaf_views(tree):
             for w, c in _view_poly(view, memo).items():
                 key = (label,) + w

@@ -25,7 +25,7 @@ stores ``ihx_at``'s layout codes, ``certificate_to_json`` prints them,
 the loader reads them back as the same tuples, and replay compares a
 move's H and X with the recomputed codes as tuples, canonicalizing only
 one written another way.  The loaders read every tree as a code
-(``parse_unrooted_code``) and canonicalize it as such.  A
+(``parse_code``) and canonicalize it as such.  A
 certificate is a tuple of moves: ``certify_raise_order`` plans one that
 empties the order-n layer whenever the intersection sum vanishes in the
 order-n group, and ``verify_certificate`` replays one, checking every
@@ -37,13 +37,13 @@ and ignored, and a ``move_puncture`` certificate record is refused.
 Planning and replay take a model of any order and label count; capping
 them is the command line's ``--max-order``/``--max-labels`` policy.
 
-A raw tower names each Whitney disk by its rooted tree, its bracket:
-the disk W_(I,J) pairing points of W_I and W_J carries the rooted
-product (I,J) of their trees, an undecorated ``Leaf``/``Node`` as
-``parse_bracket`` returns it, and the order-0 surface i is ``Leaf(i)``.
+A raw tower names each Whitney disk by its rooted tree, its bracket,
+an undecorated rooted code as ``parse_bracket`` returns it: the disk
+W_(I,J) pairing points of W_I and W_J carries the rooted product
+(1, I, J) of their brackets, and the order-0 surface i is (0, i, "").
 ``extract_model`` reads each unpaired point of W_I and W_J as the inner
-product of the two trees, with the disks' whiskers and orientations
-folded in.
+product of the two trees, folding the disks' whiskers into the leaf
+holonomies as it descends and their orientations into the child order.
 """
 
 from __future__ import annotations
@@ -56,19 +56,15 @@ from .groups import _relator_terms, is_zero, normal_form, relator_combination
 from .sums import TreeSum
 from .trees import (
     CanonicalTree,
-    DecoratedTree,
-    Leaf,
-    Node,
-    RootedTree,
     SignedTree,
+    _leaf_labels,
+    _undecorated,
     canonicalize,
     ihx_at,
+    is_rooted,
     is_simple,
     is_trivially_decorated,
-    labels_of,
-    order_of,
-    parse_tree,
-    parse_unrooted_code,
+    parse_code,
     to_text,
 )
 from .words import check_word, winv, wmul
@@ -108,27 +104,21 @@ class PlannerError(Exception):
 
 # ---------------------------------------------------------------- brackets
 
-def parse_bracket(text) -> RootedTree:
-    """The undecorated rooted tree of a Whitney disk, e.g. "((1,2),3)"."""
-    tree = parse_tree(text)
-    if not isinstance(tree, (Leaf, Node)):
+def parse_bracket(text):
+    """The undecorated rooted code of a Whitney disk, e.g. "((1,2),3)"."""
+    code = parse_code(text)
+    if not is_rooted(code):
         raise TowerError(f"{text!r} is not a bracket")
-
-    def decorated(t):
-        if isinstance(t, Leaf):
-            return bool(t.word)
-        return decorated(t.left) or decorated(t.right)
-
-    if decorated(tree):
+    if not _undecorated(code):
         raise TowerError(f"bracket {text!r} must not carry decorations")
-    return tree
+    return code
 
 
 # --------------------------------------------------------------- raw towers
 
 @dataclass(frozen=True)
 class RawDisk:
-    bracket: RootedTree
+    bracket: tuple  # a rooted code, as parse_bracket gives it
     whisker: str = ""
     orientation: int = 1
 
@@ -136,14 +126,15 @@ class RawDisk:
 @dataclass(frozen=True)
 class RawPoint:
     sign: int
-    left: RootedTree
-    right: RootedTree
+    left: tuple  # the brackets of its two surfaces
+    right: tuple
     word: str = ""
-    paired_by: Node | None = None
+    paired_by: tuple | None = None
 
     @property
     def order(self):
-        return order_of(self.left) + order_of(self.right)
+        # an order-n tree has n + 2 leaves
+        return len(_leaf_labels(self.right, _leaf_labels(self.left, []))) - 2
 
 
 @dataclass(frozen=True)
@@ -163,7 +154,7 @@ def validate_raw(raw: RawTower):
     """Check the well-formedness invariants, naming the offender."""
     disk_by_bracket = {}
     for d in raw.disks:
-        for lab in labels_of(d.bracket):
+        for lab in _leaf_labels(d.bracket, []):
             if not 1 <= lab <= raw.m:
                 raise TowerError(f"disk {to_text(d.bracket)}: label {lab} out of 1..{raw.m}")
         if d.bracket in disk_by_bracket:
@@ -174,20 +165,19 @@ def validate_raw(raw: RawTower):
         disk_by_bracket[d.bracket] = d
 
     def require_present(b, what):
-        if isinstance(b, Leaf):
-            if not 1 <= b.label <= raw.m:
-                raise TowerError(f"{what}: label {b.label} out of 1..{raw.m}")
+        if b[0] == 0:
+            if not 1 <= b[1] <= raw.m:
+                raise TowerError(f"{what}: label {b[1]} out of 1..{raw.m}")
             return
         if b not in disk_by_bracket:
             raise TowerError(f"{what}: surface {to_text(b)} has no disk entry")
 
     for d in raw.disks:
-        if isinstance(d.bracket, Leaf):
-            continue
-        require_present(d.bracket.left, f"disk {to_text(d.bracket)}")
-        require_present(d.bracket.right, f"disk {to_text(d.bracket)}")
+        if d.bracket[0]:
+            require_present(d.bracket[1], f"disk {to_text(d.bracket)}")
+            require_present(d.bracket[2], f"disk {to_text(d.bracket)}")
 
-    pairs: dict = {b: [] for b in disk_by_bracket if isinstance(b, Node)}
+    pairs: dict = {b: [] for b in disk_by_bracket if b[0]}
     unpaired = []
     for k, p in enumerate(raw.points):
         what = f"point #{k}"
@@ -201,7 +191,7 @@ def validate_raw(raw: RawTower):
             continue
         if p.paired_by not in pairs:
             raise TowerError(f"{what}: pairing disk {to_text(p.paired_by)} not present")
-        if {p.left, p.right} != {p.paired_by.left, p.paired_by.right}:
+        if {p.left, p.right} != {p.paired_by[1], p.paired_by[2]}:
             raise TowerError(
                 f"{what}: paired by {to_text(p.paired_by)} but lies on "
                 f"{to_text(p.left)} and {to_text(p.right)}")
@@ -226,10 +216,13 @@ def extract_model(raw: RawTower):
     """Split-tower model of a raw tower: one signed tree per unpaired
     point, with whiskers and orientations consumed by canonicalization.
 
-    Edge words telescope through the disk whiskers; the fused edge of
-    the point p on W_I and W_J carries w_I^-1 g_p w_J, and flipping a
-    disk orientation swaps the child order at its vertex and negates
-    the sign of any point it supports.
+    Edge words telescope through the disk whiskers: the edge from W_I
+    down to W_J carries w_I^-1 w_J, and the fused edge of the point p on
+    W_I and W_J carries w_I^-1 g_p w_J.  Each side of p is read as a
+    side code whose leaves carry these words multiplied down to them,
+    the holonomies from the top of W_I.  Flipping a disk orientation
+    swaps the child order at its vertex and negates the sign of any
+    point it supports.
     """
     unpaired = validate_raw(raw)
     # an order-0 surface without a disk entry has a trivial whisker and
@@ -237,22 +230,21 @@ def extract_model(raw: RawTower):
     whisker = {d.bracket: d.whisker for d in raw.disks}
     orient = {d.bracket: d.orientation for d in raw.disks}
 
-    def build(b, parent):
-        word = wmul(winv(whisker[parent]), whisker.get(b, "")) if parent is not None else ""
-        if isinstance(b, Leaf):
-            return Leaf(b.label, word)
-        left = build(b.left, b)
-        right = build(b.right, b)
-        if orient[b] * orient.get(b.left, 1) * orient.get(b.right, 1) == -1:
+    def side(b, hol):
+        if b[0] == 0:
+            return (0, b[1], hol)
+        _, left, right = b
+        up = wmul(hol, winv(whisker[b]))
+        if orient[b] * orient.get(left, 1) * orient.get(right, 1) == -1:
             left, right = right, left
-        return Node(left, right, word)
+        return (1, side(left, wmul(up, whisker.get(left, ""))),
+                side(right, wmul(up, whisker.get(right, ""))))
 
     pairs = []
     for p in unpaired:
         fused = wmul(winv(whisker.get(p.left, "")), p.word, whisker.get(p.right, ""))
-        tree = DecoratedTree(build(p.left, None), build(p.right, None), fused)
         sign = p.sign * orient.get(p.left, 1) * orient.get(p.right, 1)
-        pairs.append(canonicalize(SignedTree(sign, tree)))
+        pairs.append(canonicalize(SignedTree(sign, (side(p.left, ""), side(p.right, fused), ""))))
     order = min(ct.order for ct, _ in pairs) if pairs else raw.order
     return make_model(raw.m, order, [(sign, ct) for ct, sign in pairs])
 
@@ -339,13 +331,14 @@ def glue(a: TowerModel, b: TowerModel) -> TowerModel:
 class IhxInsert:
     """An IHX insertion at ``edge`` of ``tree``.  H and X are codes: the
     planner stores ``ihx_at``'s layout codes, the certificate loader
-    what ``parse_unrooted_code`` gives; a DecoratedTree also does."""
+    what ``parse_code`` gives; any tree ``canonicalize`` takes also
+    does."""
 
     tree: CanonicalTree
     edge: str
     sign: int
-    h: tuple | DecoratedTree
-    x: tuple | DecoratedTree
+    h: tuple
+    x: tuple
 
 
 @dataclass(frozen=True)
@@ -625,9 +618,9 @@ def _get_parsed(record, key, where, parse, default=_REQUIRED):
 
 
 def _get_unrooted(record, key, where):
-    """The unrooted tree at ``key`` as ``parse_unrooted_code`` reads it."""
-    code = _get_parsed(record, key, where, parse_unrooted_code)
-    if code is None:
+    """The unrooted tree at ``key`` as ``parse_code`` reads it."""
+    code = _get_parsed(record, key, where, parse_code)
+    if is_rooted(code):
         raise TowerError(f"{where}: {key!r} is {record[key]!r}, not an unrooted tree")
     return code
 

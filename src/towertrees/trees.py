@@ -1,10 +1,14 @@
 """Decorated unitrivalent trees and their canonical forms.
 
-Rooted trees are nested ``Leaf``/``Node`` values; an unrooted tree
-(``DecoratedTree``) is stored as an inner product of two rooted trees
-fused along one edge.  Every edge carries a free-group word and every
-trivalent vertex a cyclic orientation of its three edges, encoded by
-the child order: at ``Node(l, r)`` the cyclic order is (l, r, parent).
+Every tree the library builds is a tuple code: a rooted code is
+(0, label, word) at a leaf, (1, left, right) at a vertex, each leaf
+carrying its holonomy from the top; an unrooted code fuses two rooted
+codes along an edge, (left, right, word), or in layout form a bare root
+leaf to the rest, (root label, rest).  Every edge carries a free-group
+word and every trivalent vertex a cyclic orientation of its three
+edges, encoded by the child order: at (1, l, r) it is (l, r, parent).
+The ``Leaf``/``Node``/``DecoratedTree`` objects are only what
+``parse_tree`` returns, for the functions that accept them from it.
 
 Gauge moves on these trees:
 
@@ -26,7 +30,7 @@ carrying the least label can reach the minimum and the others are
 never tried.
 
 The views are read off the nested code, with no adjacency graph.  Each
-side of a DecoratedTree is a rooted code, and each side's top vertex
+side of an unrooted tree is a rooted code, and each side's top vertex
 sees the other side across the fused edge.  A vertex (1, a, b) whose
 outside view is P has the cyclic order (a, b, P); entered from a its
 view is (1, b, P), entered from b it is (1, P, a).  Leaf holonomies are
@@ -54,9 +58,10 @@ on the path it rewrote, and ``reading_table`` maps that reading to its
 tree.
 
 The grammar has one scanner, given the constructors of what it builds:
-``parse_tree`` builds ``Leaf``/``Node`` trees, ``parse_unrooted_code``
-the codes that ``canonicalize`` and ``to_text`` take as they are, with
-no tree objects in between.
+``parse_tree`` builds ``Leaf``/``Node`` trees, and ``parse_code``, the
+one code parser, the codes that ``canonicalize``,
+``canonicalize_rooted`` and ``to_text`` take as they are, with no tree
+objects in between.
 """
 
 from __future__ import annotations
@@ -69,7 +74,7 @@ from itertools import groupby
 from math import factorial
 from types import MappingProxyType
 
-from .words import check_word, is_reduced, winv, wmul, wreduce
+from .words import check_word, is_reduced, winv, wmul
 
 
 class ParseError(ValueError):
@@ -142,10 +147,6 @@ class CanonicalTree:
         labs = self.labels
         return len(set(labs)) == len(labs)
 
-    def decode(self):
-        """The canonical layout as a concrete DecoratedTree."""
-        return decode_code(self.code)
-
     def text(self):
         return to_text(self.code)
 
@@ -157,11 +158,10 @@ class CanonicalTree:
 #
 # One scanner reads the grammar, building rooted trees with the leaf and
 # node constructors it is given: ``Leaf``/``Node`` for ``parse_tree``,
-# side codes (0, label, word) and (1, left, right) for
-# ``parse_unrooted_code``.  It walks the tokens of one ``findall``: a
-# label with the word it carries, a run of letters or any other single
-# character that is not whitespace, which separates tokens and is
-# otherwise skipped.  Positions are worked out only for a ParseError,
+# side codes (0, label, word) and (1, left, right) for ``parse_code``.
+# It walks the tokens of one ``findall``: a label with the word it
+# carries, a run of letters or any other single character that is not
+# whitespace, which separates tokens and is otherwise skipped.  Positions are worked out only for a ParseError,
 # which names the token where the grammar breaks.
 
 _TOKEN = re.compile(r"[(),]|[0-9]+(?::[A-Za-z]*)?|[A-Za-z]+|\S")
@@ -298,42 +298,51 @@ def _node_code(left, right):
     return (1, left, right)
 
 
-def parse_unrooted_code(text):
-    """The code of an unrooted tree text, or None for a rooted one.
+def parse_code(text):
+    """The code of a tree text, the library's one code parser.
 
-    Text in layout form, ``inner(r,rest,)`` with a bare root leaf r,
-    gives the layout code (r, rest) that ``CanonicalTree.code`` and
-    ``ihx_at`` give; any other gives the unrooted code (left, right,
-    word) of its two side codes and fused word.  A side code carries
-    each leaf's own edge word, as written; ``leaf_views`` folds them
-    into holonomies.  ``to_text`` prints either code back as
-    ``to_text(parse_tree(text))`` would.
+    A rooted text gives its rooted code, each leaf carrying its own
+    edge word, which is its holonomy from the top.  Text in layout form,
+    ``inner(r,rest,)`` with a bare root leaf r, gives the layout code
+    (r, rest) that ``CanonicalTree.code`` and ``ihx_at`` give; any other
+    unrooted text gives the unrooted code (left, right, word) of its two
+    side codes and fused word.  A side code carries each leaf's own edge
+    word, as written; ``leaf_views`` folds them into holonomies.
+    ``to_text`` prints every code back as ``to_text(parse_tree(text))``
+    would, and ``is_rooted`` tells the rooted codes from the others.
     """
     left, right, word = _scan(text, _leaf_code, _node_code)
     if right is None:
-        return None
+        return left
     if not word and left[0] == 0 and not left[2]:
         return (left[1], right)
     return (left, right, word)
 
 
+def is_rooted(code):
+    """Whether a code is rooted: (0, label, word) or (1, left, right)."""
+    return len(code) == 3 and type(code[0]) is int
+
+
 def parse_signed(text):
-    """Parse an optional +/- sign followed by a tree."""
+    """Parse an optional +/- sign followed by a tree: (sign, code), the
+    code as ``parse_code`` gives it."""
     text = text.lstrip()
     if text[:1] in ("+", "-"):
-        return (1 if text[0] == "+" else -1), parse_tree(text[1:])
-    return 1, parse_tree(text)
+        return (1 if text[0] == "+" else -1), parse_code(text[1:])
+    return 1, parse_code(text)
 
 
 def to_text(tree):
     """Print a tree in the grammar; exact inverse of the parser.
 
-    A layout or unrooted code prints as the tree it stands for, its
-    leaf words as written.  Rooted trees with decorated internal edges
-    are not representable and raise ValueError (push decorations to the
-    leaves first).
+    A code prints as the tree it stands for, its leaf words as written.
+    Rooted trees with decorated internal edges are not representable and
+    raise ValueError (push decorations to the leaves first).
     """
     if isinstance(tree, tuple):
+        if is_rooted(tree):
+            return _code_text(tree)
         left, right, word = _sides(tree)
         return f"inner({_code_text(left)},{_code_text(right)},{word})"
     if isinstance(tree, Leaf):
@@ -433,9 +442,9 @@ def leaf_views(tree):
     fused word into holonomies as its decoded tree would be: the words
     of leaf sides sit on the fused edge, and the fused edge's word
     prefixes every leaf word on the right side.  A layout code, bare or
-    a CanonicalTree's, has nothing to fold.  A rooted ``Leaf`` or
-    ``Node`` is refused with a ``TypeError``: it has no leaf at its root
-    to be read from.
+    a CanonicalTree's, has nothing to fold.  A rooted tree, a ``Leaf``,
+    a ``Node`` or a rooted code, is refused with a ``TypeError``: it has
+    no leaf at its root to be read from.
     """
     if isinstance(tree, CanonicalTree):
         tree = tree.code
@@ -491,7 +500,7 @@ def _canon_rec(view):
 def canonicalize(signed):
     """Canonical form of a signed decorated tree; the signed tree may
     also be a CanonicalTree or a code (see ``leaf_views``), such as
-    ``ihx_at`` or ``parse_unrooted_code`` returns.
+    ``ihx_at`` or ``parse_code`` returns.
 
     Returns (CanonicalTree, sign).  Gauge-equivalent inputs map to equal
     canonical trees with the AS-predicted sign relation; for 2-torsion
@@ -577,36 +586,26 @@ def reading_table(trees):
     return table
 
 
-def canonicalize_rooted(sign, rooted):
-    """Canonical form of a signed rooted tree under AS flips and
-    OR/HOL gauge only (the root stays put).
+def canonicalize_rooted(sign, code):
+    """Canonical form of a signed rooted code, as ``parse_code`` gives
+    it, under AS flips and OR/HOL gauge only (the root stays put).
 
-    Returns (rooted tree in layout form, sign, two_torsion).
+    Returns (rooted code, sign, two_torsion).
     """
-    code = _side_code(rooted, wreduce(rooted.word))
     code, s, amb = _canon_rec(code) if code[0] else (code, 1, False)
-    return _decode_rest(code), (1 if amb else s * sign), amb
-
-
-def decode_code(code):
-    """Rebuild the layout tree of a layout code (root label, rest)."""
-    return DecoratedTree(Leaf(code[0]), _decode_rest(code[1]), "")
-
-
-def _decode_rest(c):
-    if c[0] == 0:
-        return Leaf(c[1], c[2])
-    return Node(_decode_rest(c[1]), _decode_rest(c[2]))
+    return code, (1 if amb else s * sign), amb
 
 
 def is_trivially_decorated(ct):
     """Whether every leaf holonomy of a canonical tree is trivial."""
-    def trivial(c):
-        if c[0] == 0:
-            return c[2] == ""
-        return trivial(c[1]) and trivial(c[2])
+    return _undecorated(ct.code[1])
 
-    return trivial(ct.code[1])
+
+def _undecorated(c):
+    """Whether every leaf of a rooted code carries the trivial word."""
+    if c[0] == 0:
+        return c[2] == ""
+    return _undecorated(c[1]) and _undecorated(c[2])
 
 
 # -------------------------------------------------------- layout addressing
@@ -641,7 +640,7 @@ def ihx_at(ct, path):
     C,D), (A,C | B,D) and (A,D | B,C) satisfy I - H + X = 0, the tree
     form of the Jacobi identity.  Returns H and X as layout codes (root
     label, rest), shaped as ``CanonicalTree.code`` but not canonical,
-    for ``canonicalize_rewrite``, ``canonicalize`` or ``decode_code``.
+    for ``canonicalize_rewrite`` or ``canonicalize``.
     Leaf holonomies are measured from the root, so they move with their
     subtrees.
     """
@@ -715,12 +714,10 @@ def is_simple(t):
 
     Read off the canonical code: seen from the root leaf, the top vertex
     may have two trivalent children and every other vertex at most one.
-    A raw DecoratedTree is canonicalized first.  A rooted Leaf or Node
-    is refused: whether it is simple depends on how it is closed up.
+    Any other unrooted tree is canonicalized first.  A rooted tree is
+    refused, by ``leaf_views``: whether it is simple depends on how it
+    is closed up.
     """
-    if isinstance(t, (Leaf, Node)):
-        raise TypeError("is_simple expects an unrooted tree (DecoratedTree or CanonicalTree), "
-                        f"not a rooted {type(t).__name__}")
     if not isinstance(t, CanonicalTree):
         t = canonicalize(SignedTree(1, t))[0]
     return _code_is_simple(t.code[1], 2)
@@ -768,9 +765,8 @@ def all_trees(order, labels, /):
     out = []
     for root in range(1, labels + 1):
         for rest in _sorted_rests(order, root, labels):
-            labs = []
-            _leaf_labels(rest, labs)
-            labs = (root, *sorted(labs))  # every label of rest is at least root
+            # every label of rest is at least root
+            labs = (root, *sorted(_leaf_labels(rest, [])))
             code, _, torsion = canonicalize_rewrite((root, rest), labs)
             if code == (root, rest):
                 out.append(CanonicalTree(code, torsion, order, labs))
@@ -778,12 +774,13 @@ def all_trees(order, labels, /):
 
 
 def _leaf_labels(c, out):
-    """Append the leaf labels of a rooted code to ``out``."""
+    """Append the leaf labels of a rooted code to ``out``; returns ``out``."""
     if c[0]:
         _leaf_labels(c[1], out)
         _leaf_labels(c[2], out)
     else:
         out.append(c[1])
+    return out
 
 
 @lru_cache(maxsize=None)

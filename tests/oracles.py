@@ -27,7 +27,13 @@ and ``closed_form_sizes`` count the canonical trees, the 2-torsion
 trees and the presentation's rows by generating functions, with no
 enumeration at all.  ``random_raw_tower`` is
 the seeded generator of well-formed raw towers for the randomized
-suites and the demos.
+suites and the demos, and ``object_extract_model`` the reference for
+``towers.extract_model``: it builds the towers' trees as ``Leaf``/``Node``
+objects with whisker words on their edges, and only then hands them to
+the library's ``canonicalize``, since what it checks is how the words
+and orientations reach the trees.  ``decode`` gives the
+``Leaf``/``Node`` layout of a layout code, for the tests that compare
+with the object form.
 """
 
 from itertools import combinations, product
@@ -35,9 +41,24 @@ from math import gcd
 
 from towertrees.groups import RelationMatrix, ihx_triples, presentation
 from towertrees.intlinalg import IntegerLattice
-from towertrees.towers import RawDisk, RawPoint, RawTower
-from towertrees.trees import CanonicalTree, DecoratedTree, Leaf, Node, labels_of
+from towertrees.towers import RawDisk, RawPoint, RawTower, make_model, validate_raw
+from towertrees.trees import (CanonicalTree, DecoratedTree, Leaf, Node, SignedTree, canonicalize,
+                              labels_of)
 from towertrees.words import winv, wmul
+
+
+def _rooted(code):
+    """The ``Leaf``/``Node`` tree of a rooted code."""
+    if code[0] == 0:
+        return Leaf(code[1], code[2])
+    return Node(_rooted(code[1]), _rooted(code[2]))
+
+
+def decode(tree):
+    """The layout DecoratedTree of a layout code (root label, rest) or
+    of a CanonicalTree's code."""
+    root, rest = tree.code if isinstance(tree, CanonicalTree) else tree
+    return DecoratedTree(Leaf(root), _rooted(rest), "")
 
 
 class _Graph:
@@ -146,7 +167,7 @@ def bracket_eta(tree):
     """eta of a tree: the bracket read off each graph-walk leaf view,
     added to the component of that leaf's label."""
     if isinstance(tree, CanonicalTree):
-        tree = tree.decode()
+        tree = decode(tree)
     out = {}
     for label, view in graph_leaf_views(tree):
         poly = out.setdefault(label, {})
@@ -344,7 +365,7 @@ def layout_ihx_at(ct, path):
     (B,S | A) and (A,S | B) at a right one."""
     if not path:
         raise ValueError("the root-leaf edge is not interior")
-    layout = ct.decode()
+    layout = decode(ct)
     rest = layout.right
     sub = _subtree_at(rest, path)
     if not isinstance(sub, Node):
@@ -394,7 +415,7 @@ def raw_presentation(order, labels, nonrepeating=False):
             continue
         h, x = layout_ihx_at(ct, edge)
         row = {}
-        for t, coeff in ((ct.decode(), 1), (h, -1), (x, 1)):
+        for t, coeff in ((decode(ct), 1), (h, -1), (x, 1)):
             j = index[graph_explicit_code(t)]
             row[j] = row.get(j, 0) + coeff
         rows.append({j: v for j, v in row.items() if v})
@@ -699,17 +720,17 @@ def random_raw_tower(rng):
 
     def random_bracket(max_order):
         if max_order == 0 or rng.random() < 0.4:
-            return Leaf(rng.randint(1, m))
+            return (0, rng.randint(1, m), "")
         k = rng.randint(0, max_order - 1)
-        return Node(random_bracket(k), random_bracket(max_order - 1 - k))
+        return (1, random_bracket(k), random_bracket(max_order - 1 - k))
 
     needed = {}  # every Whitney disk under a top one, in preorder
 
     def add_disks(b):
-        if isinstance(b, Node):
+        if b[0]:
             needed[b] = True
-            add_disks(b.left)
-            add_disks(b.right)
+            add_disks(b[1])
+            add_disks(b[2])
 
     tops = []
     for _ in range(rng.randint(1, 3)):
@@ -719,15 +740,15 @@ def random_raw_tower(rng):
 
     disks = [RawDisk(b, random_word(), rng.choice((1, -1))) for b in needed]
     if rng.random() < 0.5:  # optional order-0 surface data
-        disks.append(RawDisk(Leaf(rng.randint(1, m)), random_word(), rng.choice((1, -1))))
+        disks.append(RawDisk((0, rng.randint(1, m), ""), random_word(), rng.choice((1, -1))))
 
     points = []
     for b in needed:
         s = rng.choice((1, -1))
-        points.append(RawPoint(s, b.left, b.right, random_word(), b))
-        points.append(RawPoint(-s, b.left, b.right, random_word(), b))
+        points.append(RawPoint(s, b[1], b[2], random_word(), b))
+        points.append(RawPoint(-s, b[1], b[2], random_word(), b))
 
-    surfaces = [Leaf(i) for i in range(1, m + 1)] + list(needed)
+    surfaces = [(0, i, "") for i in range(1, m + 1)] + list(needed)
     unpaired = []
     for _ in range(rng.randint(1, 3)):
         left = rng.choice(tops + surfaces)
@@ -737,3 +758,32 @@ def random_raw_tower(rng):
 
     order = min(p.order for p in unpaired)
     return RawTower(m, order, tuple(disks), tuple(points))
+
+
+def object_extract_model(raw):
+    """``towers.extract_model`` on ``Leaf``/``Node`` objects: each side of
+    an unpaired point is built as a rooted tree whose edge from W_I down
+    to W_J carries the word w_I^-1 w_J, a disk of orientation -1 swapping
+    the children at its vertex, and the two sides are fused by the word
+    w_I^-1 g w_J into a DecoratedTree, which is canonicalized."""
+    unpaired = validate_raw(raw)
+    whisker = {d.bracket: d.whisker for d in raw.disks}
+    orient = {d.bracket: d.orientation for d in raw.disks}
+
+    def build(b, parent):
+        word = wmul(winv(whisker[parent]), whisker.get(b, "")) if parent is not None else ""
+        if b[0] == 0:
+            return Leaf(b[1], word)
+        left, right = build(b[1], b), build(b[2], b)
+        if orient[b] * orient.get(b[1], 1) * orient.get(b[2], 1) == -1:
+            left, right = right, left
+        return Node(left, right, word)
+
+    pairs = []
+    for p in unpaired:
+        fused = wmul(winv(whisker.get(p.left, "")), p.word, whisker.get(p.right, ""))
+        tree = DecoratedTree(build(p.left, None), build(p.right, None), fused)
+        sign = p.sign * orient.get(p.left, 1) * orient.get(p.right, 1)
+        pairs.append(canonicalize(SignedTree(sign, tree)))
+    order = min(ct.order for ct, _ in pairs) if pairs else raw.order
+    return make_model(raw.m, order, [(sign, ct) for ct, sign in pairs])

@@ -36,7 +36,6 @@ from towertrees.towers import (
     verify_certificate,
 )
 from towertrees.trees import (
-    Leaf,
     SignedTree,
     all_trees,
     canonicalize,
@@ -45,7 +44,7 @@ from towertrees.trees import (
 )
 from towertrees.words import winv
 
-from oracles import flip_at, internal_paths, random_raw_tower, raw_generators
+from oracles import decode, flip_at, internal_paths, random_raw_tower, raw_generators
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -70,7 +69,7 @@ def _random_zero_model(rng, n, m):
     sigma = []
     for _ in range(rng.randint(0, 3)):
         t = rng.choice(all_trees(n, m))
-        sigma.extend([(1, t.decode()), (-1, t.decode())])
+        sigma.extend([(1, decode(t)), (-1, decode(t))])
     model = bch_tower(sigma, n, m)
     triples = ihx_triples(n, m)
     if triples:
@@ -139,7 +138,7 @@ def test_criterion_05_gauge_invariance():
         for _ in range(1000):
             raw = random_raw_tower(rng)
             base = tau(extract_model(raw))
-            whitney = [i for i, d in enumerate(raw.disks) if not isinstance(d.bracket, Leaf)]
+            whitney = [i for i, d in enumerate(raw.disks) if d.bracket[0]]
             if whitney:
                 i = rng.choice(whitney)
                 mutated = replace(raw, disks=tuple(
@@ -170,7 +169,7 @@ def test_criterion_06_move_conservation():
         for _ in range(1000):
             n, m = rng.choice([(2, 3), (2, 4), (3, 4)])
             model = bch_tower(
-                [(s, t.decode()) for s, t in _random_signed_trees(rng, n, m, rng.randint(0, 3))],
+                [(s, decode(t)) for s, t in _random_signed_trees(rng, n, m, rng.randint(0, 3))],
                 n, m)
             before = tau(model)
             zero_before = is_zero(before, n, m)
@@ -203,7 +202,7 @@ def test_criterion_07_certified_order_raising():
             model = _random_zero_model(rng, n, m)
             extra = rng.choice([t for t in all_trees(n, m)
                                 if t.nonrepeating and is_simple(t)])
-            model = glue(model, bch_tower([(-1, extra.decode())], n, m))
+            model = glue(model, bch_tower([(-1, decode(extra))], n, m))
             try:
                 certify_raise_order(model)
                 mis += 1
@@ -219,16 +218,16 @@ def test_criterion_08_gluing_identity():
         for _ in range(500):
             n, m = rng.choice(cells)
             a = bch_tower(
-                [(s, t.decode()) for s, t in _random_signed_trees(rng, n, m, rng.randint(0, 4))],
+                [(s, decode(t)) for s, t in _random_signed_trees(rng, n, m, rng.randint(0, 4))],
                 n, m)
             b = bch_tower(
-                [(s, t.decode()) for s, t in _random_signed_trees(rng, n, m, rng.randint(0, 4))],
+                [(s, decode(t)) for s, t in _random_signed_trees(rng, n, m, rng.randint(0, 4))],
                 n, m)
             assert tau(glue(a, b)) == tau(a) - tau(b)
         for _ in range(100):
             n, m = rng.choice(cells)
             w = bch_tower(
-                [(s, t.decode()) for s, t in _random_signed_trees(rng, n, m, rng.randint(1, 4))],
+                [(s, decode(t)) for s, t in _random_signed_trees(rng, n, m, rng.randint(1, 4))],
                 n, m)
             doubled = glue(w, w)
             cert = certify_raise_order(doubled)

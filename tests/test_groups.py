@@ -42,6 +42,7 @@ from oracles import (
     cell_lattice,
     closed_form_counts,
     closed_form_sizes,
+    decode,
     graph_explicit_code,
     lie_dimension_oracle,
     nonrepeating_presentation,
@@ -225,7 +226,7 @@ def _relabel(ct, perm):
             return Leaf(perm[sub.label - 1], sub.word)
         return Node(go(sub.left), go(sub.right), sub.word)
 
-    layout = ct.decode()
+    layout = decode(ct)
     return DecoratedTree(go(layout.left), go(layout.right), layout.word)
 
 
@@ -373,7 +374,7 @@ def _raw_zero_test(ts, n, m):
     vec = {}
     for t, c in ts.items():
         # any raw representative works; representatives differ by AS rows
-        g = t.decode()
+        g = decode(t)
         ct, s = canonicalize(SignedTree(1, g))
         assert ct == t
         i = index[graph_explicit_code(g)]

@@ -25,6 +25,7 @@ from oracles import (
     bracket_eta,
     bracket_eta_sum,
     bracket_eta_vector,
+    decode,
     flip_at,
     hall_basis,
     internal_paths,
@@ -97,7 +98,7 @@ def test_eta_kills_relators_small():
 
 def test_eta_antisymmetry():
     for ct in all_trees(2, 3):
-        layout = ct.decode()
+        layout = decode(ct)
         for path in internal_paths(layout):
             flipped = flip_at(layout, path)
             images = eta(layout), eta(flipped)
@@ -322,8 +323,8 @@ def test_leaf_views_read_from_the_code():
     # same order (so also as a multiset), decorated trees included
     for n, m in [(0, 3), (1, 3), (2, 4), (3, 3), (4, 2)]:
         for ct in all_trees(n, m):
-            assert leaf_views(ct) == leaf_views(ct.decode())
+            assert leaf_views(ct) == leaf_views(decode(ct))
     rng = random.Random(31)
     for _ in range(1500):
         ct, _ = canonicalize(SignedTree(1, _random_tree(rng, lambda: _random_word(rng))))
-        assert leaf_views(ct) == leaf_views(ct.decode())
+        assert leaf_views(ct) == leaf_views(decode(ct))

@@ -42,19 +42,16 @@ from towertrees.towers import (
 )
 from towertrees.trees import (
     DecoratedTree,
-    Leaf,
     Node,
     SignedTree,
     canonicalize,
-    decode_code,
     ihx_at,
-    order_of,
     parse_tree,
     to_text,
 )
 from towertrees.words import winv
 
-from oracles import random_raw_tower
+from oracles import decode, object_extract_model, random_raw_tower
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -72,10 +69,10 @@ def test_bracket_roundtrip():
 
 def test_tree_of_bracket():
     # the disk W_(I,J) carries the rooted product of the trees of W_I and W_J
-    assert parse_bracket("1") == Leaf(1)
-    assert order_of(parse_bracket("((1,2),3)")) == 2
+    assert parse_bracket("1") == (0, 1, "")
+    assert RawPoint(1, parse_bracket("(1,2)"), parse_bracket("3")).order == 1
     i, j = parse_bracket("(1,2)"), parse_bracket("(3,(4,5))")
-    assert parse_bracket("((1,2),(3,(4,5)))") == Node(i, j)
+    assert parse_bracket("((1,2),(3,(4,5)))") == (1, i, j)
 
 
 def test_bracket_rejects_decorations():
@@ -85,7 +82,7 @@ def test_bracket_rejects_decorations():
 
 # --------------------------------------------------------------- raw towers
 
-L1, L2, L3 = Leaf(1), Leaf(2), Leaf(3)
+L1, L2, L3 = map(parse_bracket, "123")
 W12 = parse_bracket("(1,2)")
 
 
@@ -170,7 +167,7 @@ def test_gauge_invariance_randomized():
         raw = random_raw_tower(rng)
         base = tau(extract_model(raw))
         disks = list(raw.disks)
-        whitney = [i for i, d in enumerate(disks) if not isinstance(d.bracket, Leaf)]
+        whitney = [i for i, d in enumerate(disks) if d.bracket[0]]
         if whitney:
             i = rng.choice(whitney)
             mutated = replace(raw, disks=tuple(
@@ -186,6 +183,21 @@ def test_gauge_invariance_randomized():
         p = pts[j]
         pts[j] = RawPoint(p.sign, p.right, p.left, winv(p.word), p.paired_by)
         assert tau(extract_model(replace(raw, points=tuple(pts)))) == base
+
+
+def test_extract_model_matches_the_object_reference():
+    # loading a raw tower folds its whiskers into the leaf holonomies of
+    # codes; the reference builds Leaf/Node trees with whisker words on
+    # their edges.  On 1,200 seeded towers both give the same model JSON
+    rng = random.Random("extract-reference")
+    whiskered = flipped = 0
+    for _ in range(1200):
+        raw = random_raw_tower(rng)
+        whiskered += any(d.whisker and d.bracket[0] for d in raw.disks)
+        flipped += any(d.orientation < 0 and d.bracket[0] for d in raw.disks)
+        assert model_to_json(load_tower(raw_to_json(raw))) == model_to_json(
+            object_extract_model(raw))
+    assert whiskered > 300 and flipped > 300
 
 
 
@@ -276,7 +288,7 @@ def test_models_refuse_point_signs_other_than_one(sign):
         with refused:
             make_model(3, 1, [(1, y), (sign, tree)])
         with refused:
-            bch_tower([SignedTree(1, y.decode()), SignedTree(sign, tree.decode())], 1, 3)
+            bch_tower([SignedTree(1, decode(y)), SignedTree(sign, decode(tree))], 1, 3)
     # a model's points are read-only, so no point can change after the check
     b = make_model(3, 1, [(1, y)])
     with pytest.raises(TypeError):
@@ -519,7 +531,7 @@ def test_verify_refuses_insertion_signs_other_than_one(sign):
     # an insertion of sign 0 or 2 and its negation would pair off, so
     # replay itself must refuse the first one
     ct, edge = next((c, e) for c, e in ihx_triples(2, 4) if c.nonrepeating)
-    move = IhxInsert(ct, edge, 1, *map(decode_code, ihx_at(ct, edge)))
+    move = IhxInsert(ct, edge, 1, *map(decode, ihx_at(ct, edge)))
     cert = (replace(move, sign=sign), replace(move, sign=-sign),
             CancelPair(0, 3), CancelPair(1, 4), CancelPair(2, 5))
     res = verify_certificate(make_model(4, 2, []), cert)
@@ -643,17 +655,17 @@ def _swap_h_and_x(moves):
 
 def _h_is_i(moves):
     mv = moves[0]
-    return (IhxInsert(mv.tree, mv.edge, mv.sign, mv.tree.decode(), mv.x),) + moves[1:], 0
+    return (IhxInsert(mv.tree, mv.edge, mv.sign, decode(mv.tree), mv.x),) + moves[1:], 0
 
 
 def _x_is_i(moves):
     mv = moves[0]
-    return (IhxInsert(mv.tree, mv.edge, mv.sign, mv.h, mv.tree.decode()),) + moves[1:], 0
+    return (IhxInsert(mv.tree, mv.edge, mv.sign, mv.h, decode(mv.tree)),) + moves[1:], 0
 
 
 def _insert_at_wrong_order(moves):
     ct, edge = ihx_triples(3, 4)[0]
-    return (IhxInsert(ct, edge, 1, *map(decode_code, ihx_at(ct, edge))),) + moves[1:], 0
+    return (IhxInsert(ct, edge, 1, *map(decode, ihx_at(ct, edge))),) + moves[1:], 0
 
 
 def _cancel_unknown_point(moves):
@@ -815,16 +827,16 @@ def test_ihx_insert_matches_full_canonicalization():
     for ct, edge in ihx_triples(3, 3):
         for sign in (1, -1):
             grown = ihx_insert(make_model(3, 3, []), ct, edge, sign)
-            h, x = map(decode_code, ihx_at(ct, edge))
+            h, x = map(decode, ihx_at(ct, edge))
             expected = [canonicalize(SignedTree(c, t))
-                        for t, c in ((ct.decode(), sign), (h, -sign), (x, sign))]
+                        for t, c in ((decode(ct), sign), (h, -sign), (x, sign))]
             assert [(pt.tree, pt.sign) for pt in grown.points.values()] == expected
 
 
 def test_ihx_insert_accepts_equivalent_h_and_x():
     # a certificate may write H and X in any gauge-equivalent layout
     ct, edge = next((c, e) for c, e in ihx_triples(2, 4) if c.nonrepeating)
-    h, x = map(decode_code, ihx_at(ct, edge))
+    h, x = map(decode, ihx_at(ct, edge))
     swapped_h = DecoratedTree(h.right, h.left, h.word)
     model = make_model(4, 2, [])
     plain = apply_move(model, IhxInsert(ct, edge, 1, h, x))
@@ -835,7 +847,7 @@ def test_replay_refuses_a_rooted_h():
     # Node(H.left, H.right) closes up to H, but a rooted tree is no H,
     # nor is its rooted code
     ct, edge = next((c, e) for c, e in ihx_triples(2, 4) if c.nonrepeating)
-    h, x = map(decode_code, ihx_at(ct, edge))
+    h, x = map(decode, ihx_at(ct, edge))
     hcode, _ = ihx_at(ct, edge)
     for rooted in (Node(h.left, h.right), (1, (0, hcode[0], ""), hcode[1]), "H"):
         cert = (IhxInsert(ct, edge, 1, rooted, x),)
@@ -856,7 +868,7 @@ def test_certificates_keep_h_and_x_as_codes():
     text = certificate_to_json(cert)
     assert certificate_from_json(text) == cert
     final = replay_certificate(model, cert)
-    for rewrite in (lambda c: (c[1], (0, c[0], ""), ""), decode_code):
+    for rewrite in (lambda c: (c[1], (0, c[0], ""), ""), decode):
         moved = tuple(IhxInsert(mv.tree, mv.edge, mv.sign, rewrite(mv.h), rewrite(mv.x))
                       if isinstance(mv, IhxInsert) else mv for mv in cert)
         assert replay_certificate(model, moved) == final

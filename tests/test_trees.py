@@ -1,4 +1,6 @@
+import json
 import random
+import re
 from collections import Counter
 
 import pytest
@@ -6,9 +8,10 @@ from hypothesis import given, settings, strategies as st
 
 from towertrees import lie, trees
 from towertrees.cli import run
-from towertrees.groups import _rewritten, is_zero
+from towertrees.groups import _rewritten, ihx_triples, is_zero
 from towertrees.lie import eta
 from towertrees.sums import TreeSum
+from towertrees.towers import TowerError, certificate_from_json, load_tower, parse_bracket
 from towertrees.trees import (
     BoundsError,
     CanonicalTree,
@@ -21,7 +24,6 @@ from towertrees.trees import (
     canonicalize,
     canonicalize_rewrite,
     canonicalize_rooted,
-    decode_code,
     ihx_at,
     interior_edge_paths,
     is_simple,
@@ -38,6 +40,7 @@ from oracles import (
     all_planar_trees,
     brute_canonical,
     count_classes,
+    decode,
     edge_paths,
     flip_at,
     graph_canonicalize,
@@ -82,7 +85,7 @@ def test_print_parse_roundtrip(text):
 
 def test_parse_print_roundtrip_on_trees():
     for t in all_trees(2, 3):
-        layout = t.decode()
+        layout = decode(t)
         assert parse_tree(to_text(layout)) == layout
 
 
@@ -106,7 +109,7 @@ def test_parse_labels_are_ascii_digits_of_bounded_length():
 
 
 def test_parse_signed():
-    assert parse_signed("-(2,1)") == (-1, Node(Leaf(2), Leaf(1)))
+    assert parse_signed("-(2,1)") == (-1, (1, (0, 2, ""), (0, 1, "")))
     assert parse_signed("+(1,2)")[0] == 1
     assert parse_signed(" (1,2)")[0] == 1
 
@@ -153,7 +156,7 @@ def test_hol_normalize_y_example():
 
 def test_hol_normalize_trivial_unchanged():
     t = parse_tree("inner(1,(2,3),)")
-    assert canonicalize(SignedTree(1, t))[0].decode() == t
+    assert decode(canonicalize(SignedTree(1, t))[0]) == t
 
 
 @given(st.integers(0, 2 ** 30))
@@ -161,7 +164,7 @@ def test_hol_normalize_trivial_unchanged():
 def test_hol_normalize_idempotent(seed):
     # the decoded canonical layout is its own canonical form
     ct, _ = canonicalize(SignedTree(1, _random_decorated(random.Random(seed))))
-    assert canonicalize(SignedTree(1, ct.decode())) == (ct, 1)
+    assert canonicalize(SignedTree(1, decode(ct))) == (ct, 1)
 
 
 # ------------------------------------------------------------- canonicalize
@@ -222,11 +225,11 @@ def test_two_torsion_examples():
 def test_canonicalize_matches_brute_force(seed):
     t = _random_decorated(random.Random(seed))
     ct, sign = canonicalize(SignedTree(1, t))
-    code, bsign, btorsion = brute_canonical(ct.decode())
+    code, bsign, btorsion = brute_canonical(decode(ct))
     assert code == ct.code
     assert btorsion == ct.two_torsion
     # the canonical layout itself re-canonicalizes with sign +1
-    assert canonicalize(SignedTree(1, ct.decode())) == (ct, 1)
+    assert canonicalize(SignedTree(1, decode(ct))) == (ct, 1)
     assert bsign == 1 or btorsion
 
 
@@ -237,7 +240,7 @@ def test_gauge_moves(seed):
     t = _random_decorated(rng)
     ct, sign = canonicalize(SignedTree(1, t))
     # single AS flip on the layout predicts a sign change
-    layout = ct.decode()
+    layout = decode(ct)
     for path in internal_paths(layout):
         ct2, sign2 = canonicalize(SignedTree(1, flip_at(layout, path)))
         assert ct2 == ct
@@ -278,7 +281,7 @@ def test_single_hol_move_invisible():
     for text in ["inner(1,(2:ab,3),)", "inner(1,(2,(3:b,4)),)"]:
         t = parse_tree(text)
         ct, sign = canonicalize(SignedTree(1, t))
-        layout = ct.decode()
+        layout = decode(ct)
         for path in internal_paths(layout):
             moved = hol_at(layout, path, "a")
             assert canonicalize(SignedTree(1, moved)) == (ct, 1), (text, path)
@@ -342,7 +345,7 @@ def test_leaf_views_match_graph_oracle():
 def test_edge_paths_count():
     for n, m in [(0, 2), (1, 3), (2, 4), (3, 4)]:
         for ct in all_trees(n, m)[:5]:
-            assert len(edge_paths(ct.decode())) == 2 * n + 1
+            assert len(edge_paths(decode(ct))) == 2 * n + 1
 
 
 def _check_ihx_against_layout(ct):
@@ -350,8 +353,8 @@ def _check_ihx_against_layout(ct):
     edge: equal H and X layouts and canonical forms with equal signs at
     interior edges, the same refusals at the others."""
     interior = interior_edge_paths(ct)
-    assert interior == [p for p in internal_paths(ct.decode()) if p]
-    for edge in edge_paths(ct.decode()):
+    assert interior == [p for p in internal_paths(decode(ct)) if p]
+    for edge in edge_paths(decode(ct)):
         if edge not in interior:
             with pytest.raises(ValueError) as kernel:
                 ihx_at(ct, edge)
@@ -361,7 +364,7 @@ def _check_ihx_against_layout(ct):
             continue
         h, x = ihx_at(ct, edge)
         ref_h, ref_x = layout_ihx_at(ct, edge)
-        assert (decode_code(h), decode_code(x)) == (ref_h, ref_x)
+        assert (decode(h), decode(x)) == (ref_h, ref_x)
         assert canonicalize(SignedTree(1, h)) == canonicalize(SignedTree(1, ref_h))
         assert canonicalize(SignedTree(-1, x)) == canonicalize(SignedTree(-1, ref_x))
 
@@ -488,9 +491,10 @@ def test_sort_path_agrees_with_canon_rec(n, m):
 
 
 def test_canonicalize_rooted():
-    body, sign, torsion = canonicalize_rooted(-1, parse_tree("(2,1)"))
-    assert to_text(body) == "(1,2)" and sign == 1 and not torsion
-    body, sign, torsion = canonicalize_rooted(1, parse_tree("(1,2)"))
+    body, sign, torsion = canonicalize_rooted(-1, trees.parse_code("(2,1)"))
+    assert body == (1, (0, 1, ""), (0, 2, "")) and sign == 1 and not torsion
+    assert to_text(body) == "(1,2)"
+    body, sign, torsion = canonicalize_rooted(1, trees.parse_code("(1,2)"))
     assert to_text(body) == "(1,2)" and sign == 1
 
 
@@ -518,8 +522,10 @@ def test_is_simple_refuses_rooted_trees():
     # inner(((1,2),(3,4)),5) it is, closed with a sixth leaf it is not
     assert not is_simple(parse_tree("inner(6,(((1,2),(3,4)),5),)"))
     for text in ["(((1,2),(3,4)),5)", "1"]:
-        with pytest.raises(TypeError, match="is_simple expects an unrooted tree"):
+        with pytest.raises(TypeError, match="^expected an unrooted tree"):
             is_simple(parse_tree(text))
+        with pytest.raises(TypeError, match="^not an unrooted code"):
+            is_simple(trees.parse_code(text))
 
 
 def _internal_words_dropped(sub):
@@ -536,29 +542,55 @@ def _internal_words_dropped(sub):
 def test_unrooted_codes_read_as_their_trees():
     # the loaders' codes against the parsed trees on 3,000 seeded random
     # decorated trees: the same views, canonical form and sign, and the
-    # same text when printed
+    # same text when printed; each side, read as a rooted text, gives a
+    # rooted code printed as parse_tree's tree is
     rng = random.Random(20261)
     layouts = 0
     for _ in range(3000):
         t = _internal_words_dropped(_random_decorated(rng, max_order=4))
         text = to_text(t)
-        code = trees.parse_unrooted_code(text)
+        code = trees.parse_code(text)
         layouts += len(code) == 2
+        assert not trees.is_rooted(code)
         assert to_text(code) == text
         assert sorted(trees.leaf_views(code)) == sorted(trees.leaf_views(t))
         sign = rng.choice((1, -1))
         assert canonicalize(SignedTree(sign, code)) == canonicalize(SignedTree(sign, t))
+        for side in (t.left, t.right):
+            rooted = trees.parse_code(to_text(side))
+            assert trees.is_rooted(rooted)
+            assert to_text(rooted) == to_text(parse_tree(to_text(side))) == to_text(side)
     assert layouts > 100
     # layout text gives the layout code that ihx_at and CanonicalTree use
     ct, _ = canonicalize(SignedTree(1, parse_tree("inner((1,2),(3,4:a),)")))
-    assert trees.parse_unrooted_code(ct.text()) == ct.code
-    assert trees.parse_unrooted_code(" inner( 1 , 2:ab ,) ") == (1, (0, 2, "ab"))
-    assert trees.parse_unrooted_code("inner(1:a,2,)") == ((0, 1, "a"), (0, 2, ""), "")
-    for rooted in ["1", "(1,2)", "((1,2),3:b)"]:
-        assert trees.parse_unrooted_code(rooted) is None
+    assert trees.parse_code(ct.text()) == ct.code
+    assert trees.parse_code(" inner( 1 , 2:ab ,) ") == (1, (0, 2, "ab"))
+    assert trees.parse_code("inner(1:a,2,)") == ((0, 1, "a"), (0, 2, ""), "")
+    assert trees.parse_code("1") == (0, 1, "")
+    assert trees.parse_code("(1,2)") == (1, (0, 1, ""), (0, 2, ""))
+    assert trees.parse_code("((1,2),3:b)") == (1, (1, (0, 1, ""), (0, 2, "")), (0, 3, "b"))
     for bad in ["inner(1,2,", "inner(1,2,aA)", "(1,"]:
         with pytest.raises(ParseError):
-            trees.parse_unrooted_code(bad)
+            trees.parse_code(bad)
+    # the loaders refuse a rooted tree where an unrooted one belongs, and
+    # parse_bracket an unrooted or decorated bracket
+    model = {"m": 3, "order": 1, "points": [{"sign": 1, "tree": "(1,(2,3))"}]}
+    with pytest.raises(TowerError, match=r"^model point 0: 'tree' is '\(1,\(2,3\)\)', "
+                                         "not an unrooted tree$"):
+        load_tower(json.dumps(model))
+    ct, edge = next((c, e) for c, e in ihx_triples(2, 4) if c.nonrepeating)
+    h, x = ihx_at(ct, edge)
+    move = {"move": "ihx_insert", "i": ct.text(), "h": to_text(h), "x": to_text(x),
+            "edge": edge, "sign": 1}
+    for key in "ihx":
+        text = to_text(trees.parse_code(move[key])[1])
+        with pytest.raises(TowerError, match=rf"^certificate move 0 \(ihx_insert\): '{key}' is "
+                                             rf"'{re.escape(text)}', not an unrooted tree$"):
+            certificate_from_json(json.dumps([{**move, key: text}]))
+    with pytest.raises(TowerError, match=r"^'inner\(1,2,\)' is not a bracket$"):
+        parse_bracket("inner(1,2,)")
+    with pytest.raises(TowerError, match=r"^bracket '\(1:a,2\)' must not carry decorations$"):
+        parse_bracket("(1:a,2)")
 
 
 def test_two_torsion_sign_is_reduced_mod_2():
@@ -577,7 +609,7 @@ def test_rooted_trees_are_not_read_as_unrooted_ones():
     # would be inner(1,(2,(3,4)),), a different order-2 tree
     for tree in [parse_tree("((1,2),(3,4))"), Leaf(1)]:
         name = type(tree).__name__
-        for read in (trees.leaf_views, lambda t: canonicalize(SignedTree(1, t))):
+        for read in (trees.leaf_views, lambda t: canonicalize(SignedTree(1, t)), eta):
             with pytest.raises(TypeError, match=f"not {name}$"):
                 read(tree)
 
@@ -589,7 +621,7 @@ def test_order_and_simplicity_read_off_the_code():
     simple = 0
     for n, m in cells:
         for ct in all_trees(n, m):
-            layout = ct.decode()
+            layout = decode(ct)
             assert ct.order == order_of(layout) == n
             assert is_simple(ct) == is_simple_by_graph(layout) == is_simple(layout)
             simple += is_simple(ct)
@@ -719,4 +751,4 @@ def test_bounds_name_the_problem(order, labels, message, capsys):
 
 def test_two_torsion_flags_match_brute_force():
     for ct in all_trees(2, 2):
-        assert brute_canonical(ct.decode())[2] == ct.two_torsion
+        assert brute_canonical(decode(ct))[2] == ct.two_torsion

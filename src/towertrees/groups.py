@@ -10,10 +10,10 @@ blocks, and a label permutation carries one block onto another.
 the representative blocks of ``trees.representative_blocks``, each
 counted once per arrangement of its multiplicities: one Smith normal
 form per block, of its distinct rows up to sign, then one of their
-invariant factors' diagonal.  It
-keeps no answer cache.  ``presentation`` is the whole cell's rows, in
-one matrix.  The exact zero test, normal forms and relator combinations
-use one tracked lattice per multiset, built on first use and cached.
+invariant factors' diagonal; it keeps no answer cache.  ``presentation``
+is the whole cell's rows, in one matrix.  The zero test, normal forms
+and relator combinations use one tracked lattice per multiset, built
+on first use and cached by the multiset alone, for every cell.
 ``reduce_to_simple`` rewrites the canonical code itself.
 
 Every IHX row is built by ``_rows``, for ``presentation``,
@@ -31,7 +31,7 @@ canonicalizes H and X through ``trees.canonicalize_rewrite``.
 
 Every function here computes whatever cell it is asked for: an order
 below 0 or a label count below 1 is a ``BoundsError`` from
-``all_trees``, and there is no upper cap.
+``trees.cell_multisets``, and there is no upper cap.
 """
 
 from __future__ import annotations
@@ -46,14 +46,15 @@ from .trees import (
     _ihx,
     CanonicalTree,
     all_trees,
+    block_trees,
     canonicalize_rewrite,
+    cell_multisets,
     ihx_at,
     interior_edge_paths,
     is_simple,
     is_trivially_decorated,
     reading_table,
     representative_blocks,
-    trees_by_multiset,
 )
 
 
@@ -219,11 +220,11 @@ class _Block(NamedTuple):
 
 
 @lru_cache(maxsize=None)
-def _block(order, labels, multiset, /):
-    """One label multiset's relator block.  ``IntegerLattice.add`` reduces
-    a row only against pivots in its support, so the rows of the other
-    blocks would change none of its basis rows, residues or solutions."""
-    trees = trees_by_multiset(order, labels)[multiset]
+def _block(multiset, /):
+    """One label multiset's relator block, for every cell holding it:
+    ``IntegerLattice.add`` reduces a row only against pivots in its support,
+    so other blocks' rows would change none of its basis, residues or solutions."""
+    trees = block_trees(multiset)
     triples = _triples(trees)
     lattice = IntegerLattice(track=True)
     for row in _rows(trees, triples):
@@ -233,28 +234,28 @@ def _block(order, labels, multiset, /):
 
 def _vectors(ts: TreeSum, order, labels):
     """(multiset, block, column vector) for each label multiset of ts's
-    terms, after checking its order, its decorations and its labels;
-    none for the empty sum."""
+    terms, none for the empty sum, after checking its order, decorations
+    and labels: a term of order n has a block iff its last label is <= m."""
     if ts.is_empty():
         return []
     if ts.order != order:
         raise ValueError(f"sum has order {ts.order}, expected {order}")
-    blocks, by_block = trees_by_multiset(order, labels), {}
+    by_block = {}
     for t, c in ts.items():
         by_block.setdefault(t.labels, []).append((t.code, c))
     out = [(mu, block, {block.index.get(code): c for code, c in terms})
-           for mu, terms in by_block.items() if mu in blocks for block in [_block(order, labels, mu)]]
+           for mu, terms in by_block.items() if mu[-1] <= labels for block in [_block(mu)]]
     if len(out) == len(by_block) and all(None not in vec for _, _, vec in out):
         return out
-    # a term lies in no block only when decorated, labelled past m or
-    # not in canonical form
+    # a term has no block when decorated, past m or not canonical, or when m < 1
+    cell_multisets(order, labels)
     terms = ts.items()
     if not all(is_trivially_decorated(t) for t, _ in terms):
         raise ValueError("zero test supports the trivial group alphabet only")
-    past = [t for t, _ in terms if t.labels not in blocks]
+    past = [t for t, _ in terms if t.labels[-1] > labels]
     if past:
         raise ValueError(f"tree {past[0].text()} is not an order-{order} tree on labels 1..{labels}")
-    bad = next(t for t, _ in terms if t.code not in _block(order, labels, t.labels).index)
+    bad = next(t for t, _ in terms if t.code not in _block(t.labels).index)
     raise ValueError(f"tree {bad.text()} is not in canonical form")
 
 
@@ -277,10 +278,12 @@ def relator_solver(order, labels, multiset):
     ``ihx_triples`` order, and the block's tracked relator lattice,
     whose ``solve`` names the IHX row of triples[k] by k.  A multiset
     of no block is refused, and nothing is cached for it."""
-    if multiset not in trees_by_multiset(order, labels):
+    cell_multisets(order, labels)  # refuses an order below 0 or m below 1
+    if len(multiset) != order + 2 or not 1 <= multiset[0] <= multiset[-1] <= labels \
+            or tuple(sorted(multiset)) != multiset:
         raise ValueError(f"no order-{order} tree on labels 1..{labels} "
                          f"has the label multiset {multiset!r}")
-    block = _block(order, labels, multiset)
+    block = _block(multiset)
     return block.triples, block.lattice
 
 

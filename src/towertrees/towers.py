@@ -57,7 +57,6 @@ from .sums import TreeSum
 from .trees import (
     CanonicalTree,
     SignedTree,
-    _leaf_labels,
     _undecorated,
     canonicalize,
     ihx_at,
@@ -121,6 +120,16 @@ class RawDisk:
     bracket: tuple  # a rooted code, as parse_bracket gives it
     whisker: str = ""
     orientation: int = 1
+
+
+def _leaf_labels(c, out):
+    """Append the leaf labels of a rooted code to ``out``; returns ``out``."""
+    if c[0]:
+        _leaf_labels(c[1], out)
+        _leaf_labels(c[2], out)
+    else:
+        out.append(c[1])
+    return out
 
 
 @dataclass(frozen=True)

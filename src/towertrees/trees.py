@@ -41,13 +41,10 @@ path.  Edge paths and the IHX move are read on the layout code (root
 label, rest) as well: ``ihx_at`` returns H and X as such codes.
 
 ``canonicalize`` and ``canonicalize_rewrite`` share one minimization
-over the least-label rootings, ``_least_rooting``, and one view walker.
-``canonicalize_rewrite`` takes a code that rewrites a canonical tree
-with the same root and labels, so its root carries the least label: an
-enumeration candidate, an IHX companion of a relator sum, or a comb of
-``reduce_to_simple``.  When that label occurs once, the root leaf is
-the only rooting to try, and its view is the rest of the code as it
-stands; otherwise the walker roots only the leaves of the least label.
+over the least-label rootings, ``_least_rooting``, and one view walker;
+``canonicalize_rewrite`` takes a code that keeps a canonical tree's
+root and labels (an enumeration candidate, an IHX companion or a comb
+of ``reduce_to_simple``) and roots only the leaves of its least label.
 The walker and ``_canon_rec`` recurse only into vertices: a leaf is
 read in place.  Every subtree of a canonical code is in code order, a
 fixed point of ``_canon_rec``, so the IHX rows need no canonicalization
@@ -56,6 +53,10 @@ climbs back building H and X as written, and ``_ihx``, for the rows,
 climbs back building only their sorted readings, each companion sorted
 on the path it rewrote, and ``reading_table`` maps that reading to its
 tree.
+
+Trees are enumerated by label multiset, which AS and IHX keep:
+``all_trees`` is the code-sorted union of a cell's ``block_trees``, each
+block cached by its multiset alone, for every cell that holds it.
 
 The grammar has one scanner, given the constructors of what it builds:
 ``parse_tree`` builds ``Leaf``/``Node`` trees, and ``parse_code``, the
@@ -70,9 +71,8 @@ import re
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import groupby
-from math import factorial
-from types import MappingProxyType
+from itertools import chain, combinations_with_replacement, product
+from math import factorial, prod
 
 from .words import check_word, is_reduced, winv, wmul
 
@@ -86,7 +86,7 @@ class ParseError(ValueError):
 
 
 class BoundsError(ValueError):
-    """An order below 0 or a label count below 1, which ``all_trees``
+    """An order below 0 or a label count below 1, which ``cell_multisets``
     refuses, or one past the command line's --max-order/--max-labels."""
 
 
@@ -544,7 +544,7 @@ def canonicalize_rewrite(code, labels):
     """The canonical code, sign and ``two_torsion`` of
     ``canonicalize(SignedTree(1, code))``, for a layout code (root,
     rest) whose root carries the least of its sorted leaf ``labels``:
-    an ``all_trees`` candidate, or a code that rewrites a canonical tree
+    a ``block_trees`` candidate, or a code that rewrites a canonical tree
     with the same root and labels, as ``ihx_at``'s H and X and the
     combs of ``reduce_to_simple`` do.
 
@@ -735,60 +735,49 @@ def _code_is_simple(c, room):
 
 # ------------------------------------------------------------- enumeration
 
-def _sorted_rests(order, low, high):
-    """Trivially decorated rooted codes with ``order`` vertices, leaf
-    labels in low..high and the children of every vertex in code order:
-    the fixed points of ``_canon_rec``, built up by order."""
-    by_order = [[(0, label, "") for label in range(low, high + 1)]]
-    for n in range(1, order + 1):
-        by_order.append([(1, a, b) for k in range(n)
-                         for a in by_order[k] for b in by_order[n - 1 - k] if a <= b])
-    return by_order[order]
+def cell_multisets(order, labels):
+    """The sorted label multisets of the order-n trees on labels 1..m, in
+    lexicographic order: any order from 0 and m from 1, with no cap."""
+    if order < 0:
+        raise BoundsError(f"order must be at least 0, not {order}")
+    if labels < 1:
+        raise BoundsError(f"label count must be at least 1, not {labels}")
+    return combinations_with_replacement(range(1, labels + 1), order + 2)
+
+
+@lru_cache(maxsize=None)
+def block_trees(multiset, /):
+    """The canonical trees with trivial decorations and sorted leaf labels
+    ``multiset``, by code.  Canonical augmentation: a canonical code (r,
+    rest) has least label r and a rest with sorted children, and each such
+    candidate is kept iff ``canonicalize_rewrite`` returns it."""
+    root, others, out = multiset[0], multiset[1:], []
+    names = sorted(set(others))
+    rests = {}  # the sorted rests on each sub-multiset of the others, by its counts
+    # ``product`` lists the count vectors up to the others', each after those
+    # below it.  The k-th vector below one is the complement of the k-th
+    # from the end, so the first half, past 0, holds each of its splits once.
+    for counts in product(*[range(others.count(label) + 1) for label in names]):
+        below = list(product(*[range(k + 1) for k in counts]))
+        rests[counts] = [(0, names[counts.index(1)], "")] if sum(counts) == 1 else [
+            (1, x, y) if x <= y else (1, y, x)
+            for a, b in zip(below[1:(len(below) + 1) // 2], below[-2::-1])
+            for ra, rb in [(rests[a], rests[b])]
+            for i, x in enumerate(ra) for y in (ra[i:] if ra is rb else rb)]
+    for rest in rests[counts]:
+        candidate = (root, rest)
+        code, _, torsion = canonicalize_rewrite(candidate, multiset)
+        if code == candidate:
+            out.append(CanonicalTree(candidate, torsion, len(others) - 1, multiset))
+    return tuple(sorted(out, key=lambda ct: ct.code))
 
 
 @lru_cache(maxsize=None)
 def all_trees(order, labels, /):
     """All canonical order-n trees over labels 1..m with trivial
-    decorations, sorted by code and free of duplicates.  Any order from
-    0 and label count from 1 is enumerated; there is no upper cap.
-
-    Canonical augmentation: a canonical code (r, rest) has least label
-    r and a rest with sorted children, so every such candidate is
-    canonicalized once and kept iff no other rooting at a leaf labelled
-    r gives a smaller code, i.e. iff canonicalization returns it.  The
-    candidate keeps its root and labels, so ``canonicalize_rewrite``
-    roots only the leaves labelled r."""
-    if order < 0:
-        raise BoundsError(f"order must be at least 0, not {order}")
-    if labels < 1:
-        raise BoundsError(f"label count must be at least 1, not {labels}")
-    out = []
-    for root in range(1, labels + 1):
-        for rest in _sorted_rests(order, root, labels):
-            # every label of rest is at least root
-            labs = (root, *sorted(_leaf_labels(rest, [])))
-            code, _, torsion = canonicalize_rewrite((root, rest), labs)
-            if code == (root, rest):
-                out.append(CanonicalTree(code, torsion, order, labs))
-    return tuple(sorted(out, key=lambda ct: ct.code))
-
-
-def _leaf_labels(c, out):
-    """Append the leaf labels of a rooted code to ``out``; returns ``out``."""
-    if c[0]:
-        _leaf_labels(c[1], out)
-        _leaf_labels(c[2], out)
-    else:
-        out.append(c[1])
-    return out
-
-
-@lru_cache(maxsize=None)
-def trees_by_multiset(order, labels, /):
-    """The canonical trees of (order, labels) by label multiset (the
-    sorted leaf labels), each block in tree order, read-only."""
-    trees = sorted(all_trees(order, labels), key=lambda ct: ct.labels)
-    return MappingProxyType({mu: tuple(g) for mu, g in groupby(trees, key=lambda ct: ct.labels)})
+    decorations, sorted by code: the union of the cell's blocks."""
+    blocks = map(block_trees, cell_multisets(order, labels))
+    return tuple(sorted(chain.from_iterable(blocks), key=lambda ct: ct.code))
 
 
 @lru_cache(maxsize=None)
@@ -807,11 +796,9 @@ def representative_blocks(order, labels, /):
     the product, for each multiplicity value, of the factorial of how
     often it occurs."""
     out = []
-    for mu, trees in trees_by_multiset(order, labels).items():
+    for mu in cell_multisets(order, labels):
         mult = [mu.count(i) for i in range(1, labels + 1)]
         if mult == sorted(k for k in mult if k) + [0] * mult.count(0):
-            count = factorial(labels)
-            for k in Counter(mult).values():
-                count //= factorial(k)
-            out.append((count, trees))
+            count = factorial(labels) // prod(map(factorial, Counter(mult).values()))
+            out.append((count, block_trees(mu)))
     return tuple(out)

@@ -33,7 +33,11 @@ objects with whisker words on their edges, and only then hands them to
 the library's ``canonicalize``, since what it checks is how the words
 and orientations reach the trees.  ``decode`` gives the
 ``Leaf``/``Node`` layout of a layout code, for the tests that compare
-with the object form.
+with the object form.  ``range_trees`` is the reference for
+``trees.all_trees``: the whole-cell enumeration that builds the sorted
+rests by order over a range of labels, with no label multisets; it
+keeps the library's candidate filter, ``canonicalize_rewrite``, since
+what it checks is how the candidates are built.
 """
 
 from itertools import combinations, product
@@ -41,9 +45,9 @@ from math import gcd
 
 from towertrees.groups import RelationMatrix, ihx_triples, presentation
 from towertrees.intlinalg import IntegerLattice
-from towertrees.towers import RawDisk, RawPoint, RawTower, make_model, validate_raw
+from towertrees.towers import RawDisk, RawPoint, RawTower, _leaf_labels, make_model, validate_raw
 from towertrees.trees import (CanonicalTree, DecoratedTree, Leaf, Node, SignedTree, canonicalize,
-                              labels_of)
+                              canonicalize_rewrite, labels_of)
 from towertrees.words import winv, wmul
 
 
@@ -787,3 +791,28 @@ def object_extract_model(raw):
         pairs.append(canonicalize(SignedTree(sign, tree)))
     order = min(ct.order for ct, _ in pairs) if pairs else raw.order
     return make_model(raw.m, order, [(sign, ct) for ct, sign in pairs])
+
+
+def _range_rests(order, low, high):
+    """Trivially decorated rooted codes with ``order`` vertices, leaf
+    labels in low..high and the children of every vertex in code order,
+    built up by order."""
+    by_order = [[(0, label, "") for label in range(low, high + 1)]]
+    for n in range(1, order + 1):
+        by_order.append([(1, a, b) for k in range(n)
+                         for a in by_order[k] for b in by_order[n - 1 - k] if a <= b])
+    return by_order[order]
+
+
+def range_trees(order, labels):
+    """The canonical order-n trees on labels 1..m, sorted by code: every
+    candidate (root, rest) with the rest's labels in root..m, kept iff
+    ``canonicalize_rewrite`` returns it unchanged."""
+    out = []
+    for root in range(1, labels + 1):
+        for rest in _range_rests(order, root, labels):
+            labs = (root, *sorted(_leaf_labels(rest, [])))
+            code, _, torsion = canonicalize_rewrite((root, rest), labs)
+            if code == (root, rest):
+                out.append(CanonicalTree(code, torsion, order, labs))
+    return tuple(sorted(out, key=lambda ct: ct.code))

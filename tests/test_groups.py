@@ -2,6 +2,7 @@ import hashlib
 import inspect
 import itertools
 import json
+import operator
 import random
 import re
 from functools import reduce
@@ -32,10 +33,12 @@ from towertrees.trees import (
     CanonicalTree,
     SignedTree,
     all_trees,
+    block_trees,
     canonicalize,
+    cell_multisets,
     is_simple,
     parse_tree,
-    trees_by_multiset,
+    representative_blocks,
 )
 
 from oracles import (
@@ -127,7 +130,7 @@ def test_presentation_row_counts(n, m):
     # for the whole cell and for every block
     cell = all_trees(n, m)
     assert presentation(n, m).generators == cell
-    for trees in (cell, *trees_by_multiset(n, m).values()):
+    for trees in (cell, *map(block_trees, cell_multisets(n, m))):
         mat = groups._matrix(trees)
         index = {t.code: i for i, t in enumerate(trees)}
         triples = groups._triples(trees)
@@ -293,12 +296,19 @@ def test_cached_tree_labels_cannot_be_changed():
     assert not is_zero(TreeSum({t: 1}), 2, 3)
 
 
-def test_cached_blocks_cannot_be_changed():
-    # the cell's blocks are shared by every caller, group_structure too
-    with pytest.raises(AttributeError):
-        trees_by_multiset(2, 3).clear()
-    with pytest.raises(TypeError):
-        trees_by_multiset(2, 3)[(1, 1, 1, 1)] = ()
+def test_cells_hand_out_the_same_block_tuples():
+    # a block is enumerated once, by its multiset: the cells holding it,
+    # their representative blocks and the zero test's block share its
+    # tuple and its trees
+    for n, m in [(2, 3), (2, 4), (3, 3)]:
+        cell = all_trees(n, m)
+        for mu in cell_multisets(n, m):
+            block = block_trees(mu)
+            assert groups._block(mu).trees is block
+            in_cell = [ct for ct in cell if ct.labels == mu]
+            assert len(in_cell) == len(block) and all(map(operator.is_, in_cell, block)), mu
+        for _, trees in representative_blocks(n, m):
+            assert trees is block_trees(trees[0].labels)
     assert group_structure(2, 3).text() == "Z^6"
 
 
@@ -306,9 +316,9 @@ def test_cached_functions_refuse_keywords():
     # a keyword call would key a second cache entry for the same cell
     from towertrees import groups, trees
 
-    for fn, args in [(trees.all_trees, (3, 3)), (trees.trees_by_multiset, (3, 3)),
+    for fn, args in [(trees.all_trees, (3, 3)), (trees.block_trees, ((1, 1, 2, 2, 3),)),
                      (trees.representative_blocks, (3, 3)),
-                     (groups._block, (3, 3, (1, 1, 2, 2, 3)))]:
+                     (groups._block, ((1, 1, 2, 2, 3),))]:
         fn(*args)
         before = fn.cache_info().currsize
         with pytest.raises(TypeError):
@@ -507,14 +517,22 @@ def test_negative_order_is_refused_and_caches_nothing():
 
 def test_first_zero_test_builds_only_the_touched_block(recording):
     # one Jacobi triple ((1,2),3)-d + ((2,3),1)-d + ((3,1),2)-d at (4,4)
-    # lies in one label-multiset block; its first zero test adds the rows
-    # of that block alone, not the whole cell's
+    # lies in one label-multiset block; its first zero test enumerates
+    # that block alone, not the whole cell, and adds its rows alone.
+    # The block is keyed by its multiset, so the cell (4,5) shares it.
+    for fn in (all_trees, block_trees, representative_blocks):
+        fn.cache_clear()
     d = "(4,(1,2))"
     jacobi = TreeSum([canonicalize(SignedTree(1, parse_tree(f"inner({j},{d},)")))
                       for j in ("((1,2),3)", "((2,3),1)", "((3,1),2)")])
     mu = (1, 1, 2, 2, 3, 4)
     assert len(jacobi) == 3 and {tuple(t.labels) for t in jacobi.trees()} == {mu}
     assert is_zero(jacobi, 4, 4)
+    assert (all_trees.cache_info().currsize, block_trees.cache_info().currsize) == (0, 1)
+    assert is_zero(jacobi, 4, 5)
+    assert relator_solver(4, 4, mu)[1] is relator_solver(4, 5, mu)[1]
+    assert (all_trees.cache_info().currsize, block_trees.cache_info().currsize,
+            groups._block.cache_info().currsize) == (0, 1, 1)
     rows = len(_block_triples(4, 4, mu)) + sum(ct.two_torsion for ct in _block_trees(4, 4, mu))
     assert len({id(lattice) for lattice, _ in recording}) == 1
     assert len(recording) == rows < len(presentation(4, 4).rows)
@@ -644,7 +662,7 @@ def _block_torsion_count(nu):
 def test_block_free_ranks_match_closed_form(n, m):
     from towertrees import groups
 
-    blocks = trees_by_multiset(n, m)
+    blocks = {mu: block_trees(mu) for mu in cell_multisets(n, m)}
     assert list(blocks) == list(itertools.combinations_with_replacement(range(1, m + 1), n + 2))
     total = torsion = 0
     for mu, trees in blocks.items():
@@ -672,9 +690,20 @@ def test_group_structure_matches_the_whole_cell_presentation(n, m):
 def test_closed_form_counts_match_every_block(n, m):
     # Otter's count and its signed version against the enumeration, block
     # by block: the trees and the 2-torsion trees of each label multiset
-    blocks = trees_by_multiset(n, m)
     assert closed_form_counts(n, m) == {
-        mu: (len(trees), sum(ct.two_torsion for ct in trees)) for mu, trees in blocks.items()}
+        mu: (len(trees), sum(ct.two_torsion for ct in trees))
+        for mu in cell_multisets(n, m) for trees in [block_trees(mu)]}
+
+
+@pytest.mark.parametrize("n, m", [(8, 3), (7, 4)])
+def test_closed_form_counts_match_the_representative_blocks_of_large_cells(n, m):
+    # the blocks that the groups verb enumerates at the cells CI pins,
+    # with no whole-cell enumeration to compare them with
+    counts = closed_form_counts(n, m)
+    reps = representative_blocks(n, m)
+    for _, trees in reps:
+        assert counts[trees[0].labels] == (len(trees), sum(ct.two_torsion for ct in trees))
+    assert sum(count * len(trees) for count, trees in reps) == closed_form_sizes(n, m)[0]
 
 
 @pytest.mark.parametrize("n, m", [(n, m) for n in range(6) for m in range(1, 5)]

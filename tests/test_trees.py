@@ -21,9 +21,11 @@ from towertrees.trees import (
     ParseError,
     SignedTree,
     all_trees,
+    block_trees,
     canonicalize,
     canonicalize_rewrite,
     canonicalize_rooted,
+    cell_multisets,
     ihx_at,
     interior_edge_paths,
     is_simple,
@@ -33,7 +35,6 @@ from towertrees.trees import (
     parse_tree,
     representative_blocks,
     to_text,
-    trees_by_multiset,
 )
 
 from oracles import (
@@ -48,6 +49,7 @@ from oracles import (
     internal_paths,
     is_simple_by_graph,
     layout_ihx_at,
+    range_trees,
 )
 
 
@@ -666,16 +668,15 @@ def test_all_trees_canonicalizes_few_candidates(monkeypatch):
     # canonical augmentation tries 1,650 candidates for the 1,040 trees
     # at (4, 4); a planar enumeration would canonicalize 18,200 rootings
     calls = []
-    original = trees.canonicalize
+    original = trees.canonicalize_rewrite
 
-    def counting(signed):
-        calls.append(signed)
-        return original(signed)
+    def counting(code, labels):
+        calls.append(code)
+        return original(code, labels)
 
-    monkeypatch.setattr(trees, "canonicalize", counting)
-    found = trees.all_trees.__wrapped__(4, 4)
-    assert len(found) == 1040
-    assert len(calls) <= 2 * len(found)
+    monkeypatch.setattr(trees, "canonicalize_rewrite", counting)
+    found = [ct for mu in cell_multisets(4, 4) for ct in trees.block_trees.__wrapped__(mu)]
+    assert (len(found), len(calls)) == (1040, 1650)
 
 
 def test_all_trees_sorted_unique():
@@ -685,12 +686,24 @@ def test_all_trees_sorted_unique():
     assert len(set(codes)) == len(codes)
 
 
+@pytest.mark.parametrize("n, m", [(n, m) for n in range(6) for m in range(1, 6)]
+                         + [(6, 3), (7, 3), (6, 4)])
+def test_all_trees_match_the_range_enumeration(n, m):
+    # the union of the blocks, each enumerated by splitting its label
+    # multiset, against the whole-cell enumeration by order over a range
+    # of labels: tree for tree, with the same flags, orders and labels
+    def fields(cell):
+        return [(ct.code, ct.two_torsion, ct.order, ct.labels) for ct in cell]
+
+    assert fields(all_trees(n, m)) == fields(range_trees(n, m))
+
+
 @pytest.mark.parametrize("n, m", [(n, m) for n in range(5) for m in range(1, 5)] + [(5, 3)])
 def test_representative_blocks_cover_the_cell(n, m):
     # every label-multiset block is as large as the block of its sorted
     # multiplicity vector, a representative counts the blocks it stands
     # for, and the counted blocks hold every tree of the cell
-    blocks = trees_by_multiset(n, m)
+    blocks = {mu: block_trees(mu) for mu in cell_multisets(n, m)}
     assert [ct for mu in sorted(blocks) for ct in blocks[mu]] == sorted(
         all_trees(n, m), key=lambda ct: ct.labels)
     copies = {}

@@ -226,16 +226,21 @@ def _block(multiset, /):
     so other blocks' rows would change none of its basis, residues or solutions."""
     trees = block_trees(multiset)
     triples = _triples(trees)
-    lattice = IntegerLattice(track=True)
-    for row in _rows(trees, triples):
-        lattice.add(dict(row))
+    lattice = IntegerLattice(map(dict, _rows(trees, triples)), track=True)
     return _Block(trees, {ct.code: i for i, ct in enumerate(trees)}, triples, lattice)
+
+
+def _in_cell(multiset, order, labels):
+    """Whether a label tuple is a multiset of the order-n cell on labels
+    1..m, the one rule for having a block: n + 2 sorted labels in 1..m."""
+    return (len(multiset) == order + 2 and 1 <= multiset[0] <= multiset[-1] <= labels
+            and tuple(sorted(multiset)) == multiset)
 
 
 def _vectors(ts: TreeSum, order, labels):
     """(multiset, block, column vector) for each label multiset of ts's
     terms, none for the empty sum, after checking its order, decorations
-    and labels: a term of order n has a block iff its last label is <= m."""
+    and labels: a term has a block iff its labels are ``_in_cell``."""
     if ts.is_empty():
         return []
     if ts.order != order:
@@ -244,17 +249,19 @@ def _vectors(ts: TreeSum, order, labels):
     for t, c in ts.items():
         by_block.setdefault(t.labels, []).append((t.code, c))
     out = [(mu, block, {block.index.get(code): c for code, c in terms})
-           for mu, terms in by_block.items() if mu[-1] <= labels for block in [_block(mu)]]
+           for mu, terms in by_block.items() if _in_cell(mu, order, labels)
+           for block in [_block(mu)]]
     if len(out) == len(by_block) and all(None not in vec for _, _, vec in out):
         return out
-    # a term has no block when decorated, past m or not canonical, or when m < 1
+    # a term has no block when decorated, not _in_cell or not canonical, or when m < 1
     cell_multisets(order, labels)
     terms = ts.items()
     if not all(is_trivially_decorated(t) for t, _ in terms):
         raise ValueError("zero test supports the trivial group alphabet only")
-    past = [t for t, _ in terms if t.labels[-1] > labels]
-    if past:
-        raise ValueError(f"tree {past[0].text()} is not an order-{order} tree on labels 1..{labels}")
+    outside = [t for t, _ in terms if not _in_cell(t.labels, order, labels)]
+    if outside:
+        raise ValueError(f"tree {outside[0].text()} is not an order-{order} tree "
+                         f"on labels 1..{labels}")
     bad = next(t for t, _ in terms if t.code not in _block(t.labels).index)
     raise ValueError(f"tree {bad.text()} is not in canonical form")
 
@@ -262,7 +269,7 @@ def _vectors(ts: TreeSum, order, labels):
 def is_zero(ts: TreeSum, order, labels):
     """Exact zero test in the order-n group: true iff the coefficient
     vector lies in the integer relator lattice, block by block."""
-    return all(block.lattice.contains(vec) for _, block, vec in _vectors(ts, order, labels))
+    return not any(block.lattice.reduce(vec) for _, block, vec in _vectors(ts, order, labels))
 
 
 def normal_form(ts: TreeSum, order, labels):
@@ -279,8 +286,7 @@ def relator_solver(order, labels, multiset):
     whose ``solve`` names the IHX row of triples[k] by k.  A multiset
     of no block is refused, and nothing is cached for it."""
     cell_multisets(order, labels)  # refuses an order below 0 or m below 1
-    if len(multiset) != order + 2 or not 1 <= multiset[0] <= multiset[-1] <= labels \
-            or tuple(sorted(multiset)) != multiset:
+    if not _in_cell(multiset, order, labels):
         raise ValueError(f"no order-{order} tree on labels 1..{labels} "
                          f"has the label multiset {multiset!r}")
     block = _block(multiset)

@@ -1,10 +1,11 @@
 """Exact integer linear algebra: lattice membership and Smith normal form.
 
 Everything here runs over Python ints, never floats; torsion detection
-is the whole point.  Matrices are sparse: a row is a dict column ->
-nonzero value.  There are two eliminations.  ``IntegerLattice.add``
-keeps an echelon basis, which answers membership, residues and
-solving and gives ``integer_rank``.  ``smith_normal_form`` first
+is the whole point.  Matrices are sparse, and every function here takes
+its rows in one format: a row is a dict column -> value.  There are two
+eliminations.  An ``IntegerLattice`` is built from its rows and keeps an
+echelon basis keyed by pivot column, which answers membership, residues
+and solving and gives ``integer_rank``.  ``smith_normal_form`` first
 splits off the +-1 pivots by Gauss-Jordan elimination (``_unit_pivots``),
 then alternates the echelon form between rows and columns on the rows
 left over until the basis is diagonal (``_kannan_bachem``).
@@ -15,21 +16,22 @@ from __future__ import annotations
 from math import gcd
 
 
-def _echelon(rows):
-    """The lattice of dense (sequence) or sparse (dict) rows, added in
-    the order given."""
-    lat = IntegerLattice()
-    for row in rows:
-        lat.add(row if isinstance(row, dict) else dict(enumerate(row)))
-    return lat
+def _addmul(dst, src, factor):
+    """dst += factor * src in place, dropping the entries that cancel."""
+    for c, v in src.items():
+        w = dst.get(c, 0) + factor * v
+        if w:
+            dst[c] = w
+        else:
+            dst.pop(c, None)
 
 
 def smith_normal_form(rows):
-    """Invariant factors and rank of an integer matrix.
+    """Invariant factors and rank of an integer matrix of sparse rows.
 
-    Accepts dense rows (sequences) or sparse rows (dicts).  Returns
-    (factors, rank) where factors is the tuple of nonzero invariant
-    factors d1 | d2 | ... (including any 1s) and rank = len(factors).
+    Returns (factors, rank) where factors is the tuple of nonzero
+    invariant factors d1 | d2 | ... (including any 1s) and rank =
+    len(factors).
 
     First splits off the unit pivots (``_unit_pivots``), then takes the
     Smith form of the rows left over (``_kannan_bachem``).  This is
@@ -47,8 +49,7 @@ def smith_normal_form(rows):
 
 
 def _unit_pivots(rows):
-    """Online Gauss-Jordan elimination on +-1 pivots of dense or sparse
-    rows.
+    """Online Gauss-Jordan elimination on +-1 pivots of sparse rows.
 
     Each row is reduced against the pivot rows so far.  If it then has
     an entry +-1, it becomes a pivot row on the +-1 column held by the
@@ -57,7 +58,7 @@ def _unit_pivots(rows):
     other's pivot columns, so one pass reduces a row against them all,
     and the set-aside rows, reduced once more against the final pivots,
     come out zero on every pivot column.  Returns (number of pivots,
-    set-aside rows as dicts).
+    set-aside rows).
     """
     pivot_row: dict[int, dict[int, int]] = {}  # pivot column -> its row
     held: dict[int, set[int]] = {}  # other column -> pivot columns of the rows nonzero there
@@ -102,26 +103,17 @@ def _unit_pivots(rows):
 
 
 def _reduced(row, pivot_row):
-    """A dense or sparse row minus the pivot rows that clear its pivot
-    columns, as a new dict without zeros."""
-    if isinstance(row, dict):
-        v = dict(row)
-        if 0 in v.values():
-            v = {c: x for c, x in v.items() if x}
-    else:
-        v = {c: x for c, x in enumerate(row) if x}
+    """A sparse row minus the pivot rows that clear its pivot columns,
+    as a new dict without zeros."""
+    v = dict(row)
+    if 0 in v.values():
+        v = {c: x for c, x in v.items() if x}
     for c in [c for c in v if c in pivot_row]:
         p = pivot_row[c]
         if len(p) == 1:  # {c: +-1}, a generator set to zero: the commonest pivot row
             del v[c]
-            continue
-        f = v[c] * p[c]
-        for k, x in p.items():
-            w = v.get(k, 0) - f * x
-            if w:
-                v[k] = w
-            else:
-                del v[k]
+        else:
+            _addmul(v, p, -v[c] * p[c])
     return v
 
 
@@ -150,16 +142,16 @@ def _kannan_bachem(rows):
     above 1 only; one sweep suffices, since after pair (i, j) the i-th
     entry divides the j-th and later swaps keep it so.
     """
-    lat = _echelon(rows)
+    lat = IntegerLattice(rows)
     while True:
-        basis = [lat.basis[lat.pivots[c]] for c in sorted(lat.pivots)]
+        basis = [lat.basis[c] for c in sorted(lat.basis)]
         if all(len(row) == 1 for row in basis):
             break
         columns: dict[int, dict[int, int]] = {}
         for i, row in enumerate(basis):
             for c, v in row.items():
                 columns.setdefault(c, {})[i] = v
-        lat = _echelon(columns[c] for c in sorted(columns))
+        lat = IntegerLattice(columns[c] for c in sorted(columns))
     diagonal = sorted(abs(v) for row in basis for v in row.values())
     units = [d for d in diagonal if d == 1]
     rest = diagonal[len(units):]
@@ -175,32 +167,25 @@ def _kannan_bachem(rows):
 class IntegerLattice:
     """Row span of integer vectors with exact membership tests.
 
-    Holds an echelon basis over Z (Hermite-style: one pivot column per
-    row, built by Euclidean elimination).  With ``track=True`` every
-    basis row remembers its expression over the added rows, the k-th
-    added row named k, so ``solve`` can return an explicit integer
-    combination.
+    Built from its rows (sparse dicts), added in the order given; more
+    may be added later.  Holds an echelon basis over Z (Hermite-style:
+    one pivot column per row, built by Euclidean elimination), keyed by
+    pivot column.  With ``track=True`` every basis row remembers its
+    expression over the added rows, the k-th added row named k, so
+    ``solve`` can return an explicit integer combination.
     """
 
-    def __init__(self, track=False):
-        self.pivots: dict[int, int] = {}  # column -> basis index
-        self.basis: list[dict[int, int]] = []
-        self.combos: list[dict] = [] if track else None
+    def __init__(self, rows=(), track=False):
+        self.basis: dict[int, dict[int, int]] = {}  # pivot column -> basis row
+        self.combos: dict[int, dict] = {} if track else None  # pivot column -> combination
         self.track = track
         self.n_added = 0
+        for row in rows:
+            self.add(row)
 
     @property
     def rank(self):
         return len(self.basis)
-
-    @staticmethod
-    def _addmul(dst, src, factor):
-        for c, v in src.items():
-            w = dst.get(c, 0) + factor * v
-            if w:
-                dst[c] = w
-            else:
-                dst.pop(c, None)
 
     def add(self, vec):
         """Insert a vector (sparse dict); returns True if rank grew."""
@@ -209,42 +194,40 @@ class IntegerLattice:
         self.n_added += 1
         while v:
             c = min(v)
-            if c not in self.pivots:
+            b = self.basis.get(c)
+            if b is None:
                 if v[c] < 0:
                     v = {k: -x for k, x in v.items()}
                     if self.track:
                         combo = {k: -x for k, x in combo.items()}
-                self.pivots[c] = len(self.basis)
-                self.basis.append(v)
+                self.basis[c] = v
                 if self.track:
-                    self.combos.append(combo)
+                    self.combos[c] = combo
                 return True
-            i = self.pivots[c]
-            b = self.basis[i]
             a, x = b[c], v[c]
             if x % a == 0:
-                self._addmul(v, b, -(x // a))
+                _addmul(v, b, -(x // a))
                 if self.track:
-                    self._addmul(combo, self.combos[i], -(x // a))
+                    _addmul(combo, self.combos[c], -(x // a))
             else:
                 # Euclidean swap: basis row keeps gcd-lead combination
                 g, p, q = _xgcd(a, x)
                 new_b = {}
-                self._addmul(new_b, b, p)
-                self._addmul(new_b, v, q)
+                _addmul(new_b, b, p)
+                _addmul(new_b, v, q)
                 new_v = {}
-                self._addmul(new_v, v, a // g)
-                self._addmul(new_v, b, -(x // g))
+                _addmul(new_v, v, a // g)
+                _addmul(new_v, b, -(x // g))
                 if self.track:
                     new_bc = {}
-                    self._addmul(new_bc, self.combos[i], p)
-                    self._addmul(new_bc, combo, q)
+                    _addmul(new_bc, self.combos[c], p)
+                    _addmul(new_bc, combo, q)
                     new_vc = {}
-                    self._addmul(new_vc, combo, a // g)
-                    self._addmul(new_vc, self.combos[i], -(x // g))
-                    self.combos[i] = new_bc
+                    _addmul(new_vc, combo, a // g)
+                    _addmul(new_vc, self.combos[c], -(x // g))
+                    self.combos[c] = new_bc
                     combo = new_vc
-                self.basis[i] = new_b
+                self.basis[c] = new_b
                 v = new_v
         return False
 
@@ -256,13 +239,13 @@ class IntegerLattice:
         v = {c: x for c, x in vec.items() if x}
         c = min(v, default=None)
         while c is not None:
-            i = self.pivots.get(c)
-            if i is not None:
-                q = v[c] // self.basis[i][c]
+            b = self.basis.get(c)
+            if b is not None:
+                q = v[c] // b[c]
                 if q:
-                    self._addmul(v, self.basis[i], -q)
+                    _addmul(v, b, -q)
                     if combo is not None:
-                        self._addmul(combo, self.combos[i], q)
+                        _addmul(combo, self.combos[c], q)
             c = min((k for k in v if k > c), default=None)
         return v
 
@@ -270,13 +253,10 @@ class IntegerLattice:
         """Canonical residue of vec modulo the lattice (not inserted).
 
         The residue is the unique coset representative with entries in
-        [0, pivot) at pivot columns; it is zero iff vec lies in the
+        [0, pivot) at pivot columns; it is empty iff vec lies in the
         lattice.
         """
         return self._sweep(vec)
-
-    def contains(self, vec):
-        return not self.reduce(vec)
 
     def solve(self, vec):
         """Integer combination of the added rows equal to vec, or None.
@@ -307,5 +287,5 @@ def _xgcd(a, b):
 
 
 def integer_rank(rows):
-    """Exact rank of a list of sparse or dense integer rows."""
-    return _echelon(rows).rank
+    """Exact rank of a list of sparse integer rows."""
+    return IntegerLattice(rows).rank

@@ -433,9 +433,7 @@ def cell_lattice(order, labels):
     and later rows double 2-torsion trees.  Returns (generators,
     triples, lattice)."""
     mat = presentation(order, labels)
-    lattice = IntegerLattice(track=True)
-    for row in mat.row_dicts():
-        lattice.add(row)
+    lattice = IntegerLattice(mat.row_dicts(), track=True)
     return mat.generators, ihx_triples(order, labels), lattice
 
 

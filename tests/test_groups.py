@@ -286,6 +286,27 @@ def test_zero_test_names_a_tree_not_in_canonical_form():
                 query(TreeSum({t: 1 for t in trees}), 1, 3)
 
 
+def test_zero_test_refuses_labels_of_no_block_of_the_cell():
+    # a block exists iff the labels are n + 2 sorted labels in 1..m:
+    # unsorted labels, a label 0 or a wrong number of labels name the
+    # tree as not of the cell, for all three queries, and cache nothing
+    unsorted = CanonicalTree((2, (1, (0, 1, ""), (0, 3, ""))), False, 1, (2, 1, 3))
+    zero = CanonicalTree((0, (1, (0, 1, ""), (0, 2, ""))), False, 1, (0, 1, 2))
+    short = CanonicalTree((1, (0, 2, "")), False, 1, (1, 2))
+    plain = canon("inner(1,(2,3),)")
+    relator_solver(1, 3, (1, 2, 3))
+    before = groups._block.cache_info().currsize
+    for bad in (unsorted, zero, short):
+        message = rf"^tree {re.escape(bad.text())} is not an order-1 tree on labels 1\.\.3$"
+        for query in (is_zero, normal_form, relator_combination):
+            for trees in ([bad], [plain, bad]):
+                with pytest.raises(ValueError, match=message):
+                    query(TreeSum({t: 1 for t in trees}), 1, 3)
+        with pytest.raises(ValueError, match=r"^no order-1 tree on labels 1\.\.3 has the label"):
+            relator_solver(1, 3, bad.labels)
+    assert groups._block.cache_info().currsize == before
+
+
 def test_cached_tree_labels_cannot_be_changed():
     # a tree's labels are shared by every caller of the cached cell, and
     # the zero test finds a term's block by them
@@ -378,9 +399,7 @@ def _raw_zero_test(ts, n, m):
     integer span of the AS and IHX rows."""
     gens, rows = raw_presentation(n, m)
     index = {graph_explicit_code(g): i for i, g in enumerate(gens)}
-    lat = IntegerLattice()
-    for row in rows:
-        lat.add(row)
+    lat = IntegerLattice(rows)
     vec = {}
     for t, c in ts.items():
         # any raw representative works; representatives differ by AS rows
@@ -389,7 +408,7 @@ def _raw_zero_test(ts, n, m):
         assert ct == t
         i = index[graph_explicit_code(g)]
         vec[i] = vec.get(i, 0) + c * s
-    return lat.contains({i: v for i, v in vec.items() if v})
+    return not lat.reduce(vec)
 
 
 def test_zero_test_agrees_with_raw_presentation():
@@ -601,7 +620,7 @@ def test_block_queries_match_the_whole_cell_lattice(n, m):
     seen = set()
     for ts in _seeded_sums(n, m, random.Random(13 * n + m)):
         vec = {index[t]: c for t, c in ts.items()}
-        zero = lattice.contains(vec)
+        zero = not lattice.reduce(vec)
         assert is_zero(ts, n, m) == zero
         residue = TreeSum([(generators[i], c) for i, c in lattice.reduce(vec).items()])
         assert normal_form(ts, n, m).text() == residue.text()

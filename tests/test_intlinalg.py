@@ -9,22 +9,29 @@ from towertrees.intlinalg import IntegerLattice, integer_rank, smith_normal_form
 from oracles import snf_by_minors
 
 
+def sparse(m):
+    """A dense matrix as the sparse rows (dicts column -> value) that
+    every function of intlinalg takes."""
+    return [{j: v for j, v in enumerate(row) if v} for row in m]
+
+
 def test_snf_identity():
-    assert smith_normal_form([[1, 0, 0], [0, 1, 0], [0, 0, 1]]) == ((1, 1, 1), 3)
+    assert smith_normal_form(sparse([[1, 0, 0], [0, 1, 0], [0, 0, 1]])) == ((1, 1, 1), 3)
 
 
 def test_snf_rank_one_torsion():
-    assert smith_normal_form([[2, 0], [0, 0]]) == ((2,), 1)
+    assert smith_normal_form(sparse([[2, 0], [0, 0]])) == ((2,), 1)
 
 
 def test_snf_textbook():
-    factors, rank = smith_normal_form([[12, 6, 4], [3, 9, 6], [2, 16, 14]])
+    factors, rank = smith_normal_form(sparse([[12, 6, 4], [3, 9, 6], [2, 16, 14]]))
     assert factors == (1, 10, 30) and rank == 3
 
 
 def test_snf_empty():
     assert smith_normal_form([]) == ((), 0)
-    assert smith_normal_form([[0, 0], [0, 0]]) == ((), 0)
+    assert smith_normal_form(sparse([[0, 0], [0, 0]])) == ((), 0)
+    assert smith_normal_form([{0: 0}, {}]) == ((), 0)
 
 
 def test_snf_sparse_rows():
@@ -37,14 +44,14 @@ def test_snf_random_vs_minors_oracle():
     for _ in range(120):
         r, c = rng.randint(1, 5), rng.randint(1, 5)
         m = [[rng.randint(-6, 6) for _ in range(c)] for _ in range(r)]
-        assert smith_normal_form(m)[0] == snf_by_minors(m, r, c), m
+        assert smith_normal_form(sparse(m))[0] == snf_by_minors(m, r, c), m
 
 
 def test_snf_wide_random():
     rng = random.Random(7)
     for _ in range(20):
         m = [[rng.randint(-4, 4) for _ in range(8)] for _ in range(6)]
-        factors, rank = smith_normal_form(m)
+        factors, rank = smith_normal_form(sparse(m))
         assert factors == snf_by_minors(m, 6, 8)
         assert rank == len(factors)
         # divisibility chain
@@ -72,11 +79,9 @@ def integer_matrices(draw):
 @settings(max_examples=300, deadline=None)
 def test_snf_matches_minors_oracle(m):
     r, c = len(m), len(m[0]) if m else 0
-    factors, rank = smith_normal_form(m)
+    factors, rank = smith_normal_form(sparse(m))
     assert factors == snf_by_minors(m, r, c)
     assert rank == len(factors)
-    sparse = [{j: v for j, v in enumerate(row) if v} for row in m]
-    assert smith_normal_form(sparse) == (factors, rank)
 
 
 @pytest.mark.parametrize("m, snf, lattices", [
@@ -98,13 +103,13 @@ def test_snf_passes_follow_the_feed_order(monkeypatch, m, snf, lattices):
     built = []
 
     class Counting(IntegerLattice):
-        def __init__(self, track=False):
+        def __init__(self, rows=(), track=False):
             built.append(self)
             assert len(built) <= 20, "smith_normal_form is not converging"
-            super().__init__(track)
+            super().__init__(rows, track)
 
     monkeypatch.setattr(intlinalg, "IntegerLattice", Counting)
-    assert intlinalg._kannan_bachem(m) == snf
+    assert intlinalg._kannan_bachem(sparse(m)) == snf
     assert len(built) == lattices
 
 
@@ -132,11 +137,18 @@ def unit_rich_matrices(draw):
 @settings(max_examples=300, deadline=None)
 def test_snf_of_unit_rich_rows_matches_minors_oracle(m):
     r, c = len(m), len(m[0]) if m else 0
-    factors, rank = smith_normal_form(m)
+    factors, rank = smith_normal_form(sparse(m))
     assert factors == snf_by_minors(m, r, c)
     assert rank == len(factors)
-    sparse = [{j: v for j, v in enumerate(row) if v} for row in m]
-    assert smith_normal_form(sparse) == (factors, rank)
+
+
+@given(st.one_of(integer_matrices(), unit_rich_matrices()))
+@settings(max_examples=300, deadline=None)
+def test_integer_rank_matches_the_smith_form_rank(m):
+    # the column-keyed echelon basis of the lattice against the
+    # unit-pivot split before Kannan-Bachem, on the same sparse rows
+    rows = sparse(m)
+    assert integer_rank(rows) == smith_normal_form(rows)[1]
 
 
 def test_snf_reduces_set_aside_rows_against_later_pivots():
@@ -144,19 +156,20 @@ def test_snf_reduces_set_aside_rows_against_later_pivots():
     # column 0, which the set-aside row meets: only (2, 2) - 2 (1, 3) =
     # (0, -4) is left to the Smith form, and the determinant is 4
     assert intlinalg._unit_pivots([{0: 2, 1: 2}, {0: 1, 1: 3}]) == (1, [{1: -4}])
-    assert smith_normal_form([[2, 2], [1, 3]]) == ((1, 4), 2)
     assert smith_normal_form([{0: 2, 1: 2}, {0: 1, 1: 3}]) == ((1, 4), 2)
 
 
 def test_lattice_membership():
-    lat = IntegerLattice()
-    lat.add({0: 2})
-    lat.add({1: 3, 2: 1})
-    assert lat.contains({0: 4})
-    assert not lat.contains({0: 1})
-    assert lat.contains({1: 3, 2: 1})
-    assert lat.contains({})
-    assert not lat.contains({2: 1})
+    lat = IntegerLattice([{0: 2}, {1: 3, 2: 1}])
+    assert not lat.reduce({0: 4})
+    assert lat.reduce({0: 1})
+    assert not lat.reduce({1: 3, 2: 1})
+    assert not lat.reduce({})
+    assert lat.reduce({2: 1})
+    # a lattice built from its rows is the one they build added in turn
+    grown = IntegerLattice()
+    assert [grown.add(row) for row in ({0: 2}, {1: 3, 2: 1}, {0: 4})] == [True, True, False]
+    assert grown.basis == lat.basis == {0: {0: 2}, 1: {1: 3, 2: 1}}
 
 
 def test_lattice_reduce_is_canonical_coset_rep():
@@ -205,5 +218,5 @@ def test_solve_outside_lattice():
 
 
 def test_integer_rank():
-    assert integer_rank([[1, 2], [2, 4], [0, 1]]) == 2
+    assert integer_rank(sparse([[1, 2], [2, 4], [0, 1]])) == 2
     assert integer_rank([]) == 0

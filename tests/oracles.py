@@ -37,17 +37,21 @@ with the object form.  ``range_trees`` is the reference for
 ``trees.all_trees``: the whole-cell enumeration that builds the sorted
 rests by order over a range of labels, with no label multisets; it
 keeps the library's candidate filter, ``canonicalize_rewrite``, since
-what it checks is how the candidates are built.
+what it checks is how the candidates are built.  ``certificate_json``
+is the reference for ``towers.certificate_to_json``: the move records
+as dicts, written by ``json.dumps(records, indent=2)``.
 """
 
+import json
 from itertools import combinations, product
 from math import gcd
 
 from towertrees.groups import RelationMatrix, ihx_triples, presentation
 from towertrees.intlinalg import IntegerLattice
-from towertrees.towers import RawDisk, RawPoint, RawTower, _leaf_labels, make_model, validate_raw
+from towertrees.towers import (IhxInsert, RawDisk, RawPoint, RawTower, _leaf_labels, make_model,
+                               validate_raw)
 from towertrees.trees import (CanonicalTree, DecoratedTree, Leaf, Node, SignedTree, canonicalize,
-                              canonicalize_rewrite, labels_of)
+                              canonicalize_rewrite, labels_of, to_text)
 from towertrees.words import winv, wmul
 
 
@@ -814,3 +818,13 @@ def range_trees(order, labels):
             if code == (root, rest):
                 out.append(CanonicalTree(code, torsion, order, labs))
     return tuple(sorted(out, key=lambda ct: ct.code))
+
+
+def certificate_json(cert):
+    """A certificate's move records as dicts, through ``json.dumps`` at
+    ``indent=2``; it checks no field, so a bool or a list is written as
+    JSON writes it."""
+    return json.dumps([{"move": "ihx_insert", "i": mv.tree.text(), "h": to_text(mv.h),
+                        "x": to_text(mv.x), "edge": mv.edge, "sign": mv.sign}
+                       if isinstance(mv, IhxInsert) else
+                       {"move": "cancel_pair", "p": mv.p, "q": mv.q} for mv in cert], indent=2)

@@ -51,7 +51,7 @@ from towertrees.trees import (
 )
 from towertrees.words import winv
 
-from oracles import decode, object_extract_model, random_raw_tower
+from oracles import certificate_json, decode, object_extract_model, random_raw_tower
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -494,7 +494,8 @@ def _jacobi_model(rng, order, m, triples):
 def test_certificates_of_seeded_zero_models_match_golden_digests():
     # 30 seeded zero models per cell, of 2 to 12 Jacobi triples: the
     # SHA-256 of their certificate JSON pins the planner's relator
-    # combinations and pairings byte for byte
+    # combinations and pairings byte for byte, and the writer's bytes
+    # are json.dumps's
     golden = json.loads((FIXTURES / "certificate_sha256.json").read_text())
     assert len(golden) == 2
     for cell, want in golden.items():
@@ -505,7 +506,9 @@ def test_certificates_of_seeded_zero_models_match_golden_digests():
             model = _jacobi_model(rng, n, m, 2 + k % 11)
             cert = certify_raise_order(model)
             assert verify_certificate(model, cert), (cell, k)
-            digest.update(certificate_to_json(cert).encode())
+            text = certificate_to_json(cert)
+            assert text == certificate_json(cert), (cell, k)
+            digest.update(text.encode())
         assert digest.hexdigest() == want, cell
 
 
@@ -592,8 +595,41 @@ def test_certificate_json_roundtrip():
     cert = certify_raise_order(model)
     text = certificate_to_json(cert)
     again = certificate_from_json(text)
-    assert certificate_to_json(again) == text
+    assert certificate_to_json(again) == text == certificate_json(cert)
     assert verify_certificate(model, again).ok
+    # the committed certificates load and dump to their own bytes
+    for path in sorted(FIXTURES.glob("*.cert.json")):
+        text = path.read_text().rstrip("\n")
+        again = certificate_from_json(text)
+        assert certificate_to_json(again) == text == certificate_json(again), path.name
+    assert certificate_to_json(()) == certificate_json(()) == "[]"
+    # json's ensure_ascii escapes: a quote, a backslash, a newline, a
+    # non-ASCII letter and U+2028 in an edge
+    mv = replace(cert[0], edge='R"\\\n\u00e9\u2028')
+    text = certificate_to_json((mv,))
+    assert text == certificate_json((mv,))
+    assert text.isascii() and certificate_from_json(text) == (mv,)
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("sign", True, "'sign' must be +1 or -1, not True"),
+    ("sign", 2, "'sign' must be +1 or -1, not 2"),
+    ("edge", ["R"], "'edge' must be a string, not ['R']"),
+    ("edge", None, "'edge' must be a string, not None"),
+    ("p", True, "'p' must be an integer, not True"),
+    ("q", 1.0, "'q' must be an integer, not 1.0"),
+])
+def test_certificate_writer_refuses_what_the_loader_refuses(field, value, message):
+    # json.dumps would write these as true, 2, an array, null or 1.0,
+    # and the loader would refuse the file; the writer names the move
+    _, cert = _ihx_model()
+    k = 0 if field in ("sign", "edge") else 1
+    bad = cert[:k] + (replace(cert[k], **{field: value}),) + cert[k + 1:]
+    with pytest.raises(TowerError):
+        certificate_from_json(certificate_json(bad))
+    kind = "ihx_insert" if k == 0 else "cancel_pair"
+    with pytest.raises(ValueError, match=re.escape(f"certificate move {k} ({kind}): {message}")):
+        certificate_to_json(bad)
 
 
 def test_certificate_json_keeps_negative_sign_on_torsion_insert():

@@ -2,9 +2,11 @@
 
 Every verb is a thin adapter: parse arguments, hold its order and label
 count to --max-order/--max-labels (the library itself has no cap), call
-the library, format the result.  A tree argument may begin with its
-sign (``-(2,1)``), and an argument that begins with ``-`` and a digit,
-``(`` or ``inner`` is never an option, so ``--out -1.txt`` names a file.
+the library, format the result.  A verb with --json builds its result
+as a document and as text; ``_result`` writes one, the document always
+as JSON indented by 2.  A tree argument may begin with its sign
+(``-(2,1)``), and an argument that begins with ``-`` and a digit, ``(``
+or ``inner`` is never an option, so ``--out -1.txt`` names a file.
 Exit codes: 0 success, 1 input or usage errors, 2 when certification
 finds a nonzero obstruction (a result, not an error, so pipelines can
 branch on it).
@@ -69,6 +71,11 @@ def _emit(args, text):
         print(text)
 
 
+def _result(args, doc, text):
+    """Write a verb's result: ``doc`` as indented JSON under --json, else ``text``."""
+    _emit(args, json.dumps(doc, indent=2) if args.json else text)
+
+
 def _read(path):
     with open(path, encoding="utf-8") as fh:
         return fh.read()
@@ -107,11 +114,8 @@ def cmd_canon(args):
     else:
         ct, s = canonicalize(SignedTree(sign, code))
         text, torsion = ct.text(), ct.two_torsion
-    if args.json:
-        _emit(args, json.dumps(
-            {"canonical": text, "sign": s, "two_torsion": torsion}, indent=2))
-    else:
-        _emit(args, ("+" if s > 0 else "-") + text + (" (2-torsion)" if torsion else ""))
+    _result(args, {"canonical": text, "sign": s, "two_torsion": torsion},
+            ("+" if s > 0 else "-") + text + (" (2-torsion)" if torsion else ""))
     return 0
 
 
@@ -121,28 +125,16 @@ def cmd_reduce(args):
         raise TowerError("reduce expects an unrooted tree, e.g. inner((1,2),(3,4),)")
     ct, s = canonicalize(SignedTree(sign, code))
     ts = reduce_to_simple(ct).scale(s)
-    if args.json:
-        _emit(args, json.dumps(
-            [{"tree": t.text(), "coeff": c} for t, c in ts.items()], indent=2))
-    else:
-        _emit(args, ts.text())
+    _result(args, [{"tree": t.text(), "coeff": c} for t, c in ts.items()], ts.text())
     return 0
 
 
 def cmd_groups(args):
     _check_bounds(args, args.order, args.labels)
     gs, generators, relators = group_table(args.order, args.labels, args.nonrepeating)
-    if args.json:
-        _emit(args, json.dumps({
-            "order": args.order,
-            "labels": args.labels,
-            "free_rank": gs.free_rank,
-            "torsion": list(gs.torsion),
-            "generator_count": generators,
-            "relator_count": relators,
-        }, indent=2))
-    else:
-        _emit(args, gs.text())
+    _result(args, {"order": args.order, "labels": args.labels, "free_rank": gs.free_rank,
+                   "torsion": list(gs.torsion), "generator_count": generators,
+                   "relator_count": relators}, gs.text())
     return 0
 
 
@@ -157,18 +149,12 @@ def cmd_tau(args):
             zero = is_zero(ts, model.order, model.m)
         except BoundsError:
             pass
-    if args.json:
-        _emit(args, json.dumps({
-            "m": model.m,
-            "order": model.order,
-            "tau": [{"tree": t.text(), "coeff": c} for t, c in ts.items()],
-            "is_zero": zero,
-        }, indent=2))
-    else:
-        line = f"tau = {ts.text()}"
-        if zero is not None:
-            line += f"\nzero in the order-{model.order} group: {str(zero).lower()}"
-        _emit(args, line)
+    text = f"tau = {ts.text()}"
+    if zero is not None:
+        text += f"\nzero in the order-{model.order} group: {str(zero).lower()}"
+    _result(args, {"m": model.m, "order": model.order,
+                   "tau": [{"tree": t.text(), "coeff": c} for t, c in ts.items()],
+                   "is_zero": zero}, text)
     return 0
 
 
@@ -189,11 +175,8 @@ def cmd_verify(args):
     cert = certificate_from_json(_read(args.certificate))
     _check_bounds(args, model.order, model.m)
     res = verify_certificate(model, cert)
-    if args.json:
-        _emit(args, json.dumps({"ok": res.ok, "reason": res.reason, "move": res.move,
-                                "code": res.code}, indent=2))
-    else:
-        _emit(args, "OK" if res.ok else f"FAIL: {res.reason}")
+    _result(args, {"ok": res.ok, "reason": res.reason, "move": res.move, "code": res.code},
+            "OK" if res.ok else f"FAIL: {res.reason}")
     return 0 if res.ok else 1
 
 
@@ -217,10 +200,7 @@ def cmd_bch(args):
 def cmd_rank(args):
     _check_bounds(args, args.order, args.labels)
     rk = lie.rational_rank_bound(args.order, args.labels)
-    if args.json:
-        _emit(args, json.dumps({"order": args.order, "labels": args.labels, "rank": rk}))
-    else:
-        _emit(args, str(rk))
+    _result(args, {"order": args.order, "labels": args.labels, "rank": rk}, str(rk))
     return 0
 
 
@@ -230,9 +210,9 @@ def build_parser():
                                  "split Whitney tower models")
     sub = parser.add_subparsers(dest="verb", required=True)
 
-    def flags(p, json, bounds):
+    def flags(p, with_json, bounds):
         """--out, plus --json and the enumeration bounds where the verb reads them."""
-        if json:
+        if with_json:
             p.add_argument("--json", action="store_true", help="emit JSON")
         p.add_argument("--out", metavar="FILE", help="write output to FILE")
         if bounds:
@@ -241,12 +221,12 @@ def build_parser():
 
     p = sub.add_parser("canon", help="canonical form of a signed tree")
     p.add_argument("tree", nargs="?", help="tree in the grammar (stdin if omitted)")
-    flags(p, json=True, bounds=False)
+    flags(p, with_json=True, bounds=False)
     p.set_defaults(fn=cmd_canon)
 
     p = sub.add_parser("reduce", help="rewrite a tree over simple trees")
     p.add_argument("tree", nargs="?")
-    flags(p, json=True, bounds=False)
+    flags(p, with_json=True, bounds=False)
     p.set_defaults(fn=cmd_reduce)
 
     p = sub.add_parser("groups", help="structure of the order-n tree group")
@@ -254,42 +234,42 @@ def build_parser():
     p.add_argument("--labels", type=int, required=True)
     p.add_argument("--nonrepeating", action="store_true",
                    help="restrict to pairwise distinct labels")
-    flags(p, json=True, bounds=True)
+    flags(p, with_json=True, bounds=True)
     p.set_defaults(fn=cmd_groups)
 
     p = sub.add_parser("tau", help="intersection sum of a tower file")
     p.add_argument("file")
-    flags(p, json=True, bounds=True)
+    flags(p, with_json=True, bounds=True)
     p.set_defaults(fn=cmd_tau)
 
     p = sub.add_parser("certify", help="plan an order-raising certificate")
     p.add_argument("file")
-    flags(p, json=False, bounds=True)
+    flags(p, with_json=False, bounds=True)
     p.set_defaults(fn=cmd_certify)
 
     p = sub.add_parser("verify", help="replay a certificate against a tower")
     p.add_argument("model")
     p.add_argument("certificate")
-    flags(p, json=True, bounds=True)
+    flags(p, with_json=True, bounds=True)
     p.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser("glue", help="glue two towers, reversing the second")
     p.add_argument("a")
     p.add_argument("b")
-    flags(p, json=False, bounds=False)
+    flags(p, with_json=False, bounds=False)
     p.set_defaults(fn=cmd_glue)
 
     p = sub.add_parser("bch", help="tower realizing the given signed trees")
     p.add_argument("trees", nargs="+", help="signed trees in the grammar")
     p.add_argument("--order", type=int, required=True)
     p.add_argument("--labels", type=int, required=True)
-    flags(p, json=False, bounds=False)
+    flags(p, with_json=False, bounds=False)
     p.set_defaults(fn=cmd_bch)
 
     p = sub.add_parser("rank", help="rank of the Lie images of all order-n trees")
     p.add_argument("--order", type=int, required=True)
     p.add_argument("--labels", type=int, required=True)
-    flags(p, json=True, bounds=True)
+    flags(p, with_json=True, bounds=True)
     p.set_defaults(fn=cmd_rank)
     return parser
 

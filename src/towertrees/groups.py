@@ -29,9 +29,9 @@ representative blocks make label 1 the rarest, which keeps that table
 small.  ``_relator_terms``, like the combs of ``reduce_to_simple``,
 canonicalizes H and X through ``trees.canonicalize_rewrite``.
 
-Every function here computes whatever cell it is asked for: an order
-below 0 or a label count below 1 is a ``BoundsError`` from
-``trees.cell_multisets``, and there is no upper cap.
+Every function here computes whatever cell it is asked for, with no
+upper cap: an order below 0 or a label count below 1 is a
+``BoundsError`` from ``trees.cell_multisets``, for the empty sum too.
 """
 
 from __future__ import annotations
@@ -240,8 +240,11 @@ def _in_cell(multiset, order, labels):
 def _vectors(ts: TreeSum, order, labels):
     """(multiset, block, column vector) for each label multiset of ts's
     terms, none for the empty sum, after checking its order, decorations
-    and labels: a term has a block iff its labels are ``_in_cell``."""
+    and labels: a term has a block iff its labels are ``_in_cell``, and no
+    tree's are in a cell below order 0 or label count 1.  So the cell is
+    checked only for the empty sum and on the error path."""
     if ts.is_empty():
+        cell_multisets(order, labels)  # refuses an order below 0 or m below 1
         return []
     if ts.order != order:
         raise ValueError(f"sum has order {ts.order}, expected {order}")

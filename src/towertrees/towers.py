@@ -3,10 +3,11 @@
 A tower model is a multiset of signed trees over m order-0 surfaces:
 one point per unpaired intersection, each stored as a sign and a
 canonical tree.  A sign is +1 or -1, and a point on a 2-torsion tree
-(t = -t) has sign +1; ``TowerModel`` refuses any other sign, and
-``make_model`` is the one constructor of a numbered model.  The moves
-never touch geometry, only its combinatorial shadow; the geometric
-calculus needs only IHX insertions and pair cancellations:
+(t = -t) has sign +1.  ``TowerModel`` refuses any other sign, a bool
+or a float too, and, as the loaders do, an m below 1 or an order
+below 0; ``make_model`` is the one constructor of a numbered model.
+The moves never touch geometry, only its combinatorial shadow; the
+geometric calculus needs only IHX insertions and pair cancellations:
 
 * ``ihx_insert``        adds the three points +I, -H, +X of a local
                         IHX move (any sign), changing the hat-level sum
@@ -118,6 +119,20 @@ def parse_bracket(text):
     return code
 
 
+def _is_sign(value):
+    """A sign or orientation is the int +1 or -1, never a bool or a float."""
+    return type(value) is int and value in (1, -1)
+
+
+def _check_head(m, order, where):
+    """A tower's m from 1 and order from 0, for the loaders and the constructors."""
+    for key, value, least in (("m", m, 1), ("order", order, 0)):
+        if type(value) is not int:
+            raise TowerError(f"{where}: {key!r} must be an integer, not {value!r}")
+        if value < least:
+            raise TowerError(f"{where}: {key!r} must be at least {least}, not {value}")
+
+
 # --------------------------------------------------------------- raw towers
 
 @dataclass(frozen=True)
@@ -166,6 +181,7 @@ class RawTower:
 
 def validate_raw(raw: RawTower):
     """Check the well-formedness invariants, naming the offender."""
+    _check_head(raw.m, raw.order, "raw tower")
     disk_by_bracket = {}
     for d in raw.disks:
         for lab in _leaf_labels(d.bracket, []):
@@ -173,7 +189,7 @@ def validate_raw(raw: RawTower):
                 raise TowerError(f"disk {to_text(d.bracket)}: label {lab} out of 1..{raw.m}")
         if d.bracket in disk_by_bracket:
             raise TowerError(f"duplicate disk {to_text(d.bracket)}")
-        if d.orientation not in (1, -1):
+        if not _is_sign(d.orientation):
             raise TowerError(f"disk {to_text(d.bracket)}: orientation must be +-1")
         check_word(d.whisker)
         disk_by_bracket[d.bracket] = d
@@ -195,7 +211,7 @@ def validate_raw(raw: RawTower):
     unpaired = []
     for k, p in enumerate(raw.points):
         what = f"point #{k}"
-        if p.sign not in (1, -1):
+        if not _is_sign(p.sign):
             raise TowerError(f"{what}: sign must be +-1")
         check_word(p.word)
         require_present(p.left, what)
@@ -286,8 +302,9 @@ class TowerModel:
 
     def __post_init__(self):
         object.__setattr__(self, "points", MappingProxyType(dict(self.points)))
+        _check_head(self.m, self.order, "model")
         for pid, pt in self.points.items():
-            if pt.sign not in (1, -1):
+            if not _is_sign(pt.sign):
                 raise TowerError(f"point {pid} has sign {pt.sign}, not +1 or -1")
             if pt.tree.order < self.order:
                 raise TowerError(
@@ -616,7 +633,7 @@ def _get(record, key, where, kind, default=_REQUIRED):
 
 def _get_sign(record, where):
     sign = _get(record, "sign", where, int)
-    if sign not in (1, -1):
+    if not _is_sign(sign):
         raise TowerError(f"{where}: 'sign' must be +1 or -1, not {sign}")
     return sign
 
@@ -644,10 +661,7 @@ def _get_head(doc, where):
     """The (m, order) fields every tower document starts with."""
     m = _get(doc, "m", where, int)
     order = _get(doc, "order", where, int)
-    if m < 1:
-        raise TowerError(f"{where}: 'm' must be at least 1, not {m}")
-    if order < 0:
-        raise TowerError(f"{where}: 'order' must be at least 0, not {order}")
+    _check_head(m, order, where)
     return m, order
 
 
@@ -747,7 +761,7 @@ def certificate_to_json(cert: tuple) -> str:
             edge, sign = move.edge, move.sign
             if type(edge) is not str:
                 _refuse(k, "ihx_insert", "edge", edge, "a string")
-            if type(sign) is not int or sign not in (1, -1):
+            if not _is_sign(sign):
                 _refuse(k, "ihx_insert", "sign", sign, "+1 or -1")
             records.append(
                 f'  {{\n    "move": "ihx_insert",\n    "i": {_quote(move.tree.text())},'

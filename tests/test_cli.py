@@ -532,6 +532,24 @@ def test_out_path_shaped_like_a_placeholder_is_written(argv, tmp_path, monkeypat
     assert (tmp_path / "@tree0").read_text() == printed
 
 
+@pytest.mark.parametrize("argv", [
+    ["canon", "-(2,1)"],
+    ["reduce", "inner((1,2),((3,4),(1,2)),)"],
+    ["groups", "--order", "2", "--labels", "4"],
+    ["tau", str(FIXTURES / "order2_tower.json")],
+    ["verify", str(FIXTURES / "certify_4_3.json"), str(FIXTURES / "certify_4_3.cert.json")],
+    ["rank", "--order", "5", "--labels", "3", "--max-order", "5"],
+], ids=lambda argv: argv[0])
+def test_every_json_result_is_indented_and_out_writes_the_same_bytes(argv, tmp_path, capsys):
+    # one writer for the six --json verbs: json.dumps(..., indent=2)
+    code, out, err = invoke(capsys, *argv, "--json")
+    assert (code, err) == (0, "")
+    assert out == json.dumps(json.loads(out), indent=2) + "\n"
+    target = tmp_path / "result.json"
+    assert invoke(capsys, *argv, "--json", "--out", str(target)) == (0, "", "")
+    assert target.read_bytes() == out.encode()
+
+
 def test_paths_beginning_with_a_negative_number_are_paths(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     code, out, err = invoke(capsys, "canon", "-(2,1)", "--out", "-1.txt")

@@ -534,6 +534,19 @@ def test_negative_order_is_refused_and_caches_nothing():
     assert groups._block.cache_info().currsize == blocks_cached
 
 
+@pytest.mark.parametrize("fn, answer", [(is_zero, True), (normal_form, TreeSum()),
+                                        (relator_combination, [])],
+                         ids=["is_zero", "normal_form", "relator_combination"])
+def test_the_empty_sum_is_refused_outside_every_cell(fn, answer):
+    # like relator_solver, the answers refuse a cell that does not
+    # exist, even for the empty sum, which has no term to check
+    with pytest.raises(BoundsError, match=r"^order must be at least 0, not -1$"):
+        fn(TreeSum(), -1, 4)
+    with pytest.raises(BoundsError, match=r"^label count must be at least 1, not 0$"):
+        fn(TreeSum(), 2, 0)
+    assert fn(TreeSum(), 0, 1) == answer
+
+
 def test_first_zero_test_builds_only_the_touched_block(recording):
     # one Jacobi triple ((1,2),3)-d + ((2,3),1)-d + ((3,1),2)-d at (4,4)
     # lies in one label-multiset block; its first zero test enumerates

@@ -38,6 +38,7 @@ from towertrees.towers import (
     raw_to_json,
     replay_certificate,
     tau,
+    validate_raw,
     verify_certificate,
 )
 from towertrees.trees import (
@@ -580,6 +581,8 @@ def test_model_json_roundtrip():
     again = load_tower(text)
     assert model_to_json(again) == text
     assert tau(again) == tau(model)
+    least = make_model(1, 0, [])
+    assert load_tower(model_to_json(least)) == least
 
 
 def test_raw_json_roundtrip():
@@ -587,6 +590,42 @@ def test_raw_json_roundtrip():
     text = raw_to_json(raw)
     assert raw_to_json(raw_from_json(text)) == text
     assert tau(load_tower(text)) == tau(extract_model(raw))
+
+
+@pytest.mark.parametrize("m, order, sign, message", [
+    (3, 1, True, r"^point 0 has sign True, not \+1 or -1$"),
+    (3, 1, 1.0, r"^point 0 has sign 1.0, not \+1 or -1$"),
+    (0, 0, None, r"^model: 'm' must be at least 1, not 0$"),
+    (2, -1, None, r"^model: 'order' must be at least 0, not -1$"),
+    (True, 0, None, r"^model: 'm' must be an integer, not True$"),
+    (2, 0.0, None, r"^model: 'order' must be an integer, not 0.0$"),
+], ids=["bool-sign", "float-sign", "m", "order", "bool-m", "float-order"])
+def test_a_model_the_loader_refuses_is_never_built(m, order, sign, message):
+    # model_to_json wrote each of these models, and load_tower refused the file
+    points = [] if sign is None else [(sign, canon("inner(1,(2,3),)"))]
+    text = json.dumps({"m": m, "order": order,
+                       "points": [{"sign": s, "tree": ct.text()} for s, ct in points]})
+    with pytest.raises(TowerError):
+        load_tower(text)
+    with pytest.raises(TowerError, match=message):
+        make_model(m, order, points)
+
+
+@pytest.mark.parametrize("raw, message", [
+    (replace(_simple_raw(), disks=(RawDisk(W12, "", True),)),
+     r"^disk \(1,2\): orientation must be \+-1$"),
+    (replace(_simple_raw(), points=(*_simple_raw().points[:2],
+                                    replace(_simple_raw().points[2], sign=True))),
+     r"^point #2: sign must be \+-1$"),
+    (RawTower(0, 0, (), ()), r"^raw tower: 'm' must be at least 1, not 0$"),
+    (RawTower(2, -1, (), ()), r"^raw tower: 'order' must be at least 0, not -1$"),
+], ids=["bool-orientation", "bool-sign", "m", "order"])
+def test_a_raw_tower_the_loader_refuses_is_invalid(raw, message):
+    # raw_to_json wrote each of these towers, and raw_from_json refused the file
+    with pytest.raises(TowerError):
+        raw_from_json(raw_to_json(raw))
+    with pytest.raises(TowerError, match=message):
+        validate_raw(raw)
 
 
 def test_certificate_json_roundtrip():

@@ -59,7 +59,6 @@ from .towers import (
     RawTower,
     TowerError,
     TowerModel,
-    TowerPoint,
     VerificationResult,
     bch_tower,
     certificate_from_json,

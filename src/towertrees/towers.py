@@ -1,11 +1,12 @@
 """Split Whitney tower models and the certified move calculus.
 
 A tower model is a multiset of signed trees over m order-0 surfaces:
-one point per unpaired intersection, each stored as a sign and a
-canonical tree.  A sign is +1 or -1, and a point on a 2-torsion tree
-(t = -t) has sign +1.  ``TowerModel`` refuses any other sign, a bool
-or a float too, and, as the loaders do, an m below 1 or an order
-below 0; ``make_model`` is the one constructor of a numbered model.
+one point per unpaired intersection, a ``SignedTree`` of a sign and a
+canonical tree.  ``TowerModel`` alone decides what a point is: a sign
+of +1 or -1 (a bool or a float is refused), stored as +1 on a 2-torsion
+tree (t = -t), and a tree of labels 1..m at least the tower's order;
+as the loaders do, it refuses an m below 1 or an order below 0.
+``make_model`` is the one constructor of a numbered model.
 The moves never touch geometry, only its combinatorial shadow; the
 geometric calculus needs only IHX insertions and pair cancellations:
 
@@ -34,8 +35,8 @@ move on its delta (the points it adds or removes), never on the whole
 intersection sum.  ``certificate_to_json`` writes the bytes of
 ``json.dumps(records, indent=2)`` from one template per move kind, its
 strings through json's C escaper: at that indent json's encoder runs in
-pure Python, and took about a sixth of a certify.  It refuses a move
-the loader would refuse, naming its index.  The JSON loaders validate
+pure Python, and took about a sixth of a certify.  A move refuses,
+when built, a field the loader would refuse.  The JSON loaders validate
 their input and name the offending record and key in a
 ``TowerError``; a model point's ``puncture`` key, a marked edge that no
 invariant reads, is accepted and ignored, and a ``move_puncture``
@@ -281,48 +282,41 @@ def extract_model(raw: RawTower):
 
 # --------------------------------------------------------------- the model
 
-@dataclass(frozen=True, slots=True)
-class TowerPoint:
-    """One unpaired intersection point: its sign and canonical tree."""
-
-    sign: int
-    tree: CanonicalTree
-
-
 @dataclass(frozen=True)
 class TowerModel:
-    """Split-tower model: its points keyed by id, in insertion order,
-    held in a read-only mapping over a copy of the points given.  The
-    public moves return a new model and leave this one as it is."""
+    """Split-tower model: its points, each a ``SignedTree`` of a sign and
+    a canonical tree, keyed by id, in insertion order, held in a
+    read-only mapping over a copy of the points given.  The public
+    moves return a new model and leave this one as it is."""
 
     m: int
     order: int
-    points: MappingProxyType[int, TowerPoint]
+    points: MappingProxyType[int, SignedTree]
     next_id: int = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "points", MappingProxyType(dict(self.points)))
         _check_head(self.m, self.order, "model")
-        for pid, pt in self.points.items():
+        points = dict(self.points)
+        for pid, pt in points.items():
+            ct = pt.tree
             if not _is_sign(pt.sign):
                 raise TowerError(f"point {pid} has sign {pt.sign}, not +1 or -1")
-            if pt.tree.order < self.order:
+            if ct.order < self.order:
                 raise TowerError(
-                    f"point {pid} has order {pt.tree.order} below the tower order {self.order}")
+                    f"point {pid} has order {ct.order} below the tower order {self.order}")
+            if ct.labels[0] < 1 or ct.labels[-1] > self.m:
+                raise TowerError(f"point {pid} has labels outside 1..{self.m}: {ct.text()}")
+            if pt.sign < 0 and ct.two_torsion:
+                points[pid] = SignedTree(1, ct)
+        object.__setattr__(self, "points", MappingProxyType(points))
 
     def trivially_decorated(self):
         return all(is_trivially_decorated(pt.tree) for pt in self.points.values())
 
 
-def _point(sign, ct):
-    """A point on a 2-torsion tree (t = -t) has sign +1; a sign other
-    than +-1 stays as it is, for ``TowerModel`` to refuse."""
-    return TowerPoint(abs(sign) if ct.two_torsion else sign, ct)
-
-
 def make_model(m, order, signed_trees):
     """The one constructor of a numbered model: pair k, (sign, CanonicalTree), is point k."""
-    points = {k: _point(sign, ct) for k, (sign, ct) in enumerate(signed_trees)}
+    points = {k: SignedTree(sign, ct) for k, (sign, ct) in enumerate(signed_trees)}
     return TowerModel(m, order, points, len(points))
 
 
@@ -334,8 +328,6 @@ def bch_tower(sigma, order, m):
         ct, sign = canonicalize(SignedTree(1, st.tree))  # a 2-torsion tree resets the sign
         if ct.order != order:
             raise TowerError(f"tree {ct.text()} has order {ct.order}, expected {order}")
-        if ct.labels[0] < 1 or ct.labels[-1] > m:
-            raise TowerError(f"tree {ct.text()} uses labels outside 1..{m}")
         pairs.append((sign * st.sign, ct))
     return make_model(m, order, pairs)
 
@@ -371,11 +363,22 @@ class IhxInsert:
     h: tuple
     x: tuple
 
+    def __post_init__(self):
+        if type(self.edge) is not str:
+            raise TowerError(f"ihx_insert: 'edge' must be a string, not {self.edge!r}")
+        if not _is_sign(self.sign):
+            raise TowerError(f"ihx_insert: 'sign' must be +1 or -1, not {self.sign!r}")
+
 
 @dataclass(frozen=True)
 class CancelPair:
     p: int
     q: int
+
+    def __post_init__(self):
+        if type(self.p) is not int or type(self.q) is not int:
+            key, pid = ("p", self.p) if type(self.p) is not int else ("q", self.q)
+            raise TowerError(f"cancel_pair: {key!r} must be an integer, not {pid!r}")
 
 
 def ihx_insert(model: TowerModel, tree: CanonicalTree, edge, sign=1) -> TowerModel:
@@ -401,7 +404,7 @@ def apply_move(model, move) -> TowerModel:
 
 def _step(model, points, next_id, move):
     """Check one move against ``model``'s order and labels and apply it
-    to the id -> TowerPoint dict ``points`` in place.  Returns the
+    to the id -> SignedTree dict ``points`` in place.  Returns the
     move's tau-delta terms, (tree, sign) per added point and (tree,
     -sign) per removed one, and the next free id."""
     if isinstance(move, IhxInsert):
@@ -436,7 +439,7 @@ def _add_points(points, next_id, added):
 def _ihx_points(model, ct, edge, sign):
     """The layout codes of H and X of a checked insertion at ``edge`` of
     ``ct``, and its points +I, -H, +X scaled by ``sign``."""
-    if sign not in (1, -1):
+    if not _is_sign(sign):
         raise MoveError("BadSign", "insertion sign must be +-1")
     if ct.order != model.order:
         raise MoveError(
@@ -450,7 +453,7 @@ def _ihx_points(model, ct, edge, sign):
         h, x = ihx_at(ct, edge if isinstance(edge, str) else "")
     except ValueError:
         raise MoveError("NotInterior", f"{edge!r} is not an interior edge of {ct.text()}") from None
-    return h, x, [_point(c * sign, t) for t, c in _relator_terms(ct, h, x)]
+    return h, x, [SignedTree(c * sign, t) for t, c in _relator_terms(ct, h, x)]
 
 
 def _cancelling_pair(model, points, p, q):
@@ -747,33 +750,19 @@ def load_tower(text: str):
     return _model_from_doc(doc)
 
 
-def _refuse(k, kind, key, value, want):
-    raise ValueError(f"certificate move {k} ({kind}): {key!r} must be {want}, not {value!r}")
-
-
 def certificate_to_json(cert: tuple) -> str:
     """The certificate byte for byte as ``json.dumps(records, indent=2)``
-    writes it (see the module docstring).  A move the loader would
-    refuse is a ValueError naming its index."""
+    writes it (see the module docstring)."""
     records = []
     for k, move in enumerate(cert):
         if isinstance(move, IhxInsert):
-            edge, sign = move.edge, move.sign
-            if type(edge) is not str:
-                _refuse(k, "ihx_insert", "edge", edge, "a string")
-            if not _is_sign(sign):
-                _refuse(k, "ihx_insert", "sign", sign, "+1 or -1")
             records.append(
                 f'  {{\n    "move": "ihx_insert",\n    "i": {_quote(move.tree.text())},'
                 f'\n    "h": {_quote(to_text(move.h))},\n    "x": {_quote(to_text(move.x))},'
-                f'\n    "edge": {_quote(edge)},\n    "sign": {sign}\n  }}')
+                f'\n    "edge": {_quote(move.edge)},\n    "sign": {move.sign}\n  }}')
         elif isinstance(move, CancelPair):
-            p, q = move.p, move.q
-            if type(p) is not int:
-                _refuse(k, "cancel_pair", "p", p, "an integer")
-            if type(q) is not int:
-                _refuse(k, "cancel_pair", "q", q, "an integer")
-            records.append(f'  {{\n    "move": "cancel_pair",\n    "p": {p},\n    "q": {q}\n  }}')
+            records.append(
+                f'  {{\n    "move": "cancel_pair",\n    "p": {move.p},\n    "q": {move.q}\n  }}')
         else:
             raise ValueError(f"certificate move {k}: unknown move {move!r}")
     return "[\n" + ",\n".join(records) + "\n]" if records else "[]"

@@ -21,7 +21,6 @@ from towertrees.towers import (
     RawTower,
     TowerError,
     TowerModel,
-    TowerPoint,
     apply_move,
     bch_tower,
     certificate_from_json,
@@ -284,7 +283,7 @@ def test_models_refuse_point_signs_other_than_one(sign):
     assert torsion.two_torsion and not y.two_torsion
     refused = pytest.raises(TowerError, match=rf"^point 1 has sign {sign}, not \+1 or -1$")
     with refused:
-        TowerModel(3, 1, {0: TowerPoint(1, y), 1: TowerPoint(sign, y)}, 2)
+        TowerModel(3, 1, {0: SignedTree(1, y), 1: SignedTree(sign, y)}, 2)
     for tree in (y, torsion):
         with refused:
             make_model(3, 1, [(1, y), (sign, tree)])
@@ -293,7 +292,7 @@ def test_models_refuse_point_signs_other_than_one(sign):
     # a model's points are read-only, so no point can change after the check
     b = make_model(3, 1, [(1, y)])
     with pytest.raises(TypeError):
-        b.points[0] = TowerPoint(-sign, y)
+        b.points[0] = SignedTree(-sign, y)
 
 
 def test_models_whose_certificates_would_fail_are_refused():
@@ -529,18 +528,18 @@ def test_verify_rejects_bad_certificates():
     assert verify_certificate(make_model(3, 1, []), ()).ok
 
 
-@pytest.mark.parametrize("sign", [0, 2])
+@pytest.mark.parametrize("sign", [0, 2, True])
 def test_verify_refuses_insertion_signs_other_than_one(sign):
-    # a certificate built in Python skips the JSON loader's sign check:
-    # an insertion of sign 0 or 2 and its negation would pair off, so
-    # replay itself must refuse the first one
+    # an insertion of sign 0 or 2 and its negation would pair off in
+    # replay, and ihx_insert with True added points of signs 1, -1, 1:
+    # the move refuses such a sign when it is built, and ihx_insert too
     ct, edge = next((c, e) for c, e in ihx_triples(2, 4) if c.nonrepeating)
-    move = IhxInsert(ct, edge, 1, *map(decode, ihx_at(ct, edge)))
-    cert = (replace(move, sign=sign), replace(move, sign=-sign),
-            CancelPair(0, 3), CancelPair(1, 4), CancelPair(2, 5))
-    res = verify_certificate(make_model(4, 2, []), cert)
-    assert not res.ok
-    assert (res.code, res.move) == ("BadSign", 0)
+    h, x = map(decode, ihx_at(ct, edge))
+    with pytest.raises(TowerError, match=rf"^ihx_insert: 'sign' must be \+1 or -1, not {sign}$"):
+        IhxInsert(ct, edge, sign, h, x)
+    with pytest.raises(MoveError) as exc:
+        ihx_insert(make_model(4, 2, []), ct, edge, sign)
+    assert exc.value.reason == "BadSign"
 
 
 # --------------------------------------------------------------------- glue
@@ -583,6 +582,10 @@ def test_model_json_roundtrip():
     assert tau(again) == tau(model)
     least = make_model(1, 0, [])
     assert load_tower(model_to_json(least)) == least
+    # a point on a 2-torsion tree is stored, written and read back as +1
+    direct = TowerModel(1, 1, {0: SignedTree(-1, canon("inner(1,(1,1),)"))}, 1)
+    assert direct.points[0].sign == 1
+    assert load_tower(model_to_json(direct)) == direct
 
 
 def test_raw_json_roundtrip():
@@ -592,17 +595,20 @@ def test_raw_json_roundtrip():
     assert tau(load_tower(text)) == tau(extract_model(raw))
 
 
-@pytest.mark.parametrize("m, order, sign, message", [
-    (3, 1, True, r"^point 0 has sign True, not \+1 or -1$"),
-    (3, 1, 1.0, r"^point 0 has sign 1.0, not \+1 or -1$"),
+@pytest.mark.parametrize("m, order, point, message", [
+    (3, 1, (True, "inner(1,(2,3),)"), r"^point 0 has sign True, not \+1 or -1$"),
+    (3, 1, (1.0, "inner(1,(2,3),)"), r"^point 0 has sign 1.0, not \+1 or -1$"),
     (0, 0, None, r"^model: 'm' must be at least 1, not 0$"),
     (2, -1, None, r"^model: 'order' must be at least 0, not -1$"),
     (True, 0, None, r"^model: 'm' must be an integer, not True$"),
     (2, 0.0, None, r"^model: 'order' must be an integer, not 0.0$"),
-], ids=["bool-sign", "float-sign", "m", "order", "bool-m", "float-order"])
-def test_a_model_the_loader_refuses_is_never_built(m, order, sign, message):
+    (2, 1, (1, "inner(1,(2,3),)"), r"^point 0 has labels outside 1\.\.2: inner\(1,\(2,3\),\)$"),
+    (1, 1, (True, "inner(1,(1,1),)"), r"^point 0 has sign True, not \+1 or -1$"),
+], ids=["bool-sign", "float-sign", "m", "order", "bool-m", "float-order", "label",
+        "bool-sign-on-2-torsion"])
+def test_a_model_the_loader_refuses_is_never_built(m, order, point, message):
     # model_to_json wrote each of these models, and load_tower refused the file
-    points = [] if sign is None else [(sign, canon("inner(1,(2,3),)"))]
+    points = [] if point is None else [(point[0], canon(point[1]))]
     text = json.dumps({"m": m, "order": order,
                        "points": [{"sign": s, "tree": ct.text()} for s, ct in points]})
     with pytest.raises(TowerError):
@@ -657,18 +663,21 @@ def test_certificate_json_roundtrip():
     ("edge", None, "'edge' must be a string, not None"),
     ("p", True, "'p' must be an integer, not True"),
     ("q", 1.0, "'q' must be an integer, not 1.0"),
+    ("p", 1.0, "'p' must be an integer, not 1.0"),
 ])
 def test_certificate_writer_refuses_what_the_loader_refuses(field, value, message):
     # json.dumps would write these as true, 2, an array, null or 1.0,
-    # and the loader would refuse the file; the writer names the move
+    # and the loader refuses the file; no move with such a field is
+    # built, so none reaches the writer
     _, cert = _ihx_model()
     k = 0 if field in ("sign", "edge") else 1
-    bad = cert[:k] + (replace(cert[k], **{field: value}),) + cert[k + 1:]
-    with pytest.raises(TowerError):
-        certificate_from_json(certificate_json(bad))
     kind = "ihx_insert" if k == 0 else "cancel_pair"
-    with pytest.raises(ValueError, match=re.escape(f"certificate move {k} ({kind}): {message}")):
-        certificate_to_json(bad)
+    records = json.loads(certificate_to_json(cert))
+    records[k][field] = value
+    with pytest.raises(TowerError, match=re.escape(f"certificate move {k} ({kind}): {field!r}")):
+        certificate_from_json(json.dumps(records))
+    with pytest.raises(TowerError, match=f"^{re.escape(f'{kind}: {message}')}$"):
+        replace(cert[k], **{field: value})
 
 
 def test_certificate_json_keeps_negative_sign_on_torsion_insert():
